@@ -17,7 +17,7 @@ import click
 import numpy as np
 
 from . import filters, graphs, rates, sim
-from .errors import SpecconError
+from .errors import NumericalError, SpecconError
 
 TABLE_METHODS = ("lagrange", "chebyshev", "constant")
 
@@ -178,11 +178,11 @@ TABLE3_GRAPHS = ("star12", "cycle12", "path6", "smallworld12")
 
 def _table3_eigenvalues(name: str) -> np.ndarray:
     if name == "star12":
-        s = graphs.spectrum(graphs.build_graph("star", n=12))
+        s = graphs.spectrum(graphs.build_graph("star", n=12), vectors=False)
     elif name == "cycle12":
-        s = graphs.spectrum(graphs.build_graph("cycle", n=12))
+        s = graphs.spectrum(graphs.build_graph("cycle", n=12), vectors=False)
     elif name == "path6":
-        s = graphs.spectrum(graphs.build_graph("path", n=6))
+        s = graphs.spectrum(graphs.build_graph("path", n=6), vectors=False)
     elif name == "smallworld12":
         return bundled_spectrum()[1:]
     else:
@@ -227,10 +227,9 @@ def table3(band, periods, fmt, out):
 
 def _sweep_row(band, period, nodes, edge_prob, seed, graph_id):
     g = graphs.build_graph("random_connected", n=nodes, p=edge_prob, seed=[seed, graph_id])
-    s = graphs.spectrum(g)
+    s = graphs.spectrum(g, vectors=False)
     if s.lambda_max > band.beta:
-        g = graphs.Graph(nodes, g.adjacency * (band.beta / s.lambda_max))
-        s = graphs.spectrum(g)
+        s = s.scaled(band.beta / s.lambda_max)
     row = [graph_id, s.lambda_2, s.lambda_max]
     for method in TABLE_METHODS:
         seq, steps = _design_for(method, band, period)
@@ -250,9 +249,10 @@ def _sweep_row(band, period, nodes, edge_prob, seed, graph_id):
 def sweep(band, period, trials, nodes, edge_prob, seed, fmt, out):
     """Exact rates of all methods on seeded random connected graphs.
 
-    Graphs whose spectral radius exceeds beta are rescaled by beta/lambda_N
-    and rechecked. Rows are ordered by graph id; SPECCON_THREADS caps the
-    worker count.
+    Only Laplacian eigenvalues are computed. A graph whose spectral radius
+    exceeds beta has its edge weights rescaled by beta/lambda_N; its spectrum
+    is rescaled by the same factor, which is exact, so it is not decomposed
+    again. Rows are ordered by graph id; SPECCON_THREADS caps the worker count.
     """
     if trials < 1:
         raise click.BadParameter("trials must be >= 1")
@@ -363,6 +363,13 @@ def simulate_cmd(graph_spec, band, method, period, beta_bar, sequence_file, x0, 
             raise click.BadParameter("provide --method or --sequence")
 
         report = rates.exact_rate(seq, s)
+        b = report.band
+        if b is not None and b.alpha <= s.lambda_2 and s.lambda_max <= b.beta:
+            # Every nonzero eigenvalue lies in the band, so the band's worst
+            # case bounds the predicted rate; a breach is a numerical fault.
+            if not (report.exact_rate <= report.worst_case_rate * (1.0 + 1e-9) + 1e-12):
+                raise NumericalError(f"predicted rate {report.exact_rate:.6g} exceeds the "
+                                     f"band worst case {report.worst_case_rate:.6g}")
         if x0 == "uniform":
             x_init = sim.uniform_initial_states(g.n, seed)
         elif x0 == "worst_eigenvector":

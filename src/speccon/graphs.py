@@ -11,16 +11,13 @@ from __future__ import annotations
 import json
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConnectivityError, GenerationError, NumericalError, ParameterError
 
 MAX_GENERATION_ATTEMPTS = 1000
-
-SPECIAL_FAMILIES = ("complete", "complete_bipartite", "star", "cycle", "path")
-RANDOM_FAMILIES = ("watts_strogatz", "random_connected")
 
 
 @dataclass(frozen=True)
@@ -34,6 +31,8 @@ class Graph:
         a = np.array(self.adjacency, dtype=float)
         if self.n < 1 or a.shape != (self.n, self.n):
             raise ParameterError(f"adjacency must be {self.n}x{self.n}")
+        if not np.all(np.isfinite(a)):
+            raise ParameterError("edge weights must be finite")
         if not np.array_equal(a, a.T):
             raise ParameterError("adjacency must be symmetric")
         if np.any(np.diag(a) != 0.0):
@@ -66,20 +65,24 @@ class SpectralBand:
 
 @dataclass(frozen=True)
 class LaplacianSpectrum:
-    """Ascending Laplacian eigenvalues with paired orthonormal eigenvectors."""
+    """Ascending Laplacian eigenvalues with paired orthonormal eigenvectors.
+
+    ``eigenvectors`` is None for a values-only spectrum.
+    """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    eigenvectors: np.ndarray | None
     max_degree: float
     group_tol: float = 1e-8
 
     def __post_init__(self):
         vals = np.array(self.eigenvalues, dtype=float)
-        vecs = np.array(self.eigenvectors, dtype=float)
         vals.flags.writeable = False
-        vecs.flags.writeable = False
         object.__setattr__(self, "eigenvalues", vals)
-        object.__setattr__(self, "eigenvectors", vecs)
+        if self.eigenvectors is not None:
+            vecs = np.array(self.eigenvectors, dtype=float)
+            vecs.flags.writeable = False
+            object.__setattr__(self, "eigenvectors", vecs)
 
     @property
     def n(self) -> int:
@@ -95,6 +98,16 @@ class LaplacianSpectrum:
 
     def is_connected(self) -> bool:
         return self.lambda_2 > self.group_tol * max(1.0, self.lambda_max)
+
+    def scaled(self, c: float) -> LaplacianSpectrum:
+        """Spectrum of the graph with every edge weight multiplied by ``c > 0``.
+
+        Exact: the Laplacian scales linearly, so spec(cL) = c spec(L) with the
+        same eigenvectors.
+        """
+        if not (0.0 < c < math.inf):
+            raise ParameterError(f"scale factor must be positive and finite, got {c}")
+        return replace(self, eigenvalues=c * self.eigenvalues, max_degree=c * self.max_degree)
 
 
 def edge_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -257,27 +270,44 @@ def laplacian(g: Graph) -> np.ndarray:
     return np.diag(g.degrees) - g.adjacency
 
 
-def spectrum(g: Graph, group_tol: float = 1e-8) -> LaplacianSpectrum:
+def spectrum(g: Graph, group_tol: float = 1e-8, vectors: bool = True) -> LaplacianSpectrum:
     """Eigendecomposition of the Laplacian, eigenvalues ascending.
 
-    Raises NumericalError if the eigensolver fails or the decomposition does
-    not reconstruct the Laplacian to within 1e-8 * max(1, lambda_N).
+    With ``vectors=False`` only the eigenvalues are computed and the result
+    carries ``eigenvectors=None``. Both modes raise NumericalError if the
+    eigensolver fails, the smallest eigenvalue is not zero, or the largest
+    exceeds twice the maximum degree. The full decomposition must reconstruct
+    the Laplacian to within 1e-8 * max(1, lambda_N) with orthonormal
+    eigenvectors; the eigenvalues alone must reproduce trace(L) to within
+    1e-8 * scale and ||L||_F^2 to within 1e-8 * scale^2, scale = max(1, lambda_N).
+    NaN fails every check.
     """
     lap = laplacian(g)
     try:
-        vals, vecs = np.linalg.eigh(lap)
+        if vectors:
+            vals, vecs = np.linalg.eigh(lap)
+        else:
+            vals, vecs = np.linalg.eigvalsh(lap), None
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed: {exc}") from exc
     scale = max(1.0, float(vals[-1]))
-    recon = np.abs(vecs @ np.diag(vals) @ vecs.T - lap).max()
-    if recon > 1e-8 * scale:
-        raise NumericalError(f"eigendecomposition reconstruction error {recon:.3e}")
-    ortho = np.abs(vecs.T @ vecs - np.eye(g.n)).max()
-    if ortho > 1e-9:
-        raise NumericalError(f"eigenvector matrix not orthonormal ({ortho:.3e})")
-    if abs(vals[0]) > 1e-9 * scale:
+    if vectors:
+        recon = np.abs(vecs @ np.diag(vals) @ vecs.T - lap).max()
+        if not (recon <= 1e-8 * scale):
+            raise NumericalError(f"eigendecomposition reconstruction error {recon:.3e}")
+        ortho = np.abs(vecs.T @ vecs - np.eye(g.n)).max()
+        if not (ortho <= 1e-9):
+            raise NumericalError(f"eigenvector matrix not orthonormal ({ortho:.3e})")
+    else:
+        trace_err = abs(vals.sum() - np.trace(lap))
+        if not (trace_err <= 1e-8 * scale):
+            raise NumericalError(f"eigenvalue sum misses trace(L) by {trace_err:.3e}")
+        frob_err = abs(vals @ vals - np.vdot(lap, lap))
+        if not (frob_err <= 1e-8 * scale * scale):
+            raise NumericalError(f"eigenvalue sum of squares misses ||L||_F^2 by {frob_err:.3e}")
+    if not (abs(vals[0]) <= 1e-9 * scale):
         raise NumericalError(f"smallest eigenvalue {vals[0]:.3e} not zero")
-    if vals[-1] > 2.0 * g.max_degree + 1e-9:
+    if not (vals[-1] <= 2.0 * g.max_degree + 1e-9):
         raise NumericalError("largest eigenvalue exceeds twice the maximum degree")
     return LaplacianSpectrum(vals, vecs, g.max_degree, group_tol)
 

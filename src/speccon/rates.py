@@ -4,7 +4,8 @@ over uncertainty bands, asymptotic limits, and consensus-condition checks."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -18,14 +19,24 @@ PRESCAN_POINTS = 4097
 
 @dataclass(frozen=True)
 class RateReport:
-    """Per-period convergence rate of a sequence on a spectrum."""
+    """Per-period convergence rate of a sequence on a spectrum.
+
+    ``worst_case_rate`` is computed on first access, since it costs far more
+    than the exact rate and most callers never read it.
+    """
 
     exact_rate: float
     argmax_eigenvalue: float
     per_step_rate: float
-    worst_case_rate: float | None
     method: str
     steps: int
+    sequence: ControlSequence = field(repr=False, compare=False)
+    band: SpectralBand | None = None
+
+    @cached_property
+    def worst_case_rate(self) -> float | None:
+        """Max of |h(lam, steps)| over ``band``; None without a band."""
+        return None if self.band is None else worst_case_rate(self.sequence, self.band, self.steps)
 
 
 def _golden_max(f, lo: float, hi: float, xtol: float = 1e-12) -> float:
@@ -101,14 +112,14 @@ def rate_on_eigenvalues(seq: ControlSequence, eigenvalues, steps: int | None = N
     values = np.abs(eval_filter(seq, eigs, steps))
     idx = int(np.argmax(values))  # first occurrence: ties go to the smallest
     rho = float(values[idx])
-    band = seq.band if band is None else band
     return RateReport(
         exact_rate=rho,
         argmax_eigenvalue=float(eigs[idx]),
         per_step_rate=rho ** (1.0 / steps),
-        worst_case_rate=None if band is None else worst_case_rate(seq, band, steps),
         method=seq.method,
         steps=steps,
+        sequence=seq,
+        band=seq.band if band is None else band,
     )
 
 
@@ -167,6 +178,8 @@ def spectral_state(s: LaplacianSpectrum, seq: ControlSequence, x0, steps: int) -
 
     x(T) = V diag{1, h(lambda_2, T), ..., h(lambda_N, T)} V^T x(0).
     """
+    if s.eigenvectors is None:
+        raise ParameterError("spectral_state needs a spectrum with eigenvectors")
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (s.n,):
         raise ParameterError(f"x0 must have length {s.n}")

@@ -109,12 +109,13 @@ def consensus_time(trace: SimulationTrace, tol: float) -> int | None:
     """Smallest k with errors[j] <= tol * max(1, errors[0]) for all j >= k.
 
     The threshold has an absolute floor of 1e-12. Returns None when the trace
-    never settles below the threshold.
+    never settles below the threshold; a non-finite error (a divergent run)
+    counts as above it.
     """
     if tol <= 0.0:
         raise ParameterError("tolerance must be positive")
     threshold = max(tol * max(1.0, float(trace.errors[0])), 1e-12)
-    above = np.nonzero(trace.errors > threshold)[0]
+    above = np.nonzero(~(trace.errors <= threshold))[0]
     if above.size == 0:
         return 0
     k = int(above[-1]) + 1

@@ -1,15 +1,17 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from speccon import build_graph, graph_to_dict
+from speccon import build_graph, graph_to_dict, rates
 from speccon.cli import bundled_spectrum, main, parse_graph_spec
 
 RUN = CliRunner()
+DATA = Path(__file__).parent / "data"
 
 
 def invoke(*args, env=None):
@@ -112,6 +114,50 @@ def test_sweep_small_and_deterministic(tmp_path):
         assert lp < xs
 
 
+# Sweep stdout pinned byte for byte: the CLI's determinism contract holds across
+# changes to how the spectrum is computed.
+@pytest.mark.parametrize("fixture,args", [
+    ("sweep_n100_p008_M16_seed1.csv",
+     ("--nodes", "100", "--edge-prob", "0.08", "-M", "16", "--band", "0.2,12.8",
+      "--trials", "20", "--seed", "1")),
+    ("sweep_n300_M5_seed2.csv",
+     ("--nodes", "300", "-M", "5", "--band", "0.2,12.8", "--trials", "3", "--seed", "2")),
+])
+def test_sweep_csv_matches_pinned_output(fixture, args):
+    result = invoke("sweep", *args)
+    assert result.exit_code == 0
+    assert result.stdout_bytes == (DATA / fixture).read_bytes()
+
+
+def test_sweep_and_table3_compute_no_worst_case_rate(monkeypatch):
+    calls = []
+    original = rates.worst_case_rate
+    monkeypatch.setattr(rates, "worst_case_rate",
+                        lambda *args: calls.append(args) or original(*args))
+    assert invoke("sweep", "--trials", "3", "--nodes", "30", "--edge-prob", "0.2",
+                  "--seed", "9", "-M", "5").exit_code == 0
+    assert invoke("table3").exit_code == 0
+    assert calls == []
+
+
+def test_simulate_checks_rate_against_band_worst_case(monkeypatch):
+    args = ("simulate", "--graph", "star:12", "--band", "0.2,12.8", "--method", "chebyshev",
+            "-M", "3", "--steps", "6", "--seed", "1")
+    calls = []
+    original = rates.worst_case_rate
+    monkeypatch.setattr(rates, "worst_case_rate",
+                        lambda *args: calls.append(args) or original(*args))
+    assert invoke(*args).exit_code == 0
+    assert len(calls) == 1
+    monkeypatch.setattr(rates, "worst_case_rate", lambda *args: 0.0)
+    result = RUN.invoke(main, list(args))
+    assert result.exit_code == 1
+    assert "exceeds the band worst case" in result.stderr
+    # Out of band the bound does not apply, so it is not checked.
+    assert invoke("simulate", "--graph", "star:12", "--band", "1,5", "--method", "chebyshev",
+                  "-M", "3", "--steps", "6", "--seed", "1").exit_code == 0
+
+
 def test_sweep_reports_generation_failures_nonzero():
     result = RUN.invoke(main, ["sweep", "--trials", "2", "--nodes", "40",
                                "--edge-prob", "0.000001", "--seed", "1"])
@@ -202,6 +248,14 @@ def test_graph_generate_and_inspect(tmp_path):
     assert len(lines) == 13
     assert [float(line.split(",")[1]) for line in lines[1:]] == pytest.approx(
         [0.0] + [1.0] * 10 + [12.0], abs=1e-6)
+
+
+def test_graph_inspect_rejects_infinite_weight(tmp_path):
+    path = tmp_path / "g.json"
+    path.write_text('{"n": 3, "edges": [[0, 1, Infinity], [1, 2, 1.0]]}\n')
+    result = RUN.invoke(main, ["graph", "inspect", f"file:{path}", "--format", "json"])
+    assert result.exit_code != 0
+    assert "NaN" not in result.stdout
 
 
 def test_parse_graph_spec_errors():

@@ -9,6 +9,7 @@ from speccon import (
     GenerationError,
     Graph,
     LaplacianSpectrum,
+    NumericalError,
     ParameterError,
     SpectralBand,
     analytic_spectrum,
@@ -101,6 +102,9 @@ def test_graph_invariants_enforced():
         Graph(2, np.array([[1.0, 1.0], [1.0, 0.0]]))  # nonzero diagonal
     with pytest.raises(ParameterError):
         Graph(2, np.array([[0.0, -1.0], [-1.0, 0.0]]))  # negative weight
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ParameterError):
+            Graph(2, np.array([[0.0, bad], [bad, 0.0]]))  # non-finite weight
     g = build_graph("path", n=2)
     with pytest.raises(ValueError):
         g.adjacency[0, 1] = 5.0  # adjacency is read-only
@@ -257,6 +261,8 @@ def test_graph_from_dict_symmetrizes_and_validates():
     with pytest.raises(ParameterError):
         graph_from_dict({"n": 3, "edges": [[0, 1, -2.0]]})
     with pytest.raises(ParameterError):
+        graph_from_dict({"n": 3, "edges": [[0, 1, math.inf], [1, 2, 1.0]]})
+    with pytest.raises(ParameterError):
         graph_from_dict({"edges": []})
 
 
@@ -265,3 +271,102 @@ def test_spectrum_group_tol_threads_to_connectivity():
     assert isinstance(s, LaplacianSpectrum)
     assert s.group_tol == 1e-8
     assert s.is_connected()
+
+
+# The five special families plus seeded random instances.
+VALUES_ONLY_CASES = [
+    ("complete", dict(n=7)),
+    ("star", dict(n=12)),
+    ("cycle", dict(n=12)),
+    ("path", dict(n=6)),
+    ("complete_bipartite", dict(m=3, n=4)),
+    ("watts_strogatz", dict(n=40, k=4, p=0.3, seed=7)),
+    ("watts_strogatz", dict(n=60, k=6, p=0.1, seed=8)),
+    ("random_connected", dict(n=50, p=0.2, seed=3)),
+    ("random_connected", dict(n=80, p=0.08, seed=4)),
+]
+
+
+@pytest.mark.parametrize("family,kwargs", VALUES_ONLY_CASES)
+def test_values_only_spectrum_matches_full(family, kwargs):
+    g = build_graph(family, **kwargs)
+    full = spectrum(g)
+    vals = spectrum(g, vectors=False)
+    assert vals.eigenvectors is None
+    assert vals.max_degree == full.max_degree
+    scale = max(1.0, full.lambda_max)
+    assert np.abs(vals.eigenvalues - full.eigenvalues).max() <= 1e-12 * scale
+    if family not in ("watts_strogatz", "random_connected"):
+        pairs = analytic_spectrum(family, **kwargs)
+        flat = np.repeat([v for v, _ in pairs], [m for _, m in pairs])
+        assert np.abs(np.sort(flat) - vals.eigenvalues).max() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("family,kwargs", VALUES_ONLY_CASES)
+def test_scaled_spectrum_matches_scaled_graph(family, kwargs):
+    g = build_graph(family, **kwargs)
+    s = spectrum(g, vectors=False)
+    c = 12.8 / s.lambda_max
+    scaled = s.scaled(c)
+    direct = spectrum(Graph(g.n, g.adjacency * c), vectors=False)
+    assert scaled.eigenvectors is None
+    assert scaled.group_tol == s.group_tol
+    assert scaled.max_degree == pytest.approx(direct.max_degree, rel=1e-15)
+    assert np.abs(scaled.eigenvalues - direct.eigenvalues).max() <= 1e-12 * direct.lambda_max
+    full = spectrum(g)
+    full_scaled = full.scaled(c)
+    assert np.array_equal(full_scaled.eigenvectors, full.eigenvectors)
+    assert np.array_equal(full_scaled.eigenvalues, c * full.eigenvalues)
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ParameterError):
+            s.scaled(bad)
+
+
+def _perturb_numpy(monkeypatch, name, perturb):
+    """Make numpy.linalg.<name> return a perturbed result."""
+    original = getattr(np.linalg, name)
+
+    def patched(a):
+        out = original(a)
+        if isinstance(out, np.ndarray):
+            return perturb(out.copy())
+        vals, vecs = out
+        return perturb(vals.copy()), vecs
+
+    monkeypatch.setattr(np.linalg, name, patched)
+
+
+def _shift(i, delta):
+    def perturb(vals):
+        vals[i] += delta * max(1.0, vals[-1])
+        return vals
+    return perturb
+
+
+def _swap_mass(vals):
+    # keeps the trace, changes the sum of squares by about 1e-6 * scale^2
+    delta = 1e-6 * vals[-1]
+    vals[-1] += delta
+    vals[1] -= delta
+    return vals
+
+
+def _poison(vals):
+    vals[-1] = np.nan
+    return vals
+
+
+@pytest.mark.parametrize("perturb", [_shift(-1, 1e-6), _shift(2, -1e-6), _swap_mass, _poison])
+def test_values_only_moment_checks_reject_perturbed_eigenvalues(monkeypatch, perturb):
+    g = build_graph("random_connected", n=40, p=0.2, seed=5)
+    spectrum(g, vectors=False)  # unperturbed: accepted
+    _perturb_numpy(monkeypatch, "eigvalsh", perturb)
+    with pytest.raises(NumericalError):
+        spectrum(g, vectors=False)
+
+
+def test_full_spectrum_rejects_nan_eigenvalues(monkeypatch):
+    g = build_graph("random_connected", n=40, p=0.2, seed=5)
+    _perturb_numpy(monkeypatch, "eigh", _poison)
+    with pytest.raises(NumericalError):
+        spectrum(g)

@@ -24,6 +24,7 @@ from speccon import (
     eval_filter,
     exact_rate,
     rate_on_eigenvalues,
+    rates,
     report_to_dict,
     spectral_state,
     spectrum,
@@ -131,16 +132,22 @@ def test_rates_invariant_under_gain_permutation():
         assert abs(worst_case_rate(shuffled, BAND) - base_worst) <= 1e-12
 
 
-def test_report_carries_band_worst_case():
+def test_report_carries_band_worst_case(monkeypatch):
+    calls = []
+    monkeypatch.setattr(rates, "worst_case_rate",
+                        lambda *args: calls.append(args) or worst_case_rate(*args))
     report = exact_rate(design_chebyshev(BAND, 3), STAR12)
+    assert calls == []  # not computed until read
     assert report.worst_case_rate is not None
     assert report.exact_rate <= report.worst_case_rate + 1e-9
     assert report.exact_rate == abs(eval_filter(design_chebyshev(BAND, 3),
                                                 report.argmax_eigenvalue, 3))
+    assert report.worst_case_rate == worst_case_rate(design_chebyshev(BAND, 3), BAND, 3)
     doc = report_to_dict(report)
     assert doc["M"] == 3
     assert doc["method"] == "chebyshev"
     assert doc["worst_case_rate"] == report.worst_case_rate
+    assert len(calls) == 1  # computed on first access, then cached
 
 
 def test_exact_below_worst_case_for_in_band_spectra():
@@ -206,3 +213,6 @@ def test_decaying_gain_residuals_contracts():
 def test_spectral_state_validates_shape():
     with pytest.raises(ParameterError):
         spectral_state(STAR12, design_constant(BAND), np.ones(5), 3)
+    values_only = spectrum(build_graph("star", n=12), vectors=False)
+    with pytest.raises(ParameterError):
+        spectral_state(values_only, design_constant(BAND), np.ones(12), 3)

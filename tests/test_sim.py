@@ -4,6 +4,7 @@ import pytest
 from speccon import (
     ControlSequence,
     ParameterError,
+    SimulationTrace,
     SpectralBand,
     build_graph,
     consensus_time,
@@ -198,6 +199,21 @@ def test_consensus_time_examples():
     assert consensus_time(slow, 1e-10) is None
     with pytest.raises(ParameterError):
         consensus_time(slow, 0.0)
+
+
+def test_consensus_time_divergent_run_is_not_consensus():
+    # complete:20 has lambda_N = 20 > beta: the predicted rate is about 25, so
+    # the errors overflow to inf and then NaN, which must not count as settled
+    g = build_graph("complete", n=20)
+    seq = design_chebyshev(BAND, 3)
+    assert exact_rate(seq, spectrum(g)).exact_rate > 1.0
+    with np.errstate(all="ignore"):
+        trace = simulate(g, seq, uniform_initial_states(20, 1), 3000)
+    assert not np.all(np.isfinite(trace.errors))
+    assert consensus_time(trace, 1e-9) is None
+    for tail in (np.inf, np.nan):
+        stalled = SimulationTrace(np.zeros((3, 2)), np.array([1.0, 0.0, tail]), 0.0)
+        assert consensus_time(stalled, 1e-9) is None
 
 
 def test_trace_serialization(tmp_path):
