@@ -7,6 +7,7 @@ rounded to 4 decimals; other CSV output carries 6 significant digits.
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -81,14 +82,18 @@ def bundled_spectrum(name: str = "smallworld12") -> np.ndarray:
     return np.asarray(doc["eigenvalues"], dtype=float)
 
 
-def _design_for(method: str, band: graphs.SpectralBand, period: int) -> tuple[filters.ControlSequence, int]:
-    """Sequence plus the step count that makes methods comparable at period M."""
+def _design_for(method: str, band: graphs.SpectralBand, period: int) -> filters.ControlSequence:
+    """The method's sequence for period M.
+
+    Methods are compared over M steps, which is not ``seq.period`` for the
+    period-1 constant sequence, so callers pass M itself as the step count.
+    """
     if method == "lagrange":
-        return filters.design_lagrange(band, period), period
+        return filters.design_lagrange(band, period)
     if method == "chebyshev":
-        return filters.design_chebyshev(band, period), period
+        return filters.design_chebyshev(band, period)
     if method == "constant":
-        return filters.design_constant(band), period
+        return filters.design_constant(band)
     raise click.BadParameter(f"unknown method {method!r}")
 
 
@@ -100,6 +105,17 @@ def _closed_rate(method: str, band: graphs.SpectralBand, period: int) -> float |
     if method == "constant":
         return filters.closed_rate_constant(band, period)
     return None
+
+
+def _finite_or_null(value):
+    """``value`` with every non-finite float, nested in lists and dicts, as None."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    if isinstance(value, list):
+        return [_finite_or_null(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    return value
 
 
 def _emit(lines: list[str], out: Path | None, filename: str) -> None:
@@ -145,7 +161,7 @@ def design(band, method, period, beta_bar):
         else:
             if band is None:
                 raise click.BadParameter(f"{method} requires --band")
-            seq, _ = _design_for(method, band, period)
+            seq = _design_for(method, band, period)
             gamma = _closed_rate(method, band, period)
     except SpecconError as exc:
         raise click.ClickException(str(exc))
@@ -205,8 +221,8 @@ def table3(band, periods, fmt, out):
             for method in TABLE_METHODS:
                 cells = []
                 for period in periods:
-                    seq, steps = _design_for(method, band, period)
-                    report = rates.rate_on_eigenvalues(seq, eigs, steps=steps)
+                    seq = _design_for(method, band, period)
+                    report = rates.rate_on_eigenvalues(seq, eigs, steps=period)
                     cells.append(round(report.exact_rate, 4))
                 rows[(gname, method)] = cells
     except SpecconError as exc:
@@ -232,8 +248,8 @@ def _sweep_row(band, period, nodes, edge_prob, seed, graph_id):
         s = s.scaled(band.beta / s.lambda_max)
     row = [graph_id, s.lambda_2, s.lambda_max]
     for method in TABLE_METHODS:
-        seq, steps = _design_for(method, band, period)
-        row.append(rates.exact_rate(seq, s, steps=steps).exact_rate)
+        seq = _design_for(method, band, period)
+        row.append(rates.exact_rate(seq, s, steps=period).exact_rate)
     return row, graphs.band_contains(s, band)
 
 
@@ -312,8 +328,8 @@ def response(band, methods, period, samples, out):
         columns = {}
         grid = np.linspace(0.0, band.beta * 1.05, samples)
         for name in names:
-            seq, steps = _design_for(name, band, period)
-            columns[name] = filters.eval_filter(seq, grid, steps)
+            seq = _design_for(name, band, period)
+            columns[name] = filters.eval_filter(seq, grid, period)
     except SpecconError as exc:
         raise click.ClickException(str(exc))
     lines = ["lambda," + ",".join(f"h_{n}" for n in names)]
@@ -343,7 +359,11 @@ def response(band, methods, period, samples, out):
 @out_option
 def simulate_cmd(graph_spec, band, method, period, beta_bar, sequence_file, x0, steps,
                  tol, with_states, seed, out):
-    """Simulate the protocol on a graph; write trace CSV and summary JSON."""
+    """Simulate the protocol on a graph; write trace CSV and summary JSON.
+
+    A divergent run, one whose consensus error is not finite at some step,
+    prints its non-finite summary numbers as null and exits with status 1.
+    """
     try:
         g = parse_graph_spec(graph_spec, seed)
         s = graphs.spectrum(g)
@@ -358,7 +378,7 @@ def simulate_cmd(graph_spec, band, method, period, beta_bar, sequence_file, x0, 
         elif method is not None:
             if band is None:
                 raise click.BadParameter(f"{method} requires --band")
-            seq, _ = _design_for(method, band, period)
+            seq = _design_for(method, band, period)
         else:
             raise click.BadParameter("provide --method or --sequence")
 
@@ -380,12 +400,14 @@ def simulate_cmd(graph_spec, band, method, period, beta_bar, sequence_file, x0, 
         else:
             raise click.BadParameter(f"unknown x0 mode {x0!r}")
 
-        trace = sim.simulate(g, seq, x_init, steps)
-        try:
-            ratios = sim.measured_period_ratios(trace, seq.period)
-            measured, omitted = list(ratios.ratios), list(ratios.omitted)
-        except SpecconError:
-            measured, omitted = [], []  # trace shorter than two periods
+        # A divergent run overflows to inf and NaN; it is reported below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            trace = sim.simulate(g, seq, x_init, steps)
+            try:
+                ratios = sim.measured_period_ratios(trace, seq.period)
+                measured, omitted = list(ratios.ratios), list(ratios.omitted)
+            except SpecconError:
+                measured, omitted = [], []  # trace shorter than two periods
         summary = {
             "graph": graph_spec,
             "n": g.n,
@@ -403,12 +425,18 @@ def simulate_cmd(graph_spec, band, method, period, beta_bar, sequence_file, x0, 
         }
     except SpecconError as exc:
         raise click.ClickException(str(exc))
-    click.echo(json.dumps(summary, indent=2))
+    text = json.dumps(_finite_or_null(summary), indent=2, allow_nan=False)
+    click.echo(text)
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
         (out / "trace.csv").write_text(
             "\n".join(sim.trace_csv_lines(trace, with_states)) + "\n", encoding="utf-8")
-        (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
+        (out / "summary.json").write_text(text + "\n", encoding="utf-8")
+    nonfinite = np.flatnonzero(~np.isfinite(trace.errors))
+    if nonfinite.size:
+        click.echo(f"Error: the run diverged: the consensus error is first non-finite "
+                   f"at step {nonfinite[0]}", err=True)
+        sys.exit(1)
 
 
 @main.group()

@@ -63,11 +63,23 @@ class SpectralBand:
             raise ParameterError(f"band requires 0 < alpha <= beta, got [{self.alpha}, {self.beta}]")
 
 
+def _read_only(a) -> np.ndarray:
+    """``a`` itself if it is a read-only float array owning its memory, else a
+    read-only copy, so no caller can change the array after handing it over."""
+    if not (isinstance(a, np.ndarray) and a.dtype == np.float64 and a.base is None
+            and not a.flags.writeable):
+        a = np.array(a, dtype=float)
+        a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class LaplacianSpectrum:
     """Ascending Laplacian eigenvalues with paired orthonormal eigenvectors.
 
-    ``eigenvectors`` is None for a values-only spectrum.
+    ``eigenvectors`` is None for a values-only spectrum. Both arrays are
+    read-only; ones handed over read-only and owning their memory, as
+    ``spectrum`` does, are kept without a copy.
     """
 
     eigenvalues: np.ndarray
@@ -76,13 +88,9 @@ class LaplacianSpectrum:
     group_tol: float = 1e-8
 
     def __post_init__(self):
-        vals = np.array(self.eigenvalues, dtype=float)
-        vals.flags.writeable = False
-        object.__setattr__(self, "eigenvalues", vals)
+        object.__setattr__(self, "eigenvalues", _read_only(self.eigenvalues))
         if self.eigenvectors is not None:
-            vecs = np.array(self.eigenvectors, dtype=float)
-            vecs.flags.writeable = False
-            object.__setattr__(self, "eigenvectors", vecs)
+            object.__setattr__(self, "eigenvectors", _read_only(self.eigenvectors))
 
     @property
     def n(self) -> int:
@@ -292,10 +300,15 @@ def spectrum(g: Graph, group_tol: float = 1e-8, vectors: bool = True) -> Laplaci
         raise NumericalError(f"eigendecomposition failed: {exc}") from exc
     scale = max(1.0, float(vals[-1]))
     if vectors:
-        recon = np.abs(vecs @ np.diag(vals) @ vecs.T - lap).max()
+        # one n x n scratch buffer holds both residuals in turn
+        resid = (vecs * vals) @ vecs.T
+        resid -= lap
+        recon = np.abs(resid, out=resid).max()
         if not (recon <= 1e-8 * scale):
             raise NumericalError(f"eigendecomposition reconstruction error {recon:.3e}")
-        ortho = np.abs(vecs.T @ vecs - np.eye(g.n)).max()
+        np.matmul(vecs.T, vecs, out=resid)
+        resid.flat[::g.n + 1] -= 1.0
+        ortho = np.abs(resid, out=resid).max()
         if not (ortho <= 1e-9):
             raise NumericalError(f"eigenvector matrix not orthonormal ({ortho:.3e})")
     else:
@@ -309,6 +322,9 @@ def spectrum(g: Graph, group_tol: float = 1e-8, vectors: bool = True) -> Laplaci
         raise NumericalError(f"smallest eigenvalue {vals[0]:.3e} not zero")
     if not (vals[-1] <= 2.0 * g.max_degree + 1e-9):
         raise NumericalError("largest eigenvalue exceeds twice the maximum degree")
+    vals.flags.writeable = False
+    if vecs is not None:
+        vecs.flags.writeable = False
     return LaplacianSpectrum(vals, vecs, g.max_degree, group_tol)
 
 

@@ -15,38 +15,41 @@ import numpy as np
 
 from .errors import ParameterError
 from .filters import ControlSequence
-from .graphs import Graph, edge_arrays
+from .graphs import Graph, _read_only, edge_arrays
 
 ERROR_FLOOR = 1e-14
 
 
 @dataclass(frozen=True)
 class SimulationTrace:
-    """States x(0..T), consensus errors ||x(k) - mean(x(0))||_2, and that mean."""
+    """States x(0..T), consensus errors ||x(k) - mean(x(0))||_2, and that mean.
+
+    Both arrays are read-only. A read-only float array that owns its memory,
+    as ``simulate`` hands over, is kept without a copy; any other input is
+    copied, so the trace never shares memory a caller can still write.
+    """
 
     states: np.ndarray
     errors: np.ndarray
     average: float
 
     def __post_init__(self):
-        states = np.array(self.states, dtype=float)
-        errors = np.array(self.errors, dtype=float)
-        states.flags.writeable = False
-        errors.flags.writeable = False
-        object.__setattr__(self, "states", states)
-        object.__setattr__(self, "errors", errors)
+        object.__setattr__(self, "states", _read_only(self.states))
+        object.__setattr__(self, "errors", _read_only(self.errors))
 
     @property
     def steps(self) -> int:
         return self.states.shape[0] - 1
 
 
-def _neighbor_update(x, iu, ju, w):
+def _neighbor_update(x, src, iu, ju, w):
+    """sum_j a_ij (x_j - x_i) per node; ``src`` is ``concat(iu, ju)``.
+
+    Node i receives +diff for its edges as ``iu`` and then -diff for its edges
+    as ``ju``, each in edge order, summed from zero.
+    """
     diff = w * (x[ju] - x[iu])
-    u = np.zeros_like(x)
-    np.add.at(u, iu, diff)
-    np.add.at(u, ju, -diff)
-    return u
+    return np.bincount(src, weights=np.concatenate([diff, -diff]), minlength=x.shape[0])
 
 
 def step(x, g: Graph, eps: float) -> np.ndarray:
@@ -57,24 +60,41 @@ def step(x, g: Graph, eps: float) -> np.ndarray:
     if eps <= 0.0:
         raise ParameterError("gain must be positive")
     iu, ju, w = edge_arrays(g)
-    return x + eps * _neighbor_update(x, iu, ju, w)
+    return x + eps * _neighbor_update(x, np.concatenate([iu, ju]), iu, ju, w)
+
+
+def _error(x, average: float) -> float:
+    # the same reduction as np.linalg.norm(states - average, axis=1) per row,
+    # bit for bit; a 1-D norm or d @ d would go through BLAS dot instead
+    d = x - average
+    return np.sqrt(np.add.reduce(d * d))
 
 
 def simulate(g: Graph, seq: ControlSequence, x0, steps: int) -> SimulationTrace:
-    """Run ``steps`` protocol steps with the periodic gains of ``seq``."""
+    """Run ``steps`` protocol steps with the periodic gains of ``seq``.
+
+    The consensus error of each state is computed as the state is produced,
+    so the only array of size (steps + 1) x n is the stored states; the
+    returned trace owns it and the errors without a copy.
+    """
     x = np.asarray(x0, dtype=float)
     if x.shape != (g.n,):
         raise ParameterError(f"x0 must have length {g.n}")
     if steps < 0:
         raise ParameterError("steps must be non-negative")
     iu, ju, w = edge_arrays(g)
+    src = np.concatenate([iu, ju])
     average = float(x.mean())
     states = np.empty((steps + 1, g.n))
+    errors = np.empty(steps + 1)
     states[0] = x
+    errors[0] = _error(x, average)
     for k in range(steps):
-        x = x + seq.gain_at(k) * _neighbor_update(x, iu, ju, w)
+        x = x + seq.gain_at(k) * _neighbor_update(x, src, iu, ju, w)
         states[k + 1] = x
-    errors = np.linalg.norm(states - average, axis=1)
+        errors[k + 1] = _error(x, average)
+    states.flags.writeable = False
+    errors.flags.writeable = False
     return SimulationTrace(states, errors, average)
 
 

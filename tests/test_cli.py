@@ -1,4 +1,6 @@
 import json
+import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +14,7 @@ from speccon.cli import bundled_spectrum, main, parse_graph_spec
 
 RUN = CliRunner()
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).parents[1] / "src"
 
 
 def invoke(*args, env=None):
@@ -191,6 +194,59 @@ def test_simulate_byte_deterministic(tmp_path):
     second = invoke(*args, "--out", str(tmp_path / "b"))
     assert first.stdout == second.stdout
     assert (tmp_path / "a" / "trace.csv").read_bytes() == (tmp_path / "b" / "trace.csv").read_bytes()
+
+
+# simulate stdout, summary.json and trace.csv pinned byte for byte: the step
+# kernel and the consensus-error computation may change, the output may not.
+@pytest.mark.parametrize("stem,args", [
+    ("sim_ws300_seed3_states",
+     ("--graph", "ws:300,6,0.3", "--band", "0.2,20", "--method", "chebyshev", "-M", "5",
+      "--steps", "400", "--seed", "3", "--states")),
+    ("sim_path20_finite_time_seed1",
+     ("--graph", "path:20", "--method", "finite_time", "--steps", "60", "--seed", "1")),
+])
+def test_simulate_matches_pinned_output(tmp_path, stem, args):
+    result = invoke("simulate", *args, "--out", str(tmp_path))
+    assert result.exit_code == 0
+    expected = (DATA / f"{stem}.stdout.json").read_bytes()
+    assert result.stdout_bytes == expected
+    assert (tmp_path / "summary.json").read_bytes() == expected
+    assert (tmp_path / "trace.csv").read_bytes() == (DATA / f"{stem}.trace.csv").read_bytes()
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-finite JSON token {token}")
+
+
+def test_simulate_divergent_run_is_reported_as_failure(tmp_path):
+    # complete:20 has lambda_N = 20 > beta, so the predicted rate is about 25
+    # and the errors overflow: the run must not pass for a success.
+    args = ["simulate", "--graph", "complete:20", "--band", "0.2,12.8", "--method",
+            "chebyshev", "-M", "3", "--steps", "3000", "--seed", "1", "--out", str(tmp_path)]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-m", "speccon.cli", *args],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 1
+    summary = json.loads(proc.stdout, parse_constant=_reject_constant)
+    assert (tmp_path / "summary.json").read_text(encoding="utf-8") == proc.stdout
+    assert summary["consensus_time"] is None
+    assert summary["predicted_rate"] > 1.0
+    assert None in summary["measured_ratios"]
+    rows = (tmp_path / "trace.csv").read_text(encoding="utf-8").splitlines()[1:]
+    assert len(rows) == 3001
+    first = next(k for k, row in enumerate(rows) if not math.isfinite(float(row.split(",")[1])))
+    assert first == 327
+    # one line naming the first non-finite step, and no numpy RuntimeWarnings
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert f"step {first}" in lines[0] and "diverged" in lines[0]
+    # A finite out-of-band run is no failure.
+    oob = invoke("simulate", "--graph", "star:12", "--band", "1,5", "--method", "chebyshev",
+                 "-M", "3", "--steps", "30", "--seed", "1")
+    assert oob.exit_code == 0
+    assert oob.stderr == ""
+    assert json.loads(oob.stdout, parse_constant=_reject_constant)["predicted_rate"] == 39.0
 
 
 def test_simulate_finite_time_consensus_times():

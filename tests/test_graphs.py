@@ -370,3 +370,30 @@ def test_full_spectrum_rejects_nan_eigenvalues(monkeypatch):
     _perturb_numpy(monkeypatch, "eigh", _poison)
     with pytest.raises(NumericalError):
         spectrum(g)
+
+
+def _bump_entry(vals, vecs):
+    vecs[3, 5] += 1e-6
+    return vals, vecs
+
+
+def _permute_interior_values(vals, vecs):
+    # orthonormal eigenvectors, zero smallest and in-bound largest eigenvalue:
+    # only the reconstruction can notice
+    vals[1:-1] = vals[1:-1][::-1].copy()
+    return vals, vecs
+
+
+def _stretch_vectors(vals, vecs):
+    return vals, vecs * (1.0 + 1e-8)
+
+
+@pytest.mark.parametrize("bad", [_bump_entry, _permute_interior_values, _stretch_vectors])
+def test_full_spectrum_rejects_bad_eigenvectors(monkeypatch, bad):
+    g = build_graph("random_connected", n=40, p=0.2, seed=5)
+    spectrum(g)  # unperturbed: accepted
+    original = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: bad(*(m.copy() for m in original(a))))
+    with pytest.raises(NumericalError,
+                       match="reconstruction" if bad is _permute_interior_values else None):
+        spectrum(g)

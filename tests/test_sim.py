@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,7 @@ from speccon import (
     trace_to_dict,
     uniform_initial_states,
 )
+from speccon.graphs import edge_arrays
 
 BAND = SpectralBand(0.2, 12.8)
 
@@ -240,3 +243,70 @@ def test_simulate_validates_inputs():
         simulate(g, ControlSequence((0.25,)), np.ones(4), 2)
     with pytest.raises(ParameterError):
         simulate(g, ControlSequence((0.25,)), np.ones(3), -1)
+
+
+def _add_at_states(g, seq, x0, steps):
+    """Reference stepping: the neighbor update accumulated with np.add.at."""
+    iu, ju, w = edge_arrays(g)
+    x = np.asarray(x0, dtype=float)
+    states = [x]
+    for k in range(steps):
+        diff = w * (x[ju] - x[iu])
+        u = np.zeros_like(x)
+        np.add.at(u, iu, diff)
+        np.add.at(u, ju, -diff)
+        x = x + seq.gain_at(k) * u
+        states.append(x)
+    return np.array(states)
+
+
+@pytest.mark.parametrize("family,kwargs,seq,steps", [
+    ("random_connected", dict(n=30, p=0.3, seed=4), design_lagrange(BAND, 4), 60),
+    ("random_connected", dict(n=97, p=0.08, seed=5), design_chebyshev(BAND, 5), 80),
+    ("watts_strogatz", dict(n=200, k=6, p=0.3, seed=6), design_chebyshev(SpectralBand(0.2, 20), 5), 120),
+    ("watts_strogatz", dict(n=513, k=4, p=0.1, seed=7), design_constant(BAND), 40),
+    ("complete", dict(n=20), design_chebyshev(BAND, 3), 3000),  # diverges to inf and NaN
+])
+def test_simulate_states_equal_add_at_oracle_bitwise(family, kwargs, seq, steps):
+    g = build_graph(family, **kwargs)
+    x0 = uniform_initial_states(g.n, 1)
+    with np.errstate(all="ignore"):
+        expected = _add_at_states(g, seq, x0, steps)
+        trace = simulate(g, seq, x0, steps)
+        errors = np.linalg.norm(expected - trace.average, axis=1)
+        one_step = step(x0, g, seq.gain_at(0))
+    assert trace.states.tobytes() == expected.tobytes()
+    assert trace.errors.tobytes() == errors.tobytes()
+    assert one_step.tobytes() == expected[1].tobytes()
+    if family == "complete":
+        assert np.isnan(trace.states[-1]).all() and np.isnan(trace.errors[-1])
+
+
+def test_simulate_peak_memory_is_the_states_array():
+    g = build_graph("watts_strogatz", n=400, k=6, p=0.3, seed=1)
+    seq = design_chebyshev(SpectralBand(0.2, 20), 5)
+    x0 = uniform_initial_states(g.n, 1)
+    tracemalloc.start()
+    try:
+        trace = simulate(g, seq, x0, 3000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * trace.states.nbytes
+
+
+def test_trace_arrays_are_read_only_and_owned():
+    trace = simulate(build_graph("cycle", n=6), design_constant(BAND),
+                     uniform_initial_states(6, 2), 4)
+    for arr in (trace.states, trace.errors):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+    states, errors = np.zeros((3, 2)), np.ones(3)
+    view = states.view()
+    view.flags.writeable = False  # read-only, but its owner stays writable
+    traces = [SimulationTrace(given, errors, 0.0) for given in (states, view)]
+    states[:] = errors[:] = 9.0
+    for owned in traces:
+        assert np.all(owned.states == 0.0) and np.all(owned.errors == 1.0)
+        assert not owned.states.flags.writeable and not owned.errors.flags.writeable
