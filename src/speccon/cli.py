@@ -8,9 +8,7 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 from pathlib import Path
 
@@ -20,7 +18,9 @@ import numpy as np
 from . import filters, graphs, rates, sim
 from .errors import NumericalError, SpecconError
 
+# Band methods, compared in the rate tables, the sweep and the response plot.
 TABLE_METHODS = ("lagrange", "chebyshev", "constant")
+METHODS = TABLE_METHODS + ("uniform_unknown", "finite_time")
 
 
 def _fmt6(x: float) -> str:
@@ -35,6 +35,14 @@ def _parse_band(_ctx, _param, value) -> graphs.SpectralBand | None:
         return graphs.SpectralBand(alpha, beta)
     except (ValueError, SpecconError) as exc:
         raise click.BadParameter(f"expected 'alpha,beta' with 0 < alpha <= beta: {exc}")
+
+
+def _parse_methods(_ctx, _param, value) -> list[str]:
+    names = [m.strip() for m in value.split(",")]
+    if not all(m in TABLE_METHODS for m in names):
+        raise click.BadParameter(
+            f"expected a comma-separated subset of {','.join(TABLE_METHODS)}, got {value!r}")
+    return names
 
 
 def _parse_periods(_ctx, _param, value) -> tuple[int, ...]:
@@ -82,29 +90,32 @@ def bundled_spectrum(name: str = "smallworld12") -> np.ndarray:
     return np.asarray(doc["eigenvalues"], dtype=float)
 
 
-def _design_for(method: str, band: graphs.SpectralBand, period: int) -> filters.ControlSequence:
-    """The method's sequence for period M.
+def _sequence(method: str, band: graphs.SpectralBand | None, period: int,
+              beta_bar: float | None = None,
+              s: graphs.LaplacianSpectrum | None = None) -> filters.ControlSequence:
+    """The method's gain sequence for period M.
 
-    Methods are compared over M steps, which is not ``seq.period`` for the
-    period-1 constant sequence, so callers pass M itself as the step count.
+    finite_time reads the spectrum ``s``, uniform_unknown needs ``beta_bar``
+    and the other methods the band. Methods are compared over M steps, which
+    is not ``seq.period`` for the period-1 constant sequence, so callers pass
+    M itself as the step count.
     """
-    if method == "lagrange":
-        return filters.design_lagrange(band, period)
-    if method == "chebyshev":
-        return filters.design_chebyshev(band, period)
+    if method == "finite_time":
+        return filters.design_finite_time(graphs.distinct_nonzero_eigenvalues(s))
+    if method == "uniform_unknown":
+        if beta_bar is None:
+            raise click.BadParameter("uniform_unknown requires --beta-bar")
+        return filters.design_uniform_unknown(beta_bar, period)
+    if band is None:
+        raise click.BadParameter(f"{method} requires --band")
     if method == "constant":
         return filters.design_constant(band)
-    raise click.BadParameter(f"unknown method {method!r}")
+    return getattr(filters, f"design_{method}")(band, period)
 
 
-def _closed_rate(method: str, band: graphs.SpectralBand, period: int) -> float | None:
-    if method == "lagrange":
-        return filters.closed_rate_lagrange(band, period)
-    if method == "chebyshev":
-        return filters.closed_rate_chebyshev(band, period)
-    if method == "constant":
-        return filters.closed_rate_constant(band, period)
-    return None
+def _closed_rate(method: str, band: graphs.SpectralBand, period: int) -> float:
+    """Closed-form worst-case rate over the band of a ``TABLE_METHODS`` design."""
+    return getattr(filters, f"closed_rate_{method}")(band, period)
 
 
 def _finite_or_null(value):
@@ -135,6 +146,11 @@ out_option = click.option("--out", type=click.Path(path_type=Path), default=None
                           help="Directory to write output files into.")
 
 
+def _period_option(default: int):
+    return click.option("-M", "--period", "period", type=click.IntRange(min=1), default=default,
+                        show_default=True)
+
+
 @click.group()
 @click.version_option()
 def main():
@@ -143,26 +159,17 @@ def main():
 
 @main.command()
 @band_option
-@click.option("--method", type=click.Choice(["lagrange", "chebyshev", "constant", "uniform_unknown"]),
+# finite_time needs a graph's spectrum, so only simulate offers it.
+@click.option("--method", type=click.Choice([m for m in METHODS if m != "finite_time"]),
               required=True)
-@click.option("-M", "--period", "period", type=int, default=1, show_default=True)
+@_period_option(1)
 @click.option("--beta-bar", type=float, default=None,
               help="Spectral radius bound for uniform_unknown.")
 def design(band, method, period, beta_bar):
     """Design a gain sequence and print it as JSON (roots and rate on stderr)."""
-    if period < 1:
-        raise click.BadParameter("period must be >= 1")
     try:
-        if method == "uniform_unknown":
-            if beta_bar is None:
-                raise click.BadParameter("uniform_unknown requires --beta-bar")
-            seq = filters.design_uniform_unknown(beta_bar, period)
-            gamma = None
-        else:
-            if band is None:
-                raise click.BadParameter(f"{method} requires --band")
-            seq = _design_for(method, band, period)
-            gamma = _closed_rate(method, band, period)
+        seq = _sequence(method, band, period, beta_bar)
+        gamma = _closed_rate(method, band, period) if method in TABLE_METHODS else None
     except SpecconError as exc:
         raise click.ClickException(str(exc))
     click.echo(json.dumps(filters.sequence_to_dict(seq), indent=2))
@@ -189,21 +196,9 @@ def table2(band, periods, fmt, out):
     _emit(lines, out, "table2.csv")
 
 
-TABLE3_GRAPHS = ("star12", "cycle12", "path6", "smallworld12")
-
-
-def _table3_eigenvalues(name: str) -> np.ndarray:
-    if name == "star12":
-        s = graphs.spectrum(graphs.build_graph("star", n=12), vectors=False)
-    elif name == "cycle12":
-        s = graphs.spectrum(graphs.build_graph("cycle", n=12), vectors=False)
-    elif name == "path6":
-        s = graphs.spectrum(graphs.build_graph("path", n=6), vectors=False)
-    elif name == "smallworld12":
-        return bundled_spectrum()[1:]
-    else:
-        raise click.BadParameter(f"unknown table graph {name!r}")
-    return s.eigenvalues[1:]
+# Table 3's graphs by spec; smallworld12 is the spectrum bundled with the package.
+TABLE3_GRAPHS = {"star12": "star:12", "cycle12": "cycle:12", "path6": "path:6",
+                 "smallworld12": None}
 
 
 @main.command()
@@ -216,12 +211,15 @@ def table3(band, periods, fmt, out):
     band = band or graphs.SpectralBand(0.2, 12.8)
     try:
         rows = {}
-        for gname in TABLE3_GRAPHS:
-            eigs = _table3_eigenvalues(gname)
+        for gname, spec in TABLE3_GRAPHS.items():
+            if spec is None:
+                eigs = bundled_spectrum()[1:]
+            else:
+                eigs = graphs.spectrum(parse_graph_spec(spec), vectors=False).eigenvalues[1:]
             for method in TABLE_METHODS:
                 cells = []
                 for period in periods:
-                    seq = _design_for(method, band, period)
+                    seq = _sequence(method, band, period)
                     report = rates.rate_on_eigenvalues(seq, eigs, steps=period)
                     cells.append(round(report.exact_rate, 4))
                 rows[(gname, method)] = cells
@@ -241,22 +239,24 @@ def table3(band, periods, fmt, out):
     _emit(lines, out, "table3.csv")
 
 
-def _sweep_row(band, period, nodes, edge_prob, seed, graph_id):
+def _sweep_row(band, period, nodes, edge_prob, seed, graph_id) -> dict:
+    """One graph's spectrum extremes, band membership and exact rate per method."""
     g = graphs.build_graph("random_connected", n=nodes, p=edge_prob, seed=[seed, graph_id])
     s = graphs.spectrum(g, vectors=False)
     if s.lambda_max > band.beta:
         s = s.scaled(band.beta / s.lambda_max)
-    row = [graph_id, s.lambda_2, s.lambda_max]
+    row = {"graph_id": graph_id, "lambda2": s.lambda_2, "lambda_n": s.lambda_max,
+           "in_band": graphs.band_contains(s, band)}
     for method in TABLE_METHODS:
-        seq = _design_for(method, band, period)
-        row.append(rates.exact_rate(seq, s, steps=period).exact_rate)
-    return row, graphs.band_contains(s, band)
+        seq = _sequence(method, band, period)
+        row[f"rho_{method}"] = rates.exact_rate(seq, s, steps=period).exact_rate
+    return row
 
 
 @main.command()
 @band_option
-@click.option("-M", "--period", "period", type=int, default=5, show_default=True)
-@click.option("--trials", type=int, default=80, show_default=True)
+@_period_option(5)
+@click.option("--trials", type=click.IntRange(min=1), default=80, show_default=True)
 @click.option("--nodes", type=int, default=100, show_default=True)
 @click.option("--edge-prob", type=float, default=0.08, show_default=True)
 @seed_option
@@ -268,67 +268,48 @@ def sweep(band, period, trials, nodes, edge_prob, seed, fmt, out):
     Only Laplacian eigenvalues are computed. A graph whose spectral radius
     exceeds beta has its edge weights rescaled by beta/lambda_N; its spectrum
     is rescaled by the same factor, which is exact, so it is not decomposed
-    again. Rows are ordered by graph id; SPECCON_THREADS caps the worker count.
+    again. Rows are computed one after another in graph-id order, so the
+    linear algebra library may use every core; failed graphs are reported on
+    stderr after the rows.
     """
-    if trials < 1:
-        raise click.BadParameter("trials must be >= 1")
     band = band or graphs.SpectralBand(0.2, 12.8)
     seed = 0 if seed is None else seed
-    cap = int(os.environ.get("SPECCON_THREADS", "0") or 0)
-    workers = max(1, min(trials, cap if cap > 0 else (os.cpu_count() or 1)))
-
-    results: dict[int, list] = {}
-    failures: dict[int, str] = {}
-
-    def run(graph_id: int):
-        try:
-            results[graph_id] = _sweep_row(band, period, nodes, edge_prob, seed, graph_id)
-        except SpecconError as exc:
-            failures[graph_id] = str(exc)
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(run, range(trials)))
-
-    header = "graph_id,lambda2,lambda_n,rho_lagrange,rho_chebyshev,rho_constant"
-    rows = []
-    docs = []
+    rows, failures = [], []
     for graph_id in range(trials):
-        if graph_id in failures:
-            continue
-        (gid, l2, ln, r_lp, r_wo, r_xs), in_band = results[graph_id]
-        rows.append(f"{gid},{_fmt6(l2)},{_fmt6(ln)},{_fmt6(r_lp)},{_fmt6(r_wo)},{_fmt6(r_xs)}")
-        docs.append({"graph_id": gid, "lambda2": l2, "lambda_n": ln, "in_band": in_band,
-                     "rho_lagrange": r_lp, "rho_chebyshev": r_wo, "rho_constant": r_xs})
+        try:
+            rows.append(_sweep_row(band, period, nodes, edge_prob, seed, graph_id))
+        except SpecconError as exc:
+            failures.append(f"graph {graph_id}: {exc}")
     if fmt == "json":
         doc = {"alpha": band.alpha, "beta": band.beta, "period": period, "nodes": nodes,
-               "edge_prob": edge_prob, "seed": seed, "rows": docs}
+               "edge_prob": edge_prob, "seed": seed, "rows": rows}
         _emit([json.dumps(doc, indent=2)], out, "sweep.json")
     else:
-        _emit([header] + rows, out, "sweep.csv")
-    for graph_id, message in sorted(failures.items()):
-        click.echo(f"graph {graph_id}: {message}", err=True)
+        columns = ["lambda2", "lambda_n"] + [f"rho_{m}" for m in TABLE_METHODS]
+        lines = [",".join(["graph_id"] + columns)]
+        lines += [",".join([str(r["graph_id"])] + [_fmt6(r[c]) for c in columns]) for r in rows]
+        _emit(lines, out, "sweep.csv")
+    for message in failures:
+        click.echo(message, err=True)
     if failures:
         sys.exit(1)
 
 
 @main.command()
 @band_option
-@click.option("--methods", default="lagrange,chebyshev,constant", show_default=True,
-              help="Comma-separated subset of lagrange,chebyshev,constant.")
-@click.option("-M", "--period", "period", type=int, default=3, show_default=True)
-@click.option("--samples", type=int, default=513, show_default=True)
+@click.option("--methods", "names", callback=_parse_methods, default=",".join(TABLE_METHODS),
+              show_default=True, help=f"Comma-separated subset of {','.join(TABLE_METHODS)}.")
+@_period_option(3)
+@click.option("--samples", type=click.IntRange(min=2), default=513, show_default=True)
 @out_option
-def response(band, methods, period, samples, out):
+def response(band, names, period, samples, out):
     """Filter response h(lambda) per method on [0, beta * 1.05] as CSV."""
     band = band or graphs.SpectralBand(0.2, 12.8)
-    if samples < 2:
-        raise click.BadParameter("samples must be >= 2")
-    names = [m.strip() for m in methods.split(",") if m.strip()]
     try:
         columns = {}
         grid = np.linspace(0.0, band.beta * 1.05, samples)
         for name in names:
-            seq = _design_for(name, band, period)
+            seq = _sequence(name, band, period)
             columns[name] = filters.eval_filter(seq, grid, period)
     except SpecconError as exc:
         raise click.ClickException(str(exc))
@@ -342,10 +323,9 @@ def response(band, methods, period, samples, out):
 @click.option("--graph", "graph_spec", required=True,
               help="Graph spec, e.g. star:12, bipartite:3,4, ws:12,4,0.3, file:g.json.")
 @band_option
-@click.option("--method",
-              type=click.Choice(["lagrange", "chebyshev", "constant", "uniform_unknown", "finite_time"]),
-              default=None, help="Design method (alternative to --sequence).")
-@click.option("-M", "--period", "period", type=int, default=3, show_default=True)
+@click.option("--method", type=click.Choice(METHODS), default=None,
+              help="Design method (alternative to --sequence).")
+@_period_option(3)
 @click.option("--beta-bar", type=float, default=None)
 @click.option("--sequence", "sequence_file", type=click.Path(exists=True), default=None,
               help="Load the gain sequence from a JSON file.")
@@ -369,18 +349,10 @@ def simulate_cmd(graph_spec, band, method, period, beta_bar, sequence_file, x0, 
         s = graphs.spectrum(g)
         if sequence_file is not None:
             seq = filters.load_sequence(sequence_file)
-        elif method == "finite_time":
-            seq = filters.design_finite_time(graphs.distinct_nonzero_eigenvalues(s))
-        elif method == "uniform_unknown":
-            if beta_bar is None:
-                raise click.BadParameter("uniform_unknown requires --beta-bar")
-            seq = filters.design_uniform_unknown(beta_bar, period)
-        elif method is not None:
-            if band is None:
-                raise click.BadParameter(f"{method} requires --band")
-            seq = _design_for(method, band, period)
-        else:
+        elif method is None:
             raise click.BadParameter("provide --method or --sequence")
+        else:
+            seq = _sequence(method, band, period, beta_bar, s)
 
         report = rates.exact_rate(seq, s)
         b = report.band

@@ -61,6 +61,8 @@ class SpectralBand:
     def __post_init__(self):
         if not (0.0 < self.alpha <= self.beta):
             raise ParameterError(f"band requires 0 < alpha <= beta, got [{self.alpha}, {self.beta}]")
+        if not math.isfinite(self.beta):
+            raise ParameterError(f"band requires finite endpoints, got [{self.alpha}, {self.beta}]")
 
 
 def _read_only(a) -> np.ndarray:

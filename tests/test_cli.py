@@ -46,6 +46,56 @@ def test_design_usage_errors():
     assert RUN.invoke(main, ["design", "--band", "1,2", "--method", "nope"]).exit_code == 2
 
 
+# design stdout and stderr (roots, worst-case rate) and response stdout pinned
+# byte for byte: the method dispatch may change, the output may not.
+@pytest.mark.parametrize("stem,args", [
+    ("design_lagrange_M4", ("--band", "0.2,12.8", "--method", "lagrange", "-M", "4")),
+    ("design_chebyshev_M3", ("--band", "0.2,12.8", "--method", "chebyshev", "-M", "3")),
+    ("design_constant", ("--band", "0.2,12.8", "--method", "constant")),
+    ("design_uniform_unknown_M4", ("--method", "uniform_unknown", "--beta-bar", "10", "-M", "4")),
+])
+def test_design_matches_pinned_output(stem, args):
+    result = invoke("design", *args)
+    assert result.exit_code == 0
+    assert result.stdout_bytes == (DATA / f"{stem}.stdout.json").read_bytes()
+    assert result.stderr_bytes == (DATA / f"{stem}.stderr.txt").read_bytes()
+
+
+def test_response_matches_pinned_output():
+    result = invoke("response", "--methods", "chebyshev,constant", "-M", "5", "--samples", "33")
+    assert result.exit_code == 0
+    assert result.stdout_bytes == (DATA / "response_chebyshev_constant_M5_s33.csv").read_bytes()
+
+
+@pytest.mark.parametrize("args", [
+    ("design", "--band", "0.2,12.8", "--method", "chebyshev"),
+    ("response",),
+    ("sweep", "--trials", "2", "--nodes", "20"),
+    ("simulate", "--graph", "star:12", "--band", "0.2,12.8", "--method", "chebyshev",
+     "--steps", "5"),
+])
+def test_period_zero_is_a_usage_error(args):
+    result = RUN.invoke(main, [*args, "-M", "0"])
+    assert result.exit_code == 2
+    assert "--period" in result.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ("table2",), ("table3",), ("design", "--method", "constant"),
+])
+def test_infinite_band_is_a_usage_error(args):
+    result = RUN.invoke(main, [*args, "--band", "1,inf"])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+
+
+@pytest.mark.parametrize("methods", [", ", "", "lagrange,,chebyshev", "lagrange,nope"])
+def test_response_rejects_empty_or_unknown_methods(methods):
+    result = RUN.invoke(main, ["response", "--methods", methods])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+
+
 def test_table2_csv_golden_and_deterministic():
     result = invoke("table2")
     expected = (

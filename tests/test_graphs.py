@@ -240,6 +240,10 @@ def test_band_validation():
         SpectralBand(0.0, 1.0)
     with pytest.raises(ParameterError):
         SpectralBand(5.0, 2.0)
+    with pytest.raises(ParameterError):
+        SpectralBand(1.0, math.inf)
+    with pytest.raises(ParameterError):
+        SpectralBand(math.inf, math.inf)
 
 
 def test_graph_json_roundtrip(tmp_path):
