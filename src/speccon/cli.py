@@ -151,7 +151,17 @@ def _period_option(default: int):
                         show_default=True)
 
 
-@click.group()
+class _Commands(click.Group):
+    """Reports a library error from any subcommand as ``Error: <message>``, exit 1."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except SpecconError as exc:
+            raise click.ClickException(str(exc)) from exc
+
+
+@click.group(cls=_Commands)
 @click.version_option()
 def main():
     """Design and analyze periodic spectrum-filter consensus protocols."""
@@ -167,11 +177,8 @@ def main():
               help="Spectral radius bound for uniform_unknown.")
 def design(band, method, period, beta_bar):
     """Design a gain sequence and print it as JSON (roots and rate on stderr)."""
-    try:
-        seq = _sequence(method, band, period, beta_bar)
-        gamma = _closed_rate(method, band, period) if method in TABLE_METHODS else None
-    except SpecconError as exc:
-        raise click.ClickException(str(exc))
+    seq = _sequence(method, band, period, beta_bar)
+    gamma = _closed_rate(method, band, period) if method in TABLE_METHODS else None
     click.echo(json.dumps(filters.sequence_to_dict(seq), indent=2))
     click.echo("roots: " + " ".join(_fmt6(r) for r in seq.roots), err=True)
     if gamma is not None:
@@ -209,22 +216,17 @@ TABLE3_GRAPHS = {"star12": "star:12", "cycle12": "cycle:12", "path6": "path:6",
 def table3(band, periods, fmt, out):
     """Exact rates rho_M per graph and method (4-decimal cells)."""
     band = band or graphs.SpectralBand(0.2, 12.8)
-    try:
-        rows = {}
-        for gname, spec in TABLE3_GRAPHS.items():
-            if spec is None:
-                eigs = bundled_spectrum()[1:]
-            else:
-                eigs = graphs.spectrum(parse_graph_spec(spec), vectors=False).eigenvalues[1:]
-            for method in TABLE_METHODS:
-                cells = []
-                for period in periods:
-                    seq = _sequence(method, band, period)
-                    report = rates.rate_on_eigenvalues(seq, eigs, steps=period)
-                    cells.append(round(report.exact_rate, 4))
-                rows[(gname, method)] = cells
-    except SpecconError as exc:
-        raise click.ClickException(str(exc))
+    seqs = {(m, p): _sequence(m, band, p) for m in TABLE_METHODS for p in periods}
+    rows = {}
+    for gname, spec in TABLE3_GRAPHS.items():
+        if spec is None:
+            eigs = bundled_spectrum()[1:]
+        else:
+            eigs = graphs.spectrum(parse_graph_spec(spec), vectors=False).eigenvalues[1:]
+        for method in TABLE_METHODS:
+            rows[(gname, method)] = [
+                round(rates.rate_on_eigenvalues(seqs[(method, p)], eigs, steps=p).exact_rate, 4)
+                for p in periods]
     if fmt == "json":
         doc = {
             "alpha": band.alpha, "beta": band.beta, "periods": list(periods),
@@ -239,7 +241,7 @@ def table3(band, periods, fmt, out):
     _emit(lines, out, "table3.csv")
 
 
-def _sweep_row(band, period, nodes, edge_prob, seed, graph_id) -> dict:
+def _sweep_row(seqs, band, period, nodes, edge_prob, seed, graph_id) -> dict:
     """One graph's spectrum extremes, band membership and exact rate per method."""
     g = graphs.build_graph("random_connected", n=nodes, p=edge_prob, seed=[seed, graph_id])
     s = graphs.spectrum(g, vectors=False)
@@ -247,8 +249,7 @@ def _sweep_row(band, period, nodes, edge_prob, seed, graph_id) -> dict:
         s = s.scaled(band.beta / s.lambda_max)
     row = {"graph_id": graph_id, "lambda2": s.lambda_2, "lambda_n": s.lambda_max,
            "in_band": graphs.band_contains(s, band)}
-    for method in TABLE_METHODS:
-        seq = _sequence(method, band, period)
+    for method, seq in seqs.items():
         row[f"rho_{method}"] = rates.exact_rate(seq, s, steps=period).exact_rate
     return row
 
@@ -274,10 +275,11 @@ def sweep(band, period, trials, nodes, edge_prob, seed, fmt, out):
     """
     band = band or graphs.SpectralBand(0.2, 12.8)
     seed = 0 if seed is None else seed
+    seqs = {m: _sequence(m, band, period) for m in TABLE_METHODS}
     rows, failures = [], []
     for graph_id in range(trials):
         try:
-            rows.append(_sweep_row(band, period, nodes, edge_prob, seed, graph_id))
+            rows.append(_sweep_row(seqs, band, period, nodes, edge_prob, seed, graph_id))
         except SpecconError as exc:
             failures.append(f"graph {graph_id}: {exc}")
     if fmt == "json":
@@ -305,14 +307,11 @@ def sweep(band, period, trials, nodes, edge_prob, seed, fmt, out):
 def response(band, names, period, samples, out):
     """Filter response h(lambda) per method on [0, beta * 1.05] as CSV."""
     band = band or graphs.SpectralBand(0.2, 12.8)
-    try:
-        columns = {}
-        grid = np.linspace(0.0, band.beta * 1.05, samples)
-        for name in names:
-            seq = _sequence(name, band, period)
-            columns[name] = filters.eval_filter(seq, grid, period)
-    except SpecconError as exc:
-        raise click.ClickException(str(exc))
+    columns = {}
+    grid = np.linspace(0.0, band.beta * 1.05, samples)
+    for name in names:
+        seq = _sequence(name, band, period)
+        columns[name] = filters.eval_filter(seq, grid, period)
     lines = ["lambda," + ",".join(f"h_{n}" for n in names)]
     for i, lam in enumerate(grid):
         lines.append(_fmt6(lam) + "," + ",".join(_fmt6(columns[n][i]) for n in names))
@@ -344,59 +343,56 @@ def simulate_cmd(graph_spec, band, method, period, beta_bar, sequence_file, x0, 
     A divergent run, one whose consensus error is not finite at some step,
     prints its non-finite summary numbers as null and exits with status 1.
     """
-    try:
-        g = parse_graph_spec(graph_spec, seed)
-        s = graphs.spectrum(g)
-        if sequence_file is not None:
-            seq = filters.load_sequence(sequence_file)
-        elif method is None:
-            raise click.BadParameter("provide --method or --sequence")
-        else:
-            seq = _sequence(method, band, period, beta_bar, s)
+    g = parse_graph_spec(graph_spec, seed)
+    s = graphs.spectrum(g)
+    if sequence_file is not None:
+        seq = filters.load_sequence(sequence_file)
+    elif method is None:
+        raise click.BadParameter("provide --method or --sequence")
+    else:
+        seq = _sequence(method, band, period, beta_bar, s)
 
-        report = rates.exact_rate(seq, s)
-        b = report.band
-        if b is not None and b.alpha <= s.lambda_2 and s.lambda_max <= b.beta:
-            # Every nonzero eigenvalue lies in the band, so the band's worst
-            # case bounds the predicted rate; a breach is a numerical fault.
-            if not (report.exact_rate <= report.worst_case_rate * (1.0 + 1e-9) + 1e-12):
-                raise NumericalError(f"predicted rate {report.exact_rate:.6g} exceeds the "
-                                     f"band worst case {report.worst_case_rate:.6g}")
-        if x0 == "uniform":
-            x_init = sim.uniform_initial_states(g.n, seed)
-        elif x0 == "worst_eigenvector":
-            idx = int(np.searchsorted(s.eigenvalues, report.argmax_eigenvalue))
-            x_init = s.eigenvectors[:, idx]
-        elif x0.startswith("file:"):
-            x_init = np.asarray(json.loads(Path(x0[5:]).read_text(encoding="utf-8")), dtype=float)
-        else:
-            raise click.BadParameter(f"unknown x0 mode {x0!r}")
+    report = rates.exact_rate(seq, s)
+    b = report.band
+    if b is not None and b.alpha <= s.lambda_2 and s.lambda_max <= b.beta:
+        # Every nonzero eigenvalue lies in the band, so the band's worst
+        # case bounds the predicted rate; a breach is a numerical fault.
+        if not (report.exact_rate <= report.worst_case_rate * (1.0 + 1e-9) + 1e-12):
+            raise NumericalError(f"predicted rate {report.exact_rate:.6g} exceeds the "
+                                 f"band worst case {report.worst_case_rate:.6g}")
+    if x0 == "uniform":
+        x_init = sim.uniform_initial_states(g.n, seed)
+    elif x0 == "worst_eigenvector":
+        idx = int(np.searchsorted(s.eigenvalues, report.argmax_eigenvalue))
+        x_init = s.eigenvectors[:, idx]
+    elif x0.startswith("file:"):
+        x_init = np.asarray(json.loads(Path(x0[5:]).read_text(encoding="utf-8")), dtype=float)
+    else:
+        raise click.BadParameter(f"unknown x0 mode {x0!r}")
 
-        # A divergent run overflows to inf and NaN; it is reported below.
-        with np.errstate(over="ignore", invalid="ignore"):
-            trace = sim.simulate(g, seq, x_init, steps)
-            try:
-                ratios = sim.measured_period_ratios(trace, seq.period)
-                measured, omitted = list(ratios.ratios), list(ratios.omitted)
-            except SpecconError:
-                measured, omitted = [], []  # trace shorter than two periods
-        summary = {
-            "graph": graph_spec,
-            "n": g.n,
-            "method": seq.method,
-            "period": seq.period,
-            "steps": steps,
-            "seed": seed,
-            "x0_mode": x0,
-            "average": trace.average,
-            "consensus_time": sim.consensus_time(trace, tol),
-            "predicted_rate": report.exact_rate,
-            "argmax_lambda": report.argmax_eigenvalue,
-            "measured_ratios": measured,
-            "omitted_periods": omitted,
-        }
-    except SpecconError as exc:
-        raise click.ClickException(str(exc))
+    # A divergent run overflows to inf and NaN; it is reported below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        trace = sim.simulate(g, seq, x_init, steps)
+        try:
+            ratios = sim.measured_period_ratios(trace, seq.period)
+            measured, omitted = list(ratios.ratios), list(ratios.omitted)
+        except SpecconError:
+            measured, omitted = [], []  # trace shorter than two periods
+    summary = {
+        "graph": graph_spec,
+        "n": g.n,
+        "method": seq.method,
+        "period": seq.period,
+        "steps": steps,
+        "seed": seed,
+        "x0_mode": x0,
+        "average": trace.average,
+        "consensus_time": sim.consensus_time(trace, tol),
+        "predicted_rate": report.exact_rate,
+        "argmax_lambda": report.argmax_eigenvalue,
+        "measured_ratios": measured,
+        "omitted_periods": omitted,
+    }
     text = json.dumps(_finite_or_null(summary), indent=2, allow_nan=False)
     click.echo(text)
     if out is not None:
@@ -423,10 +419,7 @@ def graph():
               help="Write the graph JSON to this file instead of stdout.")
 def generate(spec, seed, out):
     """Generate a graph from SPEC (e.g. star:12, ws:12,4,0.3) as JSON."""
-    try:
-        g = parse_graph_spec(spec, seed)
-    except SpecconError as exc:
-        raise click.ClickException(str(exc))
+    g = parse_graph_spec(spec, seed)
     text = json.dumps(graphs.graph_to_dict(g), indent=2)
     if out is None:
         click.echo(text)
@@ -441,11 +434,8 @@ def generate(spec, seed, out):
 @seed_option
 def inspect(spec, fmt, seed):
     """Summarize a graph: size, degree, spectrum (csv) or key facts (json)."""
-    try:
-        g = parse_graph_spec(spec, seed)
-        s = graphs.spectrum(g)
-    except SpecconError as exc:
-        raise click.ClickException(str(exc))
+    g = parse_graph_spec(spec, seed)
+    s = graphs.spectrum(g)
     if fmt == "csv":
         click.echo("\n".join(graphs.spectrum_csv_lines(s)))
         return

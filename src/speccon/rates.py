@@ -13,9 +13,6 @@ from .errors import ConnectivityError, ParameterError
 from .filters import ControlSequence, eval_filter
 from .graphs import LaplacianSpectrum, SpectralBand
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-PRESCAN_POINTS = 4097
-
 
 @dataclass(frozen=True)
 class RateReport:
@@ -39,57 +36,34 @@ class RateReport:
         return None if self.band is None else worst_case_rate(self.sequence, self.band, self.steps)
 
 
-def _golden_max(f, lo: float, hi: float, xtol: float = 1e-12) -> float:
-    """Golden-section maximization of a unimodal f on [lo, hi]."""
-    a, b = lo, hi
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > xtol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = f(d)
-    return max(fc, fd, f(0.5 * (a + b)))
-
-
 def worst_case_rate(seq: ControlSequence, b: SpectralBand, steps: int | None = None) -> float:
-    """Global maximum of |h(lam, steps)| over the band.
+    """Global maximum of |h(lam, steps)| over the band, exact up to rounding.
 
-    |h| is unimodal between consecutive real roots, so the maximum is found by
-    evaluating the band endpoints and refining each root-to-root interval with
-    golden-section search; a uniform pre-scan guards sequences whose peaks do
-    not follow that structure.
+    With distinct roots r_j of multiplicity m_j, (log|h|)' = sum_j m_j/(lam - r_j)
+    strictly decreases between consecutive roots, since its derivative is
+    -sum_j m_j/(lam - r_j)^2. So |h| has exactly one critical point in each
+    root-to-root interval, and it decreases up to the smallest root and
+    increases past the largest. The maximum is therefore |h| at a band
+    endpoint or at the maximizer of |h| on an interval clipped to the band,
+    which bisection on the sign of that sum finds.
     """
     steps = seq.period if steps is None else steps
     if steps < 1:
         raise ParameterError("steps must be >= 1")
-    gains = [seq.gain_at(k) for k in range(steps)]
-
-    def f(lam: float) -> float:
-        out = 1.0
-        for g in gains:
-            out *= 1.0 - g * lam
-        return abs(out)
-
-    best = max(f(b.alpha), f(b.beta))
-    roots = sorted({1.0 / g for g in gains})
-    for r_left, r_right in zip(roots, roots[1:]):
-        lo, hi = max(r_left, b.alpha), min(r_right, b.beta)
-        if hi - lo > 1e-15:
-            best = max(best, _golden_max(f, lo, hi))
-    grid = np.linspace(b.alpha, b.beta, PRESCAN_POINTS)
-    values = np.abs(eval_filter(seq, grid, steps))
-    peak = int(np.argmax(values))
-    lo = grid[max(peak - 1, 0)]
-    hi = grid[min(peak + 1, PRESCAN_POINTS - 1)]
-    if hi > lo:
-        best = max(best, _golden_max(f, lo, hi))
-    return best
+    roots, mult = np.unique([1.0 / seq.gain_at(k) for k in range(steps)], return_counts=True)
+    lo, hi = np.clip(roots[:-1], b.alpha, b.beta), np.clip(roots[1:], b.alpha, b.beta)
+    while True:
+        mid = 0.5 * (lo + hi)
+        # The slope is taken only at midpoints strictly inside their interval,
+        # never at a root; the loop ends when each interval is two adjacent floats.
+        inside = (lo < mid) & (mid < hi)
+        if not inside.any():
+            break
+        rising = (mult / (mid[inside, None] - roots)).sum(axis=1) > 0.0
+        lo[inside] = np.where(rising, mid[inside], lo[inside])
+        hi[inside] = np.where(rising, hi[inside], mid[inside])
+    candidates = np.concatenate(([b.alpha, b.beta], mid))
+    return float(np.abs(eval_filter(seq, candidates, steps)).max())
 
 
 def _nonzero_eigenvalues(s: LaplacianSpectrum) -> np.ndarray:

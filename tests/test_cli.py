@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from speccon import build_graph, graph_to_dict, rates
+from speccon import build_graph, filters, graph_to_dict, rates
 from speccon.cli import bundled_spectrum, main, parse_graph_spec
 
 RUN = CliRunner()
@@ -152,8 +152,8 @@ def test_response_grid():
 def test_sweep_small_and_deterministic(tmp_path):
     args = ("sweep", "--trials", "4", "--nodes", "30", "--edge-prob", "0.2",
             "--seed", "9", "-M", "5")
-    first = invoke(*args, env={"SPECCON_THREADS": "2"})
-    second = invoke(*args, env={"SPECCON_THREADS": "1"})
+    first = invoke(*args)
+    second = invoke(*args)
     assert first.exit_code == 0
     assert first.stdout == second.stdout
     lines = first.stdout.strip().splitlines()
@@ -217,6 +217,33 @@ def test_sweep_reports_generation_failures_nonzero():
     assert result.exit_code == 1
     assert "graph 0:" in result.stderr
     assert result.stdout.startswith("graph_id,")
+
+
+# A degenerate band fails the closed form and the chebyshev design. Each
+# command reports the library error once, as "Error: ...", with exit 1.
+@pytest.mark.parametrize("args,message", [
+    (("table2", "--band", "1,1"), "closed form requires alpha < beta"),
+    (("sweep", "--band", "1,1", "--trials", "3", "--nodes", "30", "--edge-prob", "0.2",
+      "--seed", "9", "-M", "5"), "chebyshev design requires alpha < beta"),
+])
+def test_degenerate_band_reports_error(args, message):
+    result = RUN.invoke(main, list(args))
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr == f"Error: {message}\n"
+
+
+def test_sweep_designs_once_per_run(monkeypatch):
+    calls = []
+    original = filters.design_chebyshev
+    monkeypatch.setattr(filters, "design_chebyshev",
+                        lambda *args: calls.append(args) or original(*args))
+    assert invoke("sweep", "--trials", "5", "--nodes", "30", "--edge-prob", "0.2",
+                  "--seed", "9", "-M", "5").exit_code == 0
+    assert len(calls) == 1
+    calls.clear()
+    assert invoke("table3", "--periods", "2,3").exit_code == 0
+    assert len(calls) == 2  # once per period, not once per graph
 
 
 def test_simulate_star_chebyshev(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -96,6 +97,34 @@ def test_worst_case_matches_closed_forms_random_bands():
                        - closed_rate_chebyshev(band, m)) <= 1e-6
             assert abs(worst_case_rate(design_constant(band), band, steps=m)
                        - closed_rate_constant(band, m)) <= 1e-6
+
+
+def test_worst_case_is_attained_in_band_and_bounds_dense_grid(monkeypatch):
+    """Repeated roots, roots outside the band, steps that are not a multiple of
+    the period, and two roots one ulp apart."""
+    rng = np.random.default_rng(47)
+    cases = [(ControlSequence.from_roots([3.0, np.nextafter(3.0, 10.0), 5.0]),
+              SpectralBand(1.0, 6.0), 3)]
+    for _ in range(40):
+        band = _random_band(rng)
+        roots = rng.uniform(0.5 * band.alpha, 1.3 * band.beta, int(rng.integers(2, 9)))
+        roots[1] = roots[0]
+        cases.append((ControlSequence.from_roots(roots), band,
+                      int(rng.integers(1, 3 * roots.size + 1))))
+    evaluated = []
+    monkeypatch.setattr(rates, "eval_filter", lambda seq, lam, steps: (
+        evaluated.append(np.asarray(lam)) or eval_filter(seq, lam, steps)))
+    for seq, band, steps in cases:
+        evaluated.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gamma = worst_case_rate(seq, band, steps)
+        points = np.concatenate(evaluated)
+        assert np.all((band.alpha <= points) & (points <= band.beta))
+        assert points.size <= 1 + len({1.0 / seq.gain_at(k) for k in range(steps)})
+        assert gamma == np.abs(eval_filter(seq, points, steps)).max()
+        grid = np.linspace(band.alpha, band.beta, 200001)
+        assert gamma >= np.abs(eval_filter(seq, grid, steps)).max() * (1.0 - 1e-12)
 
 
 def test_lagrange_attains_worst_case_at_band_edges():
