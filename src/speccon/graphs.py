@@ -4,14 +4,15 @@ Provides constructors for the standard graph families (complete, complete
 bipartite, star, cycle, path) plus seeded Watts-Strogatz and connected
 Erdos-Renyi generators, the numerical eigendecomposition of the Laplacian,
 and closed-form spectra for the special families as an independent oracle.
+A graph is stored as its edge list; the dense Laplacian is assembled from it
+only for the eigensolver.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -20,17 +21,29 @@ from .errors import ConnectivityError, GenerationError, NumericalError, Paramete
 MAX_GENERATION_ATTEMPTS = 1000
 
 
-@dataclass(frozen=True)
+# Entries of the dense adjacency that ``Graph.degrees`` holds at a time (2 MiB).
+DEGREE_BLOCK = 1 << 18
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class Graph:
-    """Weighted undirected graph: symmetric non-negative adjacency, zero diagonal."""
+    """Weighted undirected graph on n >= 2 nodes, stored as its edge list.
+
+    The edges are read-only arrays (i, j, w), sorted by (i, j) and unique,
+    with i < j and finite w > 0; ``edge_arrays`` returns them. ``Graph(n,
+    adjacency)`` validates a dense adjacency (symmetric, finite, non-negative,
+    zero diagonal) and keeps only its edges; ``Graph.from_edges`` takes the
+    arrays themselves. No n x n array is kept: ``adjacency`` builds a dense
+    read-only copy on each read.
+    """
 
     n: int
-    adjacency: np.ndarray
+    _edges: tuple[np.ndarray, np.ndarray, np.ndarray] = field(repr=False)
 
-    def __post_init__(self):
-        a = np.array(self.adjacency, dtype=float)
-        if self.n < 1 or a.shape != (self.n, self.n):
-            raise ParameterError(f"adjacency must be {self.n}x{self.n}")
+    def __init__(self, n: int, adjacency) -> None:
+        a = np.array(adjacency, dtype=float)
+        if a.shape != (n, n):
+            raise ParameterError(f"adjacency must be {n}x{n}")
         if not np.all(np.isfinite(a)):
             raise ParameterError("edge weights must be finite")
         if not np.array_equal(a, a.T):
@@ -39,12 +52,65 @@ class Graph:
             raise ParameterError("adjacency diagonal must be zero")
         if np.any(a < 0.0):
             raise ParameterError("edge weights must be non-negative")
+        iu, ju = np.nonzero(np.triu(a))
+        self._store(n, iu, ju, a[iu, ju])
+
+    @classmethod
+    def from_edges(cls, n: int, i, j, w) -> Graph:
+        """Graph from edge arrays in the stored form described above."""
+        g = cls.__new__(cls)
+        g._store(n, i, j, w)
+        return g
+
+    def _store(self, n, i, j, w) -> None:
+        if int(n) != n or n < 2:
+            raise ParameterError(f"a graph needs n >= 2 nodes, got {n!r}")
+        i, j, w = _read_only(i, np.intp), _read_only(j, np.intp), _read_only(w)
+        if not (i.ndim == 1 and i.shape == j.shape == w.shape):
+            raise ParameterError("edge arrays must be 1-D and of equal length")
+        if i.size and (i.min() < 0 or j.max() >= n or np.any(i >= j)):
+            raise ParameterError(f"edges must satisfy 0 <= i < j < {n}")
+        key = i * n + j
+        if np.any(key[1:] <= key[:-1]):
+            raise ParameterError("edges must be sorted by (i, j) and unique")
+        if not np.all(np.isfinite(w)):
+            raise ParameterError("edge weights must be finite")
+        if np.any(w <= 0.0):
+            raise ParameterError("edge weights must be positive")
+        object.__setattr__(self, "n", int(n))
+        object.__setattr__(self, "_edges", (i, j, w))
+
+    @property
+    def adjacency(self) -> np.ndarray:
+        """Dense read-only adjacency, built from the edges on each read."""
+        i, j, w = self._edges
+        a = np.zeros((self.n, self.n))
+        a[i, j] = w
+        a[j, i] = w
         a.flags.writeable = False
-        object.__setattr__(self, "adjacency", a)
+        return a
 
     @property
     def degrees(self) -> np.ndarray:
-        return self.adjacency.sum(axis=1)
+        """The row sums of ``adjacency``, bit for bit.
+
+        numpy sums each row pairwise, so with weights that are not integers
+        the rounding depends on where the row's zeros lie, and a sum over the
+        edges alone could differ in the last bit. The rows are therefore
+        summed densely, about ``DEGREE_BLOCK`` entries at a time.
+        """
+        n = self.n
+        i, j, w = self._edges
+        out = np.empty(n)
+        step = max(1, DEGREE_BLOCK // n)
+        for lo in range(0, n, step):
+            hi = min(lo + step, n)
+            block = np.zeros((hi - lo, n))
+            for rows, cols in ((i, j), (j, i)):
+                mine = (rows >= lo) & (rows < hi)
+                block[rows[mine] - lo, cols[mine]] = w[mine]
+            block.sum(axis=1, out=out[lo:hi])
+        return out
 
     @property
     def max_degree(self) -> float:
@@ -65,12 +131,12 @@ class SpectralBand:
             raise ParameterError(f"band requires finite endpoints, got [{self.alpha}, {self.beta}]")
 
 
-def _read_only(a) -> np.ndarray:
-    """``a`` itself if it is a read-only float array owning its memory, else a
-    read-only copy, so no caller can change the array after handing it over."""
-    if not (isinstance(a, np.ndarray) and a.dtype == np.float64 and a.base is None
+def _read_only(a, dtype=np.float64) -> np.ndarray:
+    """``a`` itself if it is a read-only ``dtype`` array owning its memory, else
+    a read-only copy, so no caller can change the array after handing it over."""
+    if not (isinstance(a, np.ndarray) and a.dtype == dtype and a.base is None
             and not a.flags.writeable):
-        a = np.array(a, dtype=float)
+        a = np.array(a, dtype=dtype)
         a.flags.writeable = False
     return a
 
@@ -121,24 +187,23 @@ class LaplacianSpectrum:
 
 
 def edge_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Return (i, j, w) arrays for the upper-triangular edges of ``g``."""
-    iu, ju = np.nonzero(np.triu(g.adjacency))
-    return iu, ju, g.adjacency[iu, ju]
+    """The stored (i, j, w) edge arrays of ``g``, without a copy: read-only,
+    sorted by (i, j), with i < j."""
+    return g._edges
 
 
-def is_connected(adjacency: np.ndarray) -> bool:
-    """Breadth-first search treating any positive weight as an edge."""
-    n = adjacency.shape[0]
-    seen = np.zeros(n, dtype=bool)
+def is_connected(g: Graph) -> bool:
+    """Breadth-first search from node 0: each numpy pass over the edges adds
+    the next level, so the cost is O(|E|) per level of the search."""
+    i, j, _ = edge_arrays(g)
+    seen = np.zeros(g.n, dtype=bool)
     seen[0] = True
-    queue = deque([0])
-    while queue:
-        i = queue.popleft()
-        for j in np.nonzero(adjacency[i] > 0.0)[0]:
-            if not seen[j]:
-                seen[j] = True
-                queue.append(j)
-    return bool(seen.all())
+    while True:
+        leaving = seen[i] != seen[j]
+        if not leaving.any():
+            return bool(seen.all())
+        seen[i[leaving]] = True
+        seen[j[leaving]] = True
 
 
 def _require_int(params: dict, key: str, minimum: int) -> int:
@@ -150,69 +215,43 @@ def _require_int(params: dict, key: str, minimum: int) -> int:
     return int(v)
 
 
-def _complete(n: int) -> np.ndarray:
-    a = np.ones((n, n)) - np.eye(n)
-    return a
+def _unit_graph(n: int, i, j) -> Graph:
+    """Unit weights on the edges (i[k], j[k]), given in the stored order."""
+    return Graph.from_edges(n, i, j, np.ones(len(i)))
 
 
-def _complete_bipartite(m: int, n: int) -> np.ndarray:
-    a = np.zeros((m + n, m + n))
-    a[:m, m:] = 1.0
-    a[m:, :m] = 1.0
-    return a
-
-
-def _star(n: int) -> np.ndarray:
-    a = np.zeros((n, n))
-    a[0, 1:] = 1.0
-    a[1:, 0] = 1.0
-    return a
-
-
-def _cycle(n: int) -> np.ndarray:
-    a = np.zeros((n, n))
-    idx = np.arange(n)
-    a[idx, (idx + 1) % n] = 1.0
-    a[(idx + 1) % n, idx] = 1.0
-    return a
-
-
-def _path(n: int) -> np.ndarray:
-    a = np.zeros((n, n))
-    idx = np.arange(n - 1)
-    a[idx, idx + 1] = 1.0
-    a[idx + 1, idx] = 1.0
-    return a
-
-
-def _watts_strogatz_once(n: int, k: int, p: float, rng: np.random.Generator) -> np.ndarray:
-    a = np.zeros((n, n))
+def _watts_strogatz_once(n: int, k: int, p: float, rng: np.random.Generator) -> Graph:
+    # Neighbor sets in place of a dense matrix. The random draws must stay
+    # those of the dense version, call for call, so that every seed keeps its
+    # graph; the tests compare the two.
+    nbrs = [set() for _ in range(n)]
     for j in range(1, k // 2 + 1):
         for i in range(n):
-            a[i, (i + j) % n] = 1.0
-            a[(i + j) % n, i] = 1.0
+            nbrs[i].add((i + j) % n)
+            nbrs[(i + j) % n].add(i)
     # rewire the right-hand ring edges, ring-lattice order
     for j in range(1, k // 2 + 1):
         for i in range(n):
             if rng.random() >= p:
                 continue
             old = (i + j) % n
-            if a[i].sum() >= n - 1:
+            if len(nbrs[i]) >= n - 1:
                 continue  # node already saturated, nothing to rewire to
             w = int(rng.integers(n))
-            while w == i or a[i, w] > 0.0:
+            while w == i or w in nbrs[i]:
                 w = int(rng.integers(n))
-            a[i, old] = a[old, i] = 0.0
-            a[i, w] = a[w, i] = 1.0
-    return a
+            nbrs[i].discard(old)
+            nbrs[old].discard(i)
+            nbrs[i].add(w)
+            nbrs[w].add(i)
+    pairs = np.array([(u, v) for u in range(n) for v in sorted(nbrs[u]) if u < v], dtype=np.intp)
+    return _unit_graph(n, pairs[:, 0], pairs[:, 1])
 
 
-def _erdos_renyi_once(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
-    a = np.zeros((n, n))
+def _erdos_renyi_once(n: int, p: float, rng: np.random.Generator) -> Graph:
     iu, ju = np.triu_indices(n, k=1)
     mask = rng.random(iu.shape[0]) < p
-    a[iu[mask], ju[mask]] = 1.0
-    return a + a.T
+    return _unit_graph(n, iu[mask], ju[mask])
 
 
 def build_graph(family: str, seed: int | None = None, **params) -> Graph:
@@ -227,22 +266,24 @@ def build_graph(family: str, seed: int | None = None, **params) -> Graph:
     """
     if family == "complete":
         n = _require_int(params, "n", 2)
-        return Graph(n, _complete(n))
+        return _unit_graph(n, *np.triu_indices(n, k=1))
     if family == "complete_bipartite":
         m = _require_int(params, "m", 1)
         n = _require_int(params, "n", 1)
         if m + n < 2:
             raise ParameterError("complete_bipartite needs at least 2 vertices")
-        return Graph(m + n, _complete_bipartite(m, n))
+        return _unit_graph(m + n, np.repeat(np.arange(m), n), np.tile(np.arange(m, m + n), m))
     if family == "star":
         n = _require_int(params, "n", 2)
-        return Graph(n, _star(n))
+        return _unit_graph(n, np.zeros(n - 1, dtype=np.intp), np.arange(1, n))
     if family == "cycle":
         n = _require_int(params, "n", 3)
-        return Graph(n, _cycle(n))
+        # (0, 1), (0, n - 1), then (k, k + 1) for k = 1..n-2
+        return _unit_graph(n, np.r_[0, 0, 1:n - 1], np.r_[1, n - 1, 2:n])
     if family == "path":
         n = _require_int(params, "n", 2)
-        return Graph(n, _path(n))
+        idx = np.arange(n - 1)
+        return _unit_graph(n, idx, idx + 1)
     if family == "watts_strogatz":
         n = _require_int(params, "n", 3)
         k = _require_int(params, "k", 2)
@@ -253,9 +294,9 @@ def build_graph(family: str, seed: int | None = None, **params) -> Graph:
             raise ParameterError("watts_strogatz requires rewiring probability p in [0, 1]")
         rng = np.random.default_rng(seed)
         for _ in range(MAX_GENERATION_ATTEMPTS):
-            a = _watts_strogatz_once(n, k, float(p), rng)
-            if is_connected(a):
-                return Graph(n, a)
+            g = _watts_strogatz_once(n, k, float(p), rng)
+            if is_connected(g):
+                return g
         raise GenerationError(
             f"no connected watts_strogatz graph in {MAX_GENERATION_ATTEMPTS} attempts"
         )
@@ -266,9 +307,9 @@ def build_graph(family: str, seed: int | None = None, **params) -> Graph:
             raise ParameterError("random_connected requires edge probability p in (0, 1]")
         rng = np.random.default_rng(seed)
         for _ in range(MAX_GENERATION_ATTEMPTS):
-            a = _erdos_renyi_once(n, float(p), rng)
-            if is_connected(a):
-                return Graph(n, a)
+            g = _erdos_renyi_once(n, float(p), rng)
+            if is_connected(g):
+                return g
         raise GenerationError(
             f"no connected random graph in {MAX_GENERATION_ATTEMPTS} attempts (n={n}, p={p})"
         )
@@ -276,8 +317,16 @@ def build_graph(family: str, seed: int | None = None, **params) -> Graph:
 
 
 def laplacian(g: Graph) -> np.ndarray:
-    """Laplacian matrix: degree diagonal minus adjacency."""
-    return np.diag(g.degrees) - g.adjacency
+    """Dense Laplacian, degree diagonal minus adjacency, assembled from the edges.
+
+    Bit for bit ``np.diag(g.degrees) - g.adjacency``, without building either
+    dense operand.
+    """
+    i, j, w = edge_arrays(g)
+    lap = np.zeros((g.n, g.n))
+    lap[i, j] = lap[j, i] = -w
+    np.fill_diagonal(lap, g.degrees)
+    return lap
 
 
 def spectrum(g: Graph, group_tol: float = 1e-8, vectors: bool = True) -> LaplacianSpectrum:
@@ -293,6 +342,7 @@ def spectrum(g: Graph, group_tol: float = 1e-8, vectors: bool = True) -> Laplaci
     NaN fails every check.
     """
     lap = laplacian(g)
+    max_degree = float(lap.diagonal().max())  # the degrees are L's diagonal
     try:
         if vectors:
             vals, vecs = np.linalg.eigh(lap)
@@ -322,12 +372,12 @@ def spectrum(g: Graph, group_tol: float = 1e-8, vectors: bool = True) -> Laplaci
             raise NumericalError(f"eigenvalue sum of squares misses ||L||_F^2 by {frob_err:.3e}")
     if not (abs(vals[0]) <= 1e-9 * scale):
         raise NumericalError(f"smallest eigenvalue {vals[0]:.3e} not zero")
-    if not (vals[-1] <= 2.0 * g.max_degree + 1e-9):
+    if not (vals[-1] <= 2.0 * max_degree + 1e-9):
         raise NumericalError("largest eigenvalue exceeds twice the maximum degree")
     vals.flags.writeable = False
     if vecs is not None:
         vecs.flags.writeable = False
-    return LaplacianSpectrum(vals, vecs, g.max_degree, group_tol)
+    return LaplacianSpectrum(vals, vecs, max_degree, group_tol)
 
 
 def analytic_spectrum(family: str, **params) -> list[tuple[float, int]]:
@@ -400,22 +450,27 @@ def graph_to_dict(g: Graph) -> dict:
 
 
 def graph_from_dict(d: dict) -> Graph:
+    """Graph from its edge-list document. An edge may be given as [i, j, w] or
+    [j, i, w]; the last weight given for an edge wins."""
     try:
         n = int(d["n"])
-        edges = d["edges"]
+        weights = {}
+        for e in d["edges"]:
+            if len(e) != 3:
+                raise ParameterError(f"edge entry {e!r} must be [i, j, w]")
+            i, j, w = int(e[0]), int(e[1]), float(e[2])
+            if not (0 <= i < n and 0 <= j < n) or i == j:
+                raise ParameterError(f"edge ({i}, {j}) out of range for n={n}")
+            if w <= 0.0:
+                raise ParameterError(f"edge ({i}, {j}) has non-positive weight {w}")
+            weights[min(i, j), max(i, j)] = w
+    except ParameterError:
+        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ParameterError(f"malformed graph document: {exc}") from exc
-    a = np.zeros((n, n))
-    for e in edges:
-        if len(e) != 3:
-            raise ParameterError(f"edge entry {e!r} must be [i, j, w]")
-        i, j, w = int(e[0]), int(e[1]), float(e[2])
-        if not (0 <= i < n and 0 <= j < n) or i == j:
-            raise ParameterError(f"edge ({i}, {j}) out of range for n={n}")
-        if w <= 0.0:
-            raise ParameterError(f"edge ({i}, {j}) has non-positive weight {w}")
-        a[i, j] = a[j, i] = w
-    return Graph(n, a)
+    pairs = sorted(weights)
+    ij = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+    return Graph.from_edges(n, ij[:, 0], ij[:, 1], [weights[e] for e in pairs])
 
 
 def save_graph(g: Graph, path) -> None:
@@ -425,8 +480,13 @@ def save_graph(g: Graph, path) -> None:
 
 
 def load_graph(path) -> Graph:
-    with open(path, encoding="utf-8") as fh:
-        return graph_from_dict(json.load(fh))
+    """Graph from a JSON file; an unreadable or non-JSON file is a ParameterError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ParameterError(f"cannot read graph file {path}: {exc}") from exc
+    return graph_from_dict(doc)
 
 
 def spectrum_csv_lines(s: LaplacianSpectrum) -> list[str]:

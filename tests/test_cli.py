@@ -391,6 +391,47 @@ def test_graph_inspect_rejects_infinite_weight(tmp_path):
     assert "NaN" not in result.stdout
 
 
+# A weighted file graph with non-dyadic weights, one edge given as (j, i) and
+# one duplicate whose last weight wins: the dense row sums fix max_degree's
+# last digit (a bincount over the edges would print 28.402000000000005).
+@pytest.mark.parametrize("args,fixture", [
+    (("inspect", "--format", "json"), "graph_weighted24.inspect.stdout.json"),
+    (("generate",), "graph_weighted24.generate.stdout.json"),
+])
+def test_weighted_file_graph_matches_pinned_output(args, fixture):
+    command, *options = args
+    result = invoke("graph", command, f"file:{DATA / 'graph_weighted24.json'}", *options)
+    assert result.exit_code == 0
+    assert result.stdout_bytes == (DATA / fixture).read_bytes()
+
+
+@pytest.mark.parametrize("content", [
+    '{"n": -1, "edges": []}',
+    '{"n": 3, "edges": [[0, 1, "x"]]}',
+    "this is not JSON",
+    None,  # no such file
+    '{"n": 1, "edges": []}',
+])
+def test_graph_inspect_reports_malformed_file(tmp_path, content):
+    path = tmp_path / "g.json"
+    if content is not None:
+        path.write_text(content)
+    result = RUN.invoke(main, ["graph", "inspect", f"file:{path}", "--format", "json"])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr.startswith("Error: ") and len(result.stderr.splitlines()) == 1
+
+
+def test_simulate_rejects_one_node_graph(tmp_path):
+    path = tmp_path / "g.json"
+    path.write_text('{"n": 1, "edges": []}')
+    result = RUN.invoke(main, ["simulate", "--graph", f"file:{path}", "--method", "finite_time",
+                               "--steps", "3"])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr.startswith("Error: ")
+
+
 def test_parse_graph_spec_errors():
     with pytest.raises(Exception):
         parse_graph_spec("hexagon:7")

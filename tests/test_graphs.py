@@ -1,8 +1,11 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from speccon import (
     ConnectivityError,
@@ -23,6 +26,7 @@ from speccon import (
     save_graph,
     spectrum,
 )
+from speccon.graphs import edge_arrays, is_connected
 
 # Connected 12-node Watts-Strogatz instance (n=12, k=4, p=0.3, seed=7), frozen
 # from a run whose connectivity was verified by an independent breadth-first
@@ -401,3 +405,196 @@ def test_full_spectrum_rejects_bad_eigenvectors(monkeypatch, bad):
     with pytest.raises(NumericalError,
                        match="reconstruction" if bad is _permute_interior_values else None):
         spectrum(g)
+
+
+# ---------------------------------------------------------------------------
+# The edge-list core against the dense implementation it replaced
+
+def _dense_watts_strogatz_once(n, k, p, rng):
+    """The dense-matrix Watts-Strogatz step that the edge-list builder replaced."""
+    a = np.zeros((n, n))
+    for j in range(1, k // 2 + 1):
+        for i in range(n):
+            a[i, (i + j) % n] = 1.0
+            a[(i + j) % n, i] = 1.0
+    for j in range(1, k // 2 + 1):
+        for i in range(n):
+            if rng.random() >= p:
+                continue
+            old = (i + j) % n
+            if a[i].sum() >= n - 1:
+                continue
+            w = int(rng.integers(n))
+            while w == i or a[i, w] > 0.0:
+                w = int(rng.integers(n))
+            a[i, old] = a[old, i] = 0.0
+            a[i, w] = a[w, i] = 1.0
+    return a
+
+
+def _dense_erdos_renyi_once(n, p, rng):
+    a = np.zeros((n, n))
+    iu, ju = np.triu_indices(n, k=1)
+    mask = rng.random(iu.shape[0]) < p
+    a[iu[mask], ju[mask]] = 1.0
+    return a + a.T
+
+
+def _dense_is_connected(adjacency):
+    """Breadth-first search over dense rows."""
+    n = adjacency.shape[0]
+    seen = np.zeros(n, dtype=bool)
+    seen[0] = True
+    queue = [0]
+    while queue:
+        i = queue.pop(0)
+        for j in np.nonzero(adjacency[i] > 0.0)[0]:
+            if not seen[j]:
+                seen[j] = True
+                queue.append(j)
+    return bool(seen.all())
+
+
+def _dense_build(once, seed, n, *args):
+    """The dense generator's retry loop: (adjacency, attempts used)."""
+    rng = np.random.default_rng(seed)
+    for attempt in range(1, 1001):
+        a = once(n, *args, rng)
+        if _dense_is_connected(a):
+            return a, attempt
+    raise GenerationError("no connected graph")
+
+
+def _assert_edges_of(g, a):
+    iu, ju = np.nonzero(np.triu(a))
+    i, j, w = edge_arrays(g)
+    assert np.array_equal(i, iu) and np.array_equal(j, ju)
+    assert w.tobytes() == a[iu, ju].tobytes()
+    assert g.adjacency.tobytes() == a.tobytes()
+
+
+GENERATOR_SEEDS = range(20)
+
+
+@pytest.mark.parametrize("n,k,p", [
+    (12, 4, 0.3), (12, 2, 0.9), (100, 6, 0.1), (100, 4, 0.5), (300, 6, 0.3), (300, 2, 1.0),
+    (12, 10, 1.0),  # k = n - 2, p = 1: rewiring saturates nodes (the degree-full branch)
+])
+def test_watts_strogatz_matches_dense_oracle(n, k, p):
+    for seed in GENERATOR_SEEDS:
+        a, _ = _dense_build(_dense_watts_strogatz_once, seed, n, k, p)
+        _assert_edges_of(build_graph("watts_strogatz", n=n, k=k, p=p, seed=seed), a)
+
+
+def test_saturated_watts_strogatz_reaches_full_degree():
+    a, _ = _dense_build(_dense_watts_strogatz_once, 0, 12, 10, 1.0)
+    assert a.sum(axis=1).max() == 11.0
+
+
+@pytest.mark.parametrize("n,p", [(12, 0.3), (12, 0.15), (100, 0.08), (100, 0.3), (300, 0.02),
+                                 (300, 0.1)])
+def test_erdos_renyi_matches_dense_oracle(n, p):
+    attempts = []
+    for seed in GENERATOR_SEEDS:
+        a, used = _dense_build(_dense_erdos_renyi_once, seed, n, p)
+        attempts.append(used)
+        _assert_edges_of(build_graph("random_connected", n=n, p=p, seed=seed), a)
+    if p == 0.15:
+        assert max(attempts) > 1  # low p: some seeds need connectivity retries
+
+
+# Each case draws both connected and disconnected graphs.
+@pytest.mark.parametrize("n,p", [(2, 0.5), (5, 0.3), (30, 0.1), (200, 0.025)])
+def test_is_connected_matches_dense_search(n, p):
+    rng = np.random.default_rng(n)
+    outcomes = set()
+    for _ in range(30):
+        a = _dense_erdos_renyi_once(n, p, rng)
+        connected = _dense_is_connected(a)
+        outcomes.add(connected)
+        assert is_connected(Graph(n, a)) is connected
+    assert outcomes == {True, False}
+    assert is_connected(build_graph("path", n=n))
+
+
+# Symmetric weights that are not dyadic, so the row sums round differently in
+# different orders; about half the entries are zero.
+@settings(max_examples=40, deadline=None)
+@example(n=700, density=0.5, seed=1, log_scale=0.0)  # two blocks of Graph.degrees
+@given(n=st.integers(2, 700), density=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1),
+       log_scale=st.floats(-3.0, 3.0))
+def test_dense_roundtrip_is_bitwise(n, density, seed, log_scale):
+    rng = np.random.default_rng(seed)
+    upper = np.triu(rng.lognormal(log_scale, 2.0, (n, n)) * (rng.random((n, n)) < density), 1)
+    a = upper + upper.T
+    g = Graph(n, a)
+    dense_degrees = a.sum(axis=1)
+    assert g.adjacency.tobytes() == a.tobytes()
+    assert g.degrees.tobytes() == dense_degrees.tobytes()
+    assert g.max_degree == float(dense_degrees.max())
+    assert laplacian(g).tobytes() == (np.diag(dense_degrees) - a).tobytes()
+    iu, ju = np.nonzero(np.triu(a))
+    i, j, w = edge_arrays(g)
+    assert np.array_equal(i, iu) and np.array_equal(j, ju)
+    assert w.tobytes() == a[iu, ju].tobytes()
+    assert graph_to_dict(g) == {
+        "n": n, "edges": [[int(x), int(y), float(a[x, y])] for x, y in zip(iu, ju)]}
+
+
+def test_graph_holds_only_its_edges():
+    n = 2000
+    tracemalloc.start()
+    try:
+        g = build_graph("watts_strogatz", n=n, k=6, p=0.3, seed=1)
+        built, peak = tracemalloc.get_traced_memory()
+        a = g.adjacency
+        with_view, _ = tracemalloc.get_traced_memory()
+        del a
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    dense = 8 * n * n
+    assert peak < dense / 8  # 4 MB, an eighth of the dense matrix
+    assert built < dense / 8
+    assert with_view >= built + dense  # reading the view builds it...
+    assert after < dense / 8  # ...and the graph does not keep it
+    assert sum(x.nbytes for x in edge_arrays(g)) < 300_000
+    assert edge_arrays(g)[0] is edge_arrays(g)[0]  # stored, not copied
+    for x in edge_arrays(g):
+        assert not x.flags.writeable
+
+
+def test_graph_requires_two_nodes():
+    with pytest.raises(ParameterError):
+        Graph(1, np.zeros((1, 1)))
+    with pytest.raises(ParameterError):
+        graph_from_dict({"n": 1, "edges": []})
+
+
+@pytest.mark.parametrize("doc", [
+    {"n": -1, "edges": []},
+    {"n": 3, "edges": [[0, 1, "x"]]},
+    {"n": 3, "edges": [[0, 1, None]]},
+    {"n": 3, "edges": [[0, "a", 1.0]]},
+    {"n": 3, "edges": [5]},
+    {"n": 3, "edges": 7},
+    {"n": "three", "edges": []},
+    [1, 2, 3],
+])
+def test_graph_from_dict_rejects_malformed_documents(doc):
+    with pytest.raises(ParameterError):
+        graph_from_dict(doc)
+
+
+def test_load_graph_rejects_missing_and_non_json_files(tmp_path):
+    with pytest.raises(ParameterError):
+        load_graph(tmp_path / "absent.json")
+    path = tmp_path / "g.json"
+    path.write_text("n = 3\n")
+    with pytest.raises(ParameterError):
+        load_graph(path)
+
+
+def test_graph_from_dict_last_duplicate_weight_wins():
+    g = graph_from_dict({"n": 3, "edges": [[0, 1, 2.0], [1, 2, 1.0], [1, 0, 0.3], [2, 1, 0.7]]})
+    assert graph_to_dict(g) == {"n": 3, "edges": [[0, 1, 0.3], [1, 2, 0.7]]}
