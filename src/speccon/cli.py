@@ -444,7 +444,7 @@ def inspect(spec, fmt, seed):
         "n": g.n,
         "edges": int(iu.size),
         "total_weight": float(w.sum()),
-        "max_degree": g.max_degree,
+        "max_degree": s.max_degree,
         "connected": s.is_connected(),
         "lambda_2": s.lambda_2,
         "lambda_max": s.lambda_max,

@@ -232,15 +232,17 @@ def sequence_to_dict(seq: ControlSequence) -> dict:
 
 
 def sequence_from_dict(d: dict) -> ControlSequence:
+    """Sequence from its document; a malformed document is a ParameterError."""
     try:
         gains = tuple(float(g) for g in d["gains"])
         method = d.get("method", "custom")
         band = d.get("band")
+        band = None if band is None else SpectralBand(*band)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParameterError(f"malformed sequence document: {exc}") from exc
-    if "period" in d and int(d["period"]) != len(gains):
-        raise ParameterError("period does not match number of gains")
-    return ControlSequence(gains, method, None if band is None else SpectralBand(*band))
+    if "period" in d and d["period"] != len(gains):
+        raise ParameterError(f"period {d['period']!r} is not the number of gains, {len(gains)}")
+    return ControlSequence(gains, method, band)
 
 
 def save_sequence(seq: ControlSequence, path) -> None:
@@ -250,18 +252,10 @@ def save_sequence(seq: ControlSequence, path) -> None:
 
 
 def load_sequence(path) -> ControlSequence:
-    with open(path, encoding="utf-8") as fh:
-        return sequence_from_dict(json.load(fh))
-
-
-def response_csv_lines(seq: ControlSequence, b: SpectralBand, samples: int = 513,
-                       steps: int | None = None) -> list[str]:
-    """CSV "lambda,h" sampling lam uniformly on [0, beta * 1.05]."""
-    if samples < 2:
-        raise ParameterError("samples must be >= 2")
-    steps = seq.period if steps is None else steps
-    grid = np.linspace(0.0, b.beta * 1.05, samples)
-    values = eval_filter(seq, grid, steps)
-    lines = ["lambda,h"]
-    lines += [f"{x:.6g},{v:.6g}" for x, v in zip(grid, values)]
-    return lines
+    """Sequence from a JSON file; an unreadable or non-JSON file is a ParameterError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ParameterError(f"cannot read sequence file {path}: {exc}") from exc
+    return sequence_from_dict(doc)

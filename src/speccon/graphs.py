@@ -20,9 +20,9 @@ from .errors import ConnectivityError, GenerationError, NumericalError, Paramete
 
 MAX_GENERATION_ATTEMPTS = 1000
 
-
-# Entries of the dense adjacency that ``Graph.degrees`` holds at a time (2 MiB).
-DEGREE_BLOCK = 1 << 18
+# Relative tolerance, times max(1, lambda_N), below which lambda_2 counts as
+# zero and within which eigenvalues are grouped as equal.
+GROUP_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -90,32 +90,6 @@ class Graph:
         a.flags.writeable = False
         return a
 
-    @property
-    def degrees(self) -> np.ndarray:
-        """The row sums of ``adjacency``, bit for bit.
-
-        numpy sums each row pairwise, so with weights that are not integers
-        the rounding depends on where the row's zeros lie, and a sum over the
-        edges alone could differ in the last bit. The rows are therefore
-        summed densely, about ``DEGREE_BLOCK`` entries at a time.
-        """
-        n = self.n
-        i, j, w = self._edges
-        out = np.empty(n)
-        step = max(1, DEGREE_BLOCK // n)
-        for lo in range(0, n, step):
-            hi = min(lo + step, n)
-            block = np.zeros((hi - lo, n))
-            for rows, cols in ((i, j), (j, i)):
-                mine = (rows >= lo) & (rows < hi)
-                block[rows[mine] - lo, cols[mine]] = w[mine]
-            block.sum(axis=1, out=out[lo:hi])
-        return out
-
-    @property
-    def max_degree(self) -> float:
-        return float(self.degrees.max())
-
 
 @dataclass(frozen=True)
 class SpectralBand:
@@ -153,7 +127,6 @@ class LaplacianSpectrum:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray | None
     max_degree: float
-    group_tol: float = 1e-8
 
     def __post_init__(self):
         object.__setattr__(self, "eigenvalues", _read_only(self.eigenvalues))
@@ -173,7 +146,7 @@ class LaplacianSpectrum:
         return float(self.eigenvalues[-1])
 
     def is_connected(self) -> bool:
-        return self.lambda_2 > self.group_tol * max(1.0, self.lambda_max)
+        return self.lambda_2 > GROUP_TOL * max(1.0, self.lambda_max)
 
     def scaled(self, c: float) -> LaplacianSpectrum:
         """Spectrum of the graph with every edge weight multiplied by ``c > 0``.
@@ -206,13 +179,20 @@ def is_connected(g: Graph) -> bool:
         seen[j[leaving]] = True
 
 
+def _integral(v, what: str) -> int:
+    """``v`` as an int; a number with a fractional part is a ParameterError."""
+    if int(v) != v:
+        raise ParameterError(f"{what} must be an integer, got {v!r}")
+    return int(v)
+
+
 def _require_int(params: dict, key: str, minimum: int) -> int:
     if key not in params or params[key] is None:
         raise ParameterError(f"missing parameter '{key}'")
-    v = params[key]
-    if int(v) != v or int(v) < minimum:
+    v = _integral(params[key], f"parameter '{key}'")
+    if v < minimum:
         raise ParameterError(f"parameter '{key}' must be an integer >= {minimum}, got {v!r}")
-    return int(v)
+    return v
 
 
 def _unit_graph(n: int, i, j) -> Graph:
@@ -319,17 +299,22 @@ def build_graph(family: str, seed: int | None = None, **params) -> Graph:
 def laplacian(g: Graph) -> np.ndarray:
     """Dense Laplacian, degree diagonal minus adjacency, assembled from the edges.
 
-    Bit for bit ``np.diag(g.degrees) - g.adjacency``, without building either
-    dense operand.
+    Bit for bit ``np.diag(a.sum(axis=1)) - a`` with ``a = g.adjacency``, without
+    building ``a``: the degrees are the row sums of the negated off-diagonal
+    entries, summed in the same order, and round-to-nearest is symmetric in
+    sign. A Laplacian too large to allocate is a ParameterError.
     """
     i, j, w = edge_arrays(g)
-    lap = np.zeros((g.n, g.n))
+    try:
+        lap = np.zeros((g.n, g.n))
+    except MemoryError as exc:
+        raise ParameterError(f"a dense Laplacian on n={g.n} nodes does not fit in memory") from exc
     lap[i, j] = lap[j, i] = -w
-    np.fill_diagonal(lap, g.degrees)
+    np.fill_diagonal(lap, 0.0 - lap.sum(axis=1))
     return lap
 
 
-def spectrum(g: Graph, group_tol: float = 1e-8, vectors: bool = True) -> LaplacianSpectrum:
+def spectrum(g: Graph, vectors: bool = True) -> LaplacianSpectrum:
     """Eigendecomposition of the Laplacian, eigenvalues ascending.
 
     With ``vectors=False`` only the eigenvalues are computed and the result
@@ -377,7 +362,7 @@ def spectrum(g: Graph, group_tol: float = 1e-8, vectors: bool = True) -> Laplaci
     vals.flags.writeable = False
     if vecs is not None:
         vecs.flags.writeable = False
-    return LaplacianSpectrum(vals, vecs, max_degree, group_tol)
+    return LaplacianSpectrum(vals, vecs, max_degree)
 
 
 def analytic_spectrum(family: str, **params) -> list[tuple[float, int]]:
@@ -417,13 +402,13 @@ def analytic_spectrum(family: str, **params) -> list[tuple[float, int]]:
     raise ParameterError(f"no closed-form spectrum for family {family!r}")
 
 
-def distinct_nonzero_eigenvalues(s: LaplacianSpectrum, group_tol: float | None = None) -> list[float]:
-    """Group the nonzero eigenvalues to within group_tol * max(1, lambda_N).
+def distinct_nonzero_eigenvalues(s: LaplacianSpectrum) -> list[float]:
+    """Group the nonzero eigenvalues to within GROUP_TOL * max(1, lambda_N).
 
     Returns the ascending group means. Raises ConnectivityError when lambda_2
     falls below the grouping tolerance (effectively disconnected graph).
     """
-    tol = (s.group_tol if group_tol is None else group_tol) * max(1.0, s.lambda_max)
+    tol = GROUP_TOL * max(1.0, s.lambda_max)
     if s.lambda_2 <= tol:
         raise ConnectivityError(f"lambda_2 = {s.lambda_2:.3e} is below tolerance {tol:.3e}")
     groups: list[list[float]] = []
@@ -453,12 +438,12 @@ def graph_from_dict(d: dict) -> Graph:
     """Graph from its edge-list document. An edge may be given as [i, j, w] or
     [j, i, w]; the last weight given for an edge wins."""
     try:
-        n = int(d["n"])
+        n = _integral(d["n"], "n")
         weights = {}
         for e in d["edges"]:
             if len(e) != 3:
                 raise ParameterError(f"edge entry {e!r} must be [i, j, w]")
-            i, j, w = int(e[0]), int(e[1]), float(e[2])
+            i, j, w = _integral(e[0], "a node index"), _integral(e[1], "a node index"), float(e[2])
             if not (0 <= i < n and 0 <= j < n) or i == j:
                 raise ParameterError(f"edge ({i}, {j}) out of range for n={n}")
             if w <= 0.0:
@@ -466,7 +451,7 @@ def graph_from_dict(d: dict) -> Graph:
             weights[min(i, j), max(i, j)] = w
     except ParameterError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParameterError(f"malformed graph document: {exc}") from exc
     pairs = sorted(weights)
     ij = np.array(pairs, dtype=np.intp).reshape(-1, 2)

@@ -351,6 +351,22 @@ def test_simulate_with_sequence_file(tmp_path):
     assert json.loads(result.stdout)["consensus_time"] == 1
 
 
+@pytest.mark.parametrize("content", [
+    "this is not JSON",
+    '{"gains": [0.1, 0.2], "period": "x"}',
+    '{"gains": [0.1, 0.2], "period": 2.5}',
+    '{"gains": [0.1, 0.2], "band": [1]}',
+])
+def test_simulate_reports_malformed_sequence_file(tmp_path, content):
+    seq_path = tmp_path / "seq.json"
+    seq_path.write_text(content)
+    result = RUN.invoke(main, ["simulate", "--graph", "complete:5", "--sequence", str(seq_path),
+                               "--steps", "4"])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr.startswith("Error: ") and len(result.stderr.splitlines()) == 1
+
+
 def test_simulate_with_x0_file(tmp_path):
     x0_path = tmp_path / "x0.json"
     x0_path.write_text(json.dumps([4.0, 4.0, 4.0]))
@@ -411,6 +427,10 @@ def test_weighted_file_graph_matches_pinned_output(args, fixture):
     "this is not JSON",
     None,  # no such file
     '{"n": 1, "edges": []}',
+    '{"n": 3.7, "edges": [[0, 1, 1.0], [1, 2, 1.0]]}',
+    '{"n": 3, "edges": [[0.9, 1.2, 1.0], [1, 2, 1.0]]}',
+    '{"n": 100000000, "edges": [[0, 1, 1.0]]}',  # its dense Laplacian needs 71 PiB
+    '{"n": Infinity, "edges": []}',
 ])
 def test_graph_inspect_reports_malformed_file(tmp_path, content):
     path = tmp_path / "g.json"

@@ -25,7 +25,6 @@ from speccon import (
     sequence_from_dict,
     sequence_to_dict,
 )
-from speccon.filters import response_csv_lines
 
 BAND = SpectralBand(0.2, 12.8)
 
@@ -271,17 +270,6 @@ def test_chebyshev_equioscillation():
             assert abs(abs(value) - gamma) <= 1e-9
             signs.append(math.copysign(1.0, value))
         assert all(a == -b for a, b in zip(signs, signs[1:]))
-
-
-def test_response_csv_lines():
-    seq = design_chebyshev(BAND, 3)
-    lines = response_csv_lines(seq, BAND, samples=5)
-    assert lines[0] == "lambda,h"
-    assert len(lines) == 6
-    assert lines[1].split(",") == ["0", "1"]
-    assert float(lines[-1].split(",")[0]) == pytest.approx(12.8 * 1.05)
-    with pytest.raises(ParameterError):
-        response_csv_lines(seq, BAND, samples=1)
 
 
 def test_sequence_json_roundtrip(tmp_path):

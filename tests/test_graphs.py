@@ -142,7 +142,7 @@ def test_laplacian_and_spectrum_invariants(family, kwargs):
     s = spectrum(g)
     scale = max(1.0, s.lambda_max)
     assert abs(s.eigenvalues[0]) <= 1e-9 * scale
-    assert s.lambda_max <= 2.0 * g.max_degree + 1e-9
+    assert s.lambda_max <= 2.0 * s.max_degree + 1e-9
     assert np.all(np.diff(s.eigenvalues) >= 0.0)
     assert np.abs(s.eigenvectors.T @ s.eigenvectors - np.eye(g.n)).max() <= 1e-9
     recon = s.eigenvectors @ np.diag(s.eigenvalues) @ s.eigenvectors.T
@@ -214,7 +214,7 @@ def test_distinct_nonzero_star_and_complete():
 def test_distinct_nonzero_grouping_and_separation():
     s = spectrum(build_graph("cycle", n=12))
     tol = 1e-8
-    got = distinct_nonzero_eigenvalues(s, tol)
+    got = distinct_nonzero_eigenvalues(s)
     radius = tol * max(1.0, s.lambda_max)
     for v in s.eigenvalues[1:]:
         hits = [u for u in got if abs(u - v) <= radius]
@@ -275,9 +275,8 @@ def test_graph_from_dict_symmetrizes_and_validates():
 
 
 def test_spectrum_group_tol_threads_to_connectivity():
-    s = spectrum(build_graph("path", n=2), group_tol=1e-8)
+    s = spectrum(build_graph("path", n=2))
     assert isinstance(s, LaplacianSpectrum)
-    assert s.group_tol == 1e-8
     assert s.is_connected()
 
 
@@ -318,7 +317,6 @@ def test_scaled_spectrum_matches_scaled_graph(family, kwargs):
     scaled = s.scaled(c)
     direct = spectrum(Graph(g.n, g.adjacency * c), vectors=False)
     assert scaled.eigenvectors is None
-    assert scaled.group_tol == s.group_tol
     assert scaled.max_degree == pytest.approx(direct.max_degree, rel=1e-15)
     assert np.abs(scaled.eigenvalues - direct.eigenvalues).max() <= 1e-12 * direct.lambda_max
     full = spectrum(g)
@@ -520,7 +518,7 @@ def test_is_connected_matches_dense_search(n, p):
 # Symmetric weights that are not dyadic, so the row sums round differently in
 # different orders; about half the entries are zero.
 @settings(max_examples=40, deadline=None)
-@example(n=700, density=0.5, seed=1, log_scale=0.0)  # two blocks of Graph.degrees
+@example(n=700, density=0.5, seed=1, log_scale=0.0)  # long rows, summed pairwise in blocks
 @given(n=st.integers(2, 700), density=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1),
        log_scale=st.floats(-3.0, 3.0))
 def test_dense_roundtrip_is_bitwise(n, density, seed, log_scale):
@@ -530,8 +528,6 @@ def test_dense_roundtrip_is_bitwise(n, density, seed, log_scale):
     g = Graph(n, a)
     dense_degrees = a.sum(axis=1)
     assert g.adjacency.tobytes() == a.tobytes()
-    assert g.degrees.tobytes() == dense_degrees.tobytes()
-    assert g.max_degree == float(dense_degrees.max())
     assert laplacian(g).tobytes() == (np.diag(dense_degrees) - a).tobytes()
     iu, ju = np.nonzero(np.triu(a))
     i, j, w = edge_arrays(g)
