@@ -16,7 +16,7 @@ import click
 import numpy as np
 
 from . import filters, graphs, rates, sim
-from .errors import NumericalError, SpecconError
+from .errors import NumericalError, ParameterError, SpecconError
 
 # Band methods, compared in the rate tables, the sweep and the response plot.
 TABLE_METHODS = ("lagrange", "chebyshev", "constant")
@@ -116,6 +116,18 @@ def _sequence(method: str, band: graphs.SpectralBand | None, period: int,
 def _closed_rate(method: str, band: graphs.SpectralBand, period: int) -> float:
     """Closed-form worst-case rate over the band of a ``TABLE_METHODS`` design."""
     return getattr(filters, f"closed_rate_{method}")(band, period)
+
+
+def _load_states(path) -> np.ndarray:
+    """Initial states from a JSON list of numbers; anything else is a ParameterError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh, parse_int=float)  # an integer too large for a float is inf
+    except (OSError, ValueError) as exc:
+        raise ParameterError(f"cannot read initial states file {path}: {exc}") from exc
+    if not (isinstance(doc, list) and all(type(v) is float for v in doc)):
+        raise ParameterError(f"initial states file {path} must hold a JSON list of numbers")
+    return np.array(doc)
 
 
 def _finite_or_null(value):
@@ -271,7 +283,7 @@ def sweep(band, period, trials, nodes, edge_prob, seed, fmt, out):
     is rescaled by the same factor, which is exact, so it is not decomposed
     again. Rows are computed one after another in graph-id order, so the
     linear algebra library may use every core; failed graphs are reported on
-    stderr after the rows.
+    stderr after the rows. A bad argument fails the run with one error.
     """
     band = band or graphs.SpectralBand(0.2, 12.8)
     seed = 0 if seed is None else seed
@@ -280,6 +292,8 @@ def sweep(band, period, trials, nodes, edge_prob, seed, fmt, out):
     for graph_id in range(trials):
         try:
             rows.append(_sweep_row(seqs, band, period, nodes, edge_prob, seed, graph_id))
+        except ParameterError:
+            raise  # a bad argument fails every graph alike: reported once
         except SpecconError as exc:
             failures.append(f"graph {graph_id}: {exc}")
     if fmt == "json":
@@ -366,7 +380,7 @@ def simulate_cmd(graph_spec, band, method, period, beta_bar, sequence_file, x0, 
         idx = int(np.searchsorted(s.eigenvalues, report.argmax_eigenvalue))
         x_init = s.eigenvectors[:, idx]
     elif x0.startswith("file:"):
-        x_init = np.asarray(json.loads(Path(x0[5:]).read_text(encoding="utf-8")), dtype=float)
+        x_init = _load_states(x0[5:])
     else:
         raise click.BadParameter(f"unknown x0 mode {x0!r}")
 

@@ -29,40 +29,16 @@ GROUP_TOL = 1e-8
 class Graph:
     """Weighted undirected graph on n >= 2 nodes, stored as its edge list.
 
-    The edges are read-only arrays (i, j, w), sorted by (i, j) and unique,
-    with i < j and finite w > 0; ``edge_arrays`` returns them. ``Graph(n,
-    adjacency)`` validates a dense adjacency (symmetric, finite, non-negative,
-    zero diagonal) and keeps only its edges; ``Graph.from_edges`` takes the
-    arrays themselves. No n x n array is kept: ``adjacency`` builds a dense
-    read-only copy on each read.
+    ``Graph(n, i, j, w)`` takes the edges as arrays (i, j, w), sorted by
+    (i, j) and unique, with 0 <= i < j < n and finite w > 0; ``edge_arrays``
+    returns them. The arrays are kept read-only, without a copy when handed
+    over read-only and owning their memory. No n x n array is kept.
     """
 
     n: int
     _edges: tuple[np.ndarray, np.ndarray, np.ndarray] = field(repr=False)
 
-    def __init__(self, n: int, adjacency) -> None:
-        a = np.array(adjacency, dtype=float)
-        if a.shape != (n, n):
-            raise ParameterError(f"adjacency must be {n}x{n}")
-        if not np.all(np.isfinite(a)):
-            raise ParameterError("edge weights must be finite")
-        if not np.array_equal(a, a.T):
-            raise ParameterError("adjacency must be symmetric")
-        if np.any(np.diag(a) != 0.0):
-            raise ParameterError("adjacency diagonal must be zero")
-        if np.any(a < 0.0):
-            raise ParameterError("edge weights must be non-negative")
-        iu, ju = np.nonzero(np.triu(a))
-        self._store(n, iu, ju, a[iu, ju])
-
-    @classmethod
-    def from_edges(cls, n: int, i, j, w) -> Graph:
-        """Graph from edge arrays in the stored form described above."""
-        g = cls.__new__(cls)
-        g._store(n, i, j, w)
-        return g
-
-    def _store(self, n, i, j, w) -> None:
+    def __init__(self, n: int, i, j, w) -> None:
         if int(n) != n or n < 2:
             raise ParameterError(f"a graph needs n >= 2 nodes, got {n!r}")
         i, j, w = _read_only(i, np.intp), _read_only(j, np.intp), _read_only(w)
@@ -79,16 +55,6 @@ class Graph:
             raise ParameterError("edge weights must be positive")
         object.__setattr__(self, "n", int(n))
         object.__setattr__(self, "_edges", (i, j, w))
-
-    @property
-    def adjacency(self) -> np.ndarray:
-        """Dense read-only adjacency, built from the edges on each read."""
-        i, j, w = self._edges
-        a = np.zeros((self.n, self.n))
-        a[i, j] = w
-        a[j, i] = w
-        a.flags.writeable = False
-        return a
 
 
 @dataclass(frozen=True)
@@ -197,7 +163,7 @@ def _require_int(params: dict, key: str, minimum: int) -> int:
 
 def _unit_graph(n: int, i, j) -> Graph:
     """Unit weights on the edges (i[k], j[k]), given in the stored order."""
-    return Graph.from_edges(n, i, j, np.ones(len(i)))
+    return Graph(n, i, j, np.ones(len(i)))
 
 
 def _watts_strogatz_once(n: int, k: int, p: float, rng: np.random.Generator) -> Graph:
@@ -299,10 +265,11 @@ def build_graph(family: str, seed: int | None = None, **params) -> Graph:
 def laplacian(g: Graph) -> np.ndarray:
     """Dense Laplacian, degree diagonal minus adjacency, assembled from the edges.
 
-    Bit for bit ``np.diag(a.sum(axis=1)) - a`` with ``a = g.adjacency``, without
-    building ``a``: the degrees are the row sums of the negated off-diagonal
-    entries, summed in the same order, and round-to-nearest is symmetric in
-    sign. A Laplacian too large to allocate is a ParameterError.
+    Bit for bit ``np.diag(a.sum(axis=1)) - a`` for the dense adjacency ``a``
+    of the edges, without building ``a``: the degrees are the row sums of the
+    negated off-diagonal entries, summed in the same order, and
+    round-to-nearest is symmetric in sign. A Laplacian too large to allocate
+    is a ParameterError.
     """
     i, j, w = edge_arrays(g)
     try:
@@ -409,7 +376,7 @@ def distinct_nonzero_eigenvalues(s: LaplacianSpectrum) -> list[float]:
     falls below the grouping tolerance (effectively disconnected graph).
     """
     tol = GROUP_TOL * max(1.0, s.lambda_max)
-    if s.lambda_2 <= tol:
+    if not s.is_connected():
         raise ConnectivityError(f"lambda_2 = {s.lambda_2:.3e} is below tolerance {tol:.3e}")
     groups: list[list[float]] = []
     for v in s.eigenvalues[1:]:
@@ -455,7 +422,7 @@ def graph_from_dict(d: dict) -> Graph:
         raise ParameterError(f"malformed graph document: {exc}") from exc
     pairs = sorted(weights)
     ij = np.array(pairs, dtype=np.intp).reshape(-1, 2)
-    return Graph.from_edges(n, ij[:, 0], ij[:, 1], [weights[e] for e in pairs])
+    return Graph(n, ij[:, 0], ij[:, 1], [weights[e] for e in pairs])
 
 
 def save_graph(g: Graph, path) -> None:

@@ -74,8 +74,7 @@ def _nonzero_eigenvalues(s: LaplacianSpectrum) -> np.ndarray:
     return s.eigenvalues[1:]
 
 
-def rate_on_eigenvalues(seq: ControlSequence, eigenvalues, steps: int | None = None,
-                        band: SpectralBand | None = None) -> RateReport:
+def rate_on_eigenvalues(seq: ControlSequence, eigenvalues, steps: int | None = None) -> RateReport:
     """Rate report for an explicit list of nonzero eigenvalues."""
     steps = seq.period if steps is None else steps
     if steps < 1:
@@ -93,7 +92,7 @@ def rate_on_eigenvalues(seq: ControlSequence, eigenvalues, steps: int | None = N
         method=seq.method,
         steps=steps,
         sequence=seq,
-        band=seq.band if band is None else band,
+        band=seq.band,
     )
 
 

@@ -80,6 +80,8 @@ def simulate(g: Graph, seq: ControlSequence, x0, steps: int) -> SimulationTrace:
     x = np.asarray(x0, dtype=float)
     if x.shape != (g.n,):
         raise ParameterError(f"x0 must have length {g.n}")
+    if not np.all(np.isfinite(x)):
+        raise ParameterError("x0 must be finite")
     if steps < 0:
         raise ParameterError("steps must be non-negative")
     iu, ju, w = edge_arrays(g)

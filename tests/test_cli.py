@@ -219,18 +219,26 @@ def test_sweep_reports_generation_failures_nonzero():
     assert result.stdout.startswith("graph_id,")
 
 
-# A degenerate band fails the closed form and the chebyshev design. Each
-# command reports the library error once, as "Error: ...", with exit 1.
+# A degenerate band fails the closed form and the chebyshev design, and a bad
+# sweep size or edge probability fails every graph alike. Each command reports
+# the library error once, as "Error: ...", with exit 1 and nothing on stdout.
+SWEEP_ER_P = "random_connected requires edge probability p in (0, 1]"
+
+
 @pytest.mark.parametrize("args,message", [
     (("table2", "--band", "1,1"), "closed form requires alpha < beta"),
     (("sweep", "--band", "1,1", "--trials", "3", "--nodes", "30", "--edge-prob", "0.2",
       "--seed", "9", "-M", "5"), "chebyshev design requires alpha < beta"),
+    (("sweep", "--trials", "3", "--nodes", "1"), "parameter 'n' must be an integer >= 2, got 1"),
+    (("sweep", "--trials", "3", "--edge-prob", "0"), SWEEP_ER_P),
+    (("sweep", "--trials", "3", "--edge-prob", "nan"), SWEEP_ER_P),
 ])
 def test_degenerate_band_reports_error(args, message):
     result = RUN.invoke(main, list(args))
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
     assert result.stderr == f"Error: {message}\n"
+    assert result.stdout == ""
 
 
 def test_sweep_designs_once_per_run(monkeypatch):
@@ -365,6 +373,29 @@ def test_simulate_reports_malformed_sequence_file(tmp_path, content):
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
     assert result.stderr.startswith("Error: ") and len(result.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("content", [
+    None,  # no such file
+    "this is not JSON",
+    '["a", "b", "c"]',
+    '{"x": 1}',
+    '["1", "2", "3"]',
+    "[true, false, true]",
+    pytest.param("[" + "9" * 400 + ", 1, 2]", id="integer-too-large-for-a-float"),
+    "[1, NaN, 2]",  # bad input, not a divergent run
+])
+def test_simulate_reports_malformed_x0_file(tmp_path, content):
+    x0_path = tmp_path / "x0.json"
+    if content is not None:
+        x0_path.write_text(content)
+    result = RUN.invoke(main, ["simulate", "--graph", "cycle:3", "--method", "finite_time",
+                               "--steps", "2", "--x0", f"file:{x0_path}"])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.stdout == ""
+    assert result.stderr.startswith("Error: ") and len(result.stderr.splitlines()) == 1
+    assert "diverged" not in result.stderr
 
 
 def test_simulate_with_x0_file(tmp_path):

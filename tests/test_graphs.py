@@ -38,16 +38,27 @@ WS_GOLDEN_EDGES = [
 ]
 
 
+def _graph_of(a):
+    """The graph of a dense symmetric adjacency, through its upper triangle."""
+    i, j = np.nonzero(np.triu(a))
+    return Graph(a.shape[0], i, j, a[i, j])
+
+
+def _assert_same_graph(g, h):
+    assert g.n == h.n
+    for x, y in zip(edge_arrays(g), edge_arrays(h)):
+        assert x.tobytes() == y.tobytes()
+
+
 def test_star_adjacency_center_first():
     g = build_graph("star", n=4)
     expected = np.zeros((4, 4))
     expected[0, 1:] = expected[1:, 0] = 1.0
-    assert np.array_equal(g.adjacency, expected)
+    _assert_edges_of(g, expected)
 
 
 def test_cycle3_equals_complete3():
-    assert np.array_equal(build_graph("cycle", n=3).adjacency,
-                          build_graph("complete", n=3).adjacency)
+    _assert_same_graph(build_graph("cycle", n=3), build_graph("complete", n=3))
 
 
 def test_watts_strogatz_golden_and_deterministic():
@@ -67,13 +78,13 @@ def test_watts_strogatz_golden_and_deterministic():
                 stack.append(j)
     assert len(seen) == 12
     again = build_graph("watts_strogatz", n=12, k=4, p=0.3, seed=7)
-    assert np.array_equal(g.adjacency, again.adjacency)
+    _assert_same_graph(g, again)
 
 
 def test_random_connected_deterministic():
     g1 = build_graph("random_connected", n=25, p=0.2, seed=5)
     g2 = build_graph("random_connected", n=25, p=0.2, seed=5)
-    assert np.array_equal(g1.adjacency, g2.adjacency)
+    _assert_same_graph(g1, g2)
     assert spectrum(g1).is_connected()
 
 
@@ -101,17 +112,36 @@ def test_build_graph_rejects_bad_params(kwargs):
 
 def test_graph_invariants_enforced():
     with pytest.raises(ParameterError):
-        Graph(2, np.array([[0.0, 1.0], [2.0, 0.0]]))  # asymmetric
-    with pytest.raises(ParameterError):
-        Graph(2, np.array([[1.0, 1.0], [1.0, 0.0]]))  # nonzero diagonal
-    with pytest.raises(ParameterError):
-        Graph(2, np.array([[0.0, -1.0], [-1.0, 0.0]]))  # negative weight
+        Graph(2, [0], [1], [-1.0])  # negative weight
     for bad in (math.inf, math.nan):
         with pytest.raises(ParameterError):
-            Graph(2, np.array([[0.0, bad], [bad, 0.0]]))  # non-finite weight
+            Graph(2, [0], [1], [bad])  # non-finite weight
     g = build_graph("path", n=2)
-    with pytest.raises(ValueError):
-        g.adjacency[0, 1] = 5.0  # adjacency is read-only
+    for x in edge_arrays(g):
+        with pytest.raises(ValueError):
+            x[0] = 5  # the edge arrays are read-only
+
+
+# One case per branch of the constructor's validation, each told by its message.
+@pytest.mark.parametrize("n,i,j,w,match", [
+    (1, [], [], [], "n >= 2"),
+    (2.5, [0], [1], [1.0], "n >= 2"),
+    (3, [[0, 1]], [[1, 2]], [[1.0, 1.0]], "1-D"),
+    (3, [0, 1], [1, 2], [1.0], "equal length"),
+    (3, [1], [0], [1.0], "i < j"),
+    (3, [1], [1], [1.0], "i < j"),
+    (3, [-1], [1], [1.0], "0 <= i"),
+    (3, [0], [3], [1.0], "j < 3"),
+    (3, [1, 0], [2, 1], [1.0, 1.0], "sorted"),
+    (3, [0, 0], [1, 1], [1.0, 1.0], "unique"),
+    (3, [0], [1], [0.0], "positive"),
+    (3, [0], [1], [-1.0], "positive"),
+    (3, [0], [1], [math.inf], "finite"),
+    (3, [0], [1], [math.nan], "finite"),
+])
+def test_graph_rejects_invalid_edges(n, i, j, w, match):
+    with pytest.raises(ParameterError, match=match):
+        Graph(n, i, j, w)
 
 
 def test_laplacian_examples():
@@ -223,10 +253,7 @@ def test_distinct_nonzero_grouping_and_separation():
 
 
 def test_distinct_nonzero_disconnected_raises():
-    a = np.zeros((4, 4))
-    a[0, 1] = a[1, 0] = 1.0
-    a[2, 3] = a[3, 2] = 1.0
-    s = spectrum(Graph(4, a))
+    s = spectrum(Graph(4, [0, 2], [1, 3], [1.0, 1.0]))  # edges (0, 1) and (2, 3)
     with pytest.raises(ConnectivityError):
         distinct_nonzero_eigenvalues(s)
 
@@ -254,14 +281,14 @@ def test_graph_json_roundtrip(tmp_path):
     g = build_graph("watts_strogatz", n=12, k=4, p=0.3, seed=7)
     path = tmp_path / "g.json"
     save_graph(g, path)
-    assert np.array_equal(load_graph(path).adjacency, g.adjacency)
+    _assert_same_graph(load_graph(path), g)
     doc = json.loads(path.read_text())
     assert all(i < j and w > 0 for i, j, w in doc["edges"])
 
 
 def test_graph_from_dict_symmetrizes_and_validates():
     g = graph_from_dict({"n": 3, "edges": [[2, 0, 1.5]]})
-    assert g.adjacency[0, 2] == g.adjacency[2, 0] == 1.5
+    assert [x.tolist() for x in edge_arrays(g)] == [[0], [2], [1.5]]
     with pytest.raises(ParameterError):
         graph_from_dict({"n": 3, "edges": [[0, 0, 1.0]]})
     with pytest.raises(ParameterError):
@@ -315,7 +342,8 @@ def test_scaled_spectrum_matches_scaled_graph(family, kwargs):
     s = spectrum(g, vectors=False)
     c = 12.8 / s.lambda_max
     scaled = s.scaled(c)
-    direct = spectrum(Graph(g.n, g.adjacency * c), vectors=False)
+    i, j, w = edge_arrays(g)
+    direct = spectrum(Graph(g.n, i, j, w * c), vectors=False)
     assert scaled.eigenvectors is None
     assert scaled.max_degree == pytest.approx(direct.max_degree, rel=1e-15)
     assert np.abs(scaled.eigenvalues - direct.eigenvalues).max() <= 1e-12 * direct.lambda_max
@@ -464,11 +492,11 @@ def _dense_build(once, seed, n, *args):
 
 
 def _assert_edges_of(g, a):
+    assert g.n == a.shape[0]
     iu, ju = np.nonzero(np.triu(a))
     i, j, w = edge_arrays(g)
     assert np.array_equal(i, iu) and np.array_equal(j, ju)
     assert w.tobytes() == a[iu, ju].tobytes()
-    assert g.adjacency.tobytes() == a.tobytes()
 
 
 GENERATOR_SEEDS = range(20)
@@ -510,7 +538,7 @@ def test_is_connected_matches_dense_search(n, p):
         a = _dense_erdos_renyi_once(n, p, rng)
         connected = _dense_is_connected(a)
         outcomes.add(connected)
-        assert is_connected(Graph(n, a)) is connected
+        assert is_connected(_graph_of(a)) is connected
     assert outcomes == {True, False}
     assert is_connected(build_graph("path", n=n))
 
@@ -525,14 +553,11 @@ def test_dense_roundtrip_is_bitwise(n, density, seed, log_scale):
     rng = np.random.default_rng(seed)
     upper = np.triu(rng.lognormal(log_scale, 2.0, (n, n)) * (rng.random((n, n)) < density), 1)
     a = upper + upper.T
-    g = Graph(n, a)
+    g = _graph_of(a)
     dense_degrees = a.sum(axis=1)
-    assert g.adjacency.tobytes() == a.tobytes()
     assert laplacian(g).tobytes() == (np.diag(dense_degrees) - a).tobytes()
+    _assert_edges_of(g, a)
     iu, ju = np.nonzero(np.triu(a))
-    i, j, w = edge_arrays(g)
-    assert np.array_equal(i, iu) and np.array_equal(j, ju)
-    assert w.tobytes() == a[iu, ju].tobytes()
     assert graph_to_dict(g) == {
         "n": n, "edges": [[int(x), int(y), float(a[x, y])] for x, y in zip(iu, ju)]}
 
@@ -543,17 +568,11 @@ def test_graph_holds_only_its_edges():
     try:
         g = build_graph("watts_strogatz", n=n, k=6, p=0.3, seed=1)
         built, peak = tracemalloc.get_traced_memory()
-        a = g.adjacency
-        with_view, _ = tracemalloc.get_traced_memory()
-        del a
-        after, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     dense = 8 * n * n
     assert peak < dense / 8  # 4 MB, an eighth of the dense matrix
     assert built < dense / 8
-    assert with_view >= built + dense  # reading the view builds it...
-    assert after < dense / 8  # ...and the graph does not keep it
     assert sum(x.nbytes for x in edge_arrays(g)) < 300_000
     assert edge_arrays(g)[0] is edge_arrays(g)[0]  # stored, not copied
     for x in edge_arrays(g):
@@ -562,7 +581,7 @@ def test_graph_holds_only_its_edges():
 
 def test_graph_requires_two_nodes():
     with pytest.raises(ParameterError):
-        Graph(1, np.zeros((1, 1)))
+        Graph(1, [], [], [])
     with pytest.raises(ParameterError):
         graph_from_dict({"n": 1, "edges": []})
 

@@ -70,11 +70,9 @@ def test_exact_rate_finite_time_is_zero():
 
 
 def test_exact_rate_requires_connected():
-    a = np.zeros((4, 4))
-    a[0, 1] = a[1, 0] = 1.0
-    a[2, 3] = a[3, 2] = 1.0
+    two_components = Graph(4, [0, 2], [1, 3], [1.0, 1.0])  # edges (0, 1) and (2, 3)
     with pytest.raises(ConnectivityError):
-        exact_rate(design_constant(BAND), spectrum(Graph(4, a)))
+        exact_rate(design_constant(BAND), spectrum(two_components))
 
 
 def test_worst_case_matches_closed_forms_at_reference_band():
@@ -187,7 +185,8 @@ def test_exact_below_worst_case_for_in_band_spectra():
         for seq, steps in [(design_lagrange(band, 4), 4),
                            (design_chebyshev(band, 4), 4),
                            (design_constant(band), 4)]:
-            report = rate_on_eigenvalues(seq, s.eigenvalues[1:], steps=steps, band=band)
+            report = rate_on_eigenvalues(seq, s.eigenvalues[1:], steps=steps)
+            assert report.band == band
             assert report.exact_rate <= report.worst_case_rate + 1e-9
 
 

@@ -243,6 +243,9 @@ def test_simulate_validates_inputs():
         simulate(g, ControlSequence((0.25,)), np.ones(4), 2)
     with pytest.raises(ParameterError):
         simulate(g, ControlSequence((0.25,)), np.ones(3), -1)
+    for bad in (np.nan, np.inf, -np.inf):  # bad input, not a divergent run
+        with pytest.raises(ParameterError, match="finite"):
+            simulate(g, ControlSequence((0.25,)), [1.0, bad, 2.0], 2)
 
 
 def _add_at_states(g, seq, x0, steps):
