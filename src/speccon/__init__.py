@@ -48,7 +48,6 @@ from .rates import (
     decaying_gain_residuals,
     exact_rate,
     rate_on_eigenvalues,
-    report_to_dict,
     spectral_state,
     worst_case_rate,
 )
@@ -57,11 +56,9 @@ from .sim import (
     SimulationTrace,
     consensus_time,
     measured_period_ratios,
-    save_trace,
     simulate,
     step,
     trace_csv_lines,
-    trace_to_dict,
     uniform_initial_states,
 )
 

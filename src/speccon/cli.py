@@ -45,6 +45,12 @@ def _parse_methods(_ctx, _param, value) -> list[str]:
     return names
 
 
+def _parse_tol(_ctx, _param, value) -> float:
+    if not 0.0 < value < math.inf:  # also rejects NaN
+        raise click.BadParameter(f"expected a finite positive tolerance, got {value}")
+    return value
+
+
 def _parse_periods(_ctx, _param, value) -> tuple[int, ...]:
     try:
         periods = tuple(int(p) for p in value.split(","))
@@ -344,8 +350,8 @@ def response(band, names, period, samples, out):
               help="Load the gain sequence from a JSON file.")
 @click.option("--x0", default="uniform", show_default=True,
               help="Initial states: uniform | worst_eigenvector | file:PATH.")
-@click.option("--steps", type=int, required=True)
-@click.option("--tol", type=float, default=1e-9, show_default=True,
+@click.option("--steps", type=click.IntRange(min=0), required=True)
+@click.option("--tol", type=float, callback=_parse_tol, default=1e-9, show_default=True,
               help="Relative consensus tolerance.")
 @click.option("--states", "with_states", is_flag=True, help="Include state columns in the trace CSV.")
 @seed_option
@@ -357,32 +363,33 @@ def simulate_cmd(graph_spec, band, method, period, beta_bar, sequence_file, x0, 
     A divergent run, one whose consensus error is not finite at some step,
     prints its non-finite summary numbers as null and exits with status 1.
     """
+    # Usage errors are found before the eigendecomposition, the costly step.
+    if sequence_file is None and method is None:
+        raise click.BadParameter("provide --method or --sequence")
+    if x0 not in ("uniform", "worst_eigenvector") and not x0.startswith("file:"):
+        raise click.BadParameter(f"unknown x0 mode {x0!r}")
     g = parse_graph_spec(graph_spec, seed)
     s = graphs.spectrum(g)
     if sequence_file is not None:
         seq = filters.load_sequence(sequence_file)
-    elif method is None:
-        raise click.BadParameter("provide --method or --sequence")
     else:
         seq = _sequence(method, band, period, beta_bar, s)
 
     report = rates.exact_rate(seq, s)
-    b = report.band
-    if b is not None and b.alpha <= s.lambda_2 and s.lambda_max <= b.beta:
+    if seq.band is not None and graphs.band_contains(s, seq.band):
         # Every nonzero eigenvalue lies in the band, so the band's worst
         # case bounds the predicted rate; a breach is a numerical fault.
-        if not (report.exact_rate <= report.worst_case_rate * (1.0 + 1e-9) + 1e-12):
+        gamma = rates.worst_case_rate(seq, seq.band)
+        if not (report.exact_rate <= gamma * (1.0 + 1e-9) + 1e-12):
             raise NumericalError(f"predicted rate {report.exact_rate:.6g} exceeds the "
-                                 f"band worst case {report.worst_case_rate:.6g}")
+                                 f"band worst case {gamma:.6g}")
     if x0 == "uniform":
         x_init = sim.uniform_initial_states(g.n, seed)
     elif x0 == "worst_eigenvector":
         idx = int(np.searchsorted(s.eigenvalues, report.argmax_eigenvalue))
         x_init = s.eigenvectors[:, idx]
-    elif x0.startswith("file:"):
-        x_init = _load_states(x0[5:])
     else:
-        raise click.BadParameter(f"unknown x0 mode {x0!r}")
+        x_init = _load_states(x0[5:])
 
     # A divergent run overflows to inf and NaN; it is reported below.
     with np.errstate(over="ignore", invalid="ignore"):

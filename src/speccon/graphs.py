@@ -195,9 +195,19 @@ def _watts_strogatz_once(n: int, k: int, p: float, rng: np.random.Generator) -> 
 
 
 def _erdos_renyi_once(n: int, p: float, rng: np.random.Generator) -> Graph:
-    iu, ju = np.triu_indices(n, k=1)
-    mask = rng.random(iu.shape[0]) < p
-    return _unit_graph(n, iu[mask], ju[mask])
+    # One draw per node pair (i, j), i < j, in row-major order, taken a block
+    # at a time: block draws are the stream of one draw, so every seed keeps
+    # its graph. Only the accepted pairs get indices; pair number k lies in
+    # row i, the last row whose first pair number i(2n - i - 1)/2 is <= k.
+    pairs = n * (n - 1) // 2
+    block = 1 << 16
+    accepted = [start + np.flatnonzero(rng.random(min(block, pairs - start)) < p)
+                for start in range(0, pairs, block)]
+    k = np.concatenate(accepted)
+    rows = np.arange(n)
+    first = rows * (2 * n - rows - 1) // 2
+    iu = np.searchsorted(first, k, side="right") - 1
+    return _unit_graph(n, iu, k - first[iu] + iu + 1)
 
 
 def build_graph(family: str, seed: int | None = None, **params) -> Graph:

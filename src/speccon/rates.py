@@ -4,8 +4,7 @@ over uncertainty bands, asymptotic limits, and consensus-condition checks."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,24 +15,13 @@ from .graphs import LaplacianSpectrum, SpectralBand
 
 @dataclass(frozen=True)
 class RateReport:
-    """Per-period convergence rate of a sequence on a spectrum.
-
-    ``worst_case_rate`` is computed on first access, since it costs far more
-    than the exact rate and most callers never read it.
-    """
+    """Per-period convergence rate of a sequence on a spectrum."""
 
     exact_rate: float
     argmax_eigenvalue: float
     per_step_rate: float
     method: str
     steps: int
-    sequence: ControlSequence = field(repr=False, compare=False)
-    band: SpectralBand | None = None
-
-    @cached_property
-    def worst_case_rate(self) -> float | None:
-        """Max of |h(lam, steps)| over ``band``; None without a band."""
-        return None if self.band is None else worst_case_rate(self.sequence, self.band, self.steps)
 
 
 def worst_case_rate(seq: ControlSequence, b: SpectralBand, steps: int | None = None) -> float:
@@ -91,8 +79,6 @@ def rate_on_eigenvalues(seq: ControlSequence, eigenvalues, steps: int | None = N
         per_step_rate=rho ** (1.0 / steps),
         method=seq.method,
         steps=steps,
-        sequence=seq,
-        band=seq.band,
     )
 
 
@@ -159,14 +145,3 @@ def spectral_state(s: LaplacianSpectrum, seq: ControlSequence, x0, steps: int) -
     coords = s.eigenvectors.T @ x0
     coords[1:] *= eval_filter(seq, s.eigenvalues[1:], steps)
     return s.eigenvectors @ coords
-
-
-def report_to_dict(r: RateReport) -> dict:
-    return {
-        "exact_rate": r.exact_rate,
-        "argmax_lambda": r.argmax_eigenvalue,
-        "worst_case_rate": r.worst_case_rate,
-        "per_step_rate": r.per_step_rate,
-        "method": r.method,
-        "M": r.steps,
-    }

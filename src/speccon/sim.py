@@ -8,7 +8,6 @@ state mean constant to round-off at every step.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,8 +133,8 @@ def consensus_time(trace: SimulationTrace, tol: float) -> int | None:
     never settles below the threshold; a non-finite error (a divergent run)
     counts as above it.
     """
-    if tol <= 0.0:
-        raise ParameterError("tolerance must be positive")
+    if not 0.0 < tol < np.inf:  # also rejects NaN
+        raise ParameterError("tolerance must be finite and positive")
     threshold = max(tol * max(1.0, float(trace.errors[0])), 1e-12)
     above = np.nonzero(~(trace.errors <= threshold))[0]
     if above.size == 0:
@@ -152,20 +151,6 @@ def uniform_initial_states(n: int, seed: int | None, low: float = 0.0,
 
 # ---------------------------------------------------------------------------
 # serialization
-
-def trace_to_dict(trace: SimulationTrace) -> dict:
-    return {
-        "states": trace.states.tolist(),
-        "errors": trace.errors.tolist(),
-        "average": trace.average,
-    }
-
-
-def save_trace(trace: SimulationTrace, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(trace_to_dict(trace), fh)
-        fh.write("\n")
-
 
 def trace_csv_lines(trace: SimulationTrace, include_states: bool = False) -> list[str]:
     """CSV "k,err[,x_0,...,x_{n-1}]" with one row per recorded step."""

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from speccon import build_graph, filters, graph_to_dict, rates
+from speccon import build_graph, filters, graph_to_dict, graphs, rates
 from speccon.cli import bundled_spectrum, main, parse_graph_spec
 
 RUN = CliRunner()
@@ -209,6 +209,14 @@ def test_simulate_checks_rate_against_band_worst_case(monkeypatch):
     # Out of band the bound does not apply, so it is not checked.
     assert invoke("simulate", "--graph", "star:12", "--band", "1,5", "--method", "chebyshev",
                   "-M", "3", "--steps", "6", "--seed", "1").exit_code == 0
+    # star:12 has lambda_2 = 1 up to round-off (0.9999999999999986), which
+    # band_contains counts as inside [1, 12], as sweep's in_band does.
+    calls.clear()
+    monkeypatch.setattr(rates, "worst_case_rate",
+                        lambda *args: calls.append(args) or original(*args))
+    assert invoke("simulate", "--graph", "star:12", "--band", "1,12", "--method", "lagrange",
+                  "-M", "3", "--steps", "6", "--seed", "1").exit_code == 0
+    assert len(calls) == 1
 
 
 def test_sweep_reports_generation_failures_nonzero():
@@ -409,6 +417,29 @@ def test_simulate_with_x0_file(tmp_path):
     bad = RUN.invoke(main, ["simulate", "--graph", "cycle:3", "--method", "finite_time",
                             "--steps", "2", "--x0", "sideways"])
     assert bad.exit_code == 2
+
+
+# Each bad simulate argument is a usage error (exit 2) found before the
+# eigendecomposition, which is the costly step of a large run.
+@pytest.mark.parametrize("args,message", [
+    (("--band", "0.2,12.8", "--steps", "6"), "provide --method or --sequence"),
+    (("--method", "finite_time", "--steps", "6", "--x0", "sideways"), "unknown x0 mode"),
+    (("--method", "finite_time", "--steps", "-1"), "--steps"),
+    (("--method", "finite_time", "--steps", "6", "--tol", "0"), "--tol"),
+    (("--method", "finite_time", "--steps", "6", "--tol", "-1"), "--tol"),
+    (("--method", "finite_time", "--steps", "6", "--tol", "nan"), "--tol"),
+    (("--method", "finite_time", "--steps", "6", "--tol", "inf"), "--tol"),
+], ids=["no-method", "x0-mode", "steps-negative", "tol-zero", "tol-negative", "tol-nan",
+        "tol-inf"])
+def test_simulate_usage_errors_come_before_the_spectrum(monkeypatch, args, message):
+    def no_spectrum(*_args, **_kwargs):
+        raise AssertionError("spectrum computed before the arguments were checked")
+
+    monkeypatch.setattr(graphs, "spectrum", no_spectrum)
+    result = RUN.invoke(main, ["simulate", "--graph", "cycle:12", *args, "--seed", "1"])
+    assert result.exit_code == 2
+    assert message in result.stderr
+    assert result.stdout == ""
 
 
 def test_graph_generate_and_inspect(tmp_path):

@@ -518,7 +518,9 @@ def test_saturated_watts_strogatz_reaches_full_degree():
 
 
 @pytest.mark.parametrize("n,p", [(12, 0.3), (12, 0.15), (100, 0.08), (100, 0.3), (300, 0.02),
-                                 (300, 0.1)])
+                                 (300, 0.1),
+                                 # more node pairs than one block of draws
+                                 (400, 0.02), (1000, 0.01)])
 def test_erdos_renyi_matches_dense_oracle(n, p):
     attempts = []
     for seed in GENERATOR_SEEDS:
@@ -577,6 +579,18 @@ def test_graph_holds_only_its_edges():
     assert edge_arrays(g)[0] is edge_arrays(g)[0]  # stored, not copied
     for x in edge_arrays(g):
         assert not x.flags.writeable
+
+
+def test_erdos_renyi_holds_no_array_per_node_pair():
+    # 2000 nodes have 1999000 node pairs: one int64 or float64 array over
+    # them is 16 MB, and the draws themselves are taken a block at a time
+    tracemalloc.start()
+    try:
+        build_graph("random_connected", n=2000, p=0.01, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
 
 
 def test_graph_requires_two_nodes():
