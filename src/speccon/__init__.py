@@ -21,8 +21,6 @@ from .filters import (
     design_lagrange,
     design_uniform_unknown,
     eval_filter,
-    load_sequence,
-    save_sequence,
     sequence_from_dict,
     sequence_to_dict,
 )
@@ -37,8 +35,6 @@ from .graphs import (
     graph_from_dict,
     graph_to_dict,
     laplacian,
-    load_graph,
-    save_graph,
     spectrum,
 )
 from .rates import (
@@ -57,7 +53,6 @@ from .sim import (
     consensus_time,
     measured_period_ratios,
     simulate,
-    step,
     trace_csv_lines,
     uniform_initial_states,
 )

@@ -9,7 +9,6 @@ from __future__ import annotations
 import json
 import math
 import sys
-from importlib import resources
 from pathlib import Path
 
 import click
@@ -61,6 +60,15 @@ def _parse_periods(_ctx, _param, value) -> tuple[int, ...]:
     return periods
 
 
+def _read_json(path, what: str):
+    """The JSON document in ``path``; an unreadable or non-JSON file is a ParameterError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ParameterError(f"cannot read {what} file {path}: {exc}") from exc
+
+
 def parse_graph_spec(spec: str, seed: int | None = None) -> graphs.Graph:
     """Build or load a graph from a compact spec string.
 
@@ -69,7 +77,7 @@ def parse_graph_spec(spec: str, seed: int | None = None) -> graphs.Graph:
     """
     kind, _, arg = spec.partition(":")
     if kind == "file":
-        return graphs.load_graph(arg)
+        return graphs.graph_from_dict(_read_json(arg, "graph"))
     try:
         parts = arg.split(",") if arg else []
         if kind in ("complete", "star", "cycle", "path"):
@@ -89,10 +97,9 @@ def parse_graph_spec(spec: str, seed: int | None = None) -> graphs.Graph:
     raise click.BadParameter(f"unknown graph family in spec {spec!r}")
 
 
-def bundled_spectrum(name: str = "smallworld12") -> np.ndarray:
-    """Eigenvalue list shipped with the package (ascending, includes 0)."""
-    with resources.files("speccon.data").joinpath(f"{name}.json").open() as fh:
-        doc = json.load(fh)
+def bundled_spectrum() -> np.ndarray:
+    """Small-world eigenvalue list shipped with the package (ascending, includes 0)."""
+    doc = _read_json(Path(__file__).with_name("data") / "smallworld12.json", "spectrum")
     return np.asarray(doc["eigenvalues"], dtype=float)
 
 
@@ -125,15 +132,16 @@ def _closed_rate(method: str, band: graphs.SpectralBand, period: int) -> float:
 
 
 def _load_states(path) -> np.ndarray:
-    """Initial states from a JSON list of numbers; anything else is a ParameterError."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh, parse_int=float)  # an integer too large for a float is inf
-    except (OSError, ValueError) as exc:
-        raise ParameterError(f"cannot read initial states file {path}: {exc}") from exc
-    if not (isinstance(doc, list) and all(type(v) is float for v in doc)):
-        raise ParameterError(f"initial states file {path} must hold a JSON list of numbers")
-    return np.array(doc)
+    """Initial states from a JSON list of finite numbers; anything else is a ParameterError."""
+    doc = _read_json(path, "initial states")
+    if isinstance(doc, list) and all(type(v) in (int, float) for v in doc):
+        try:
+            x = np.array([float(v) for v in doc])
+        except OverflowError:  # an integer too large for a float
+            x = np.array([math.inf])
+        if np.all(np.isfinite(x)):
+            return x
+    raise ParameterError(f"initial states file {path} must hold a JSON list of finite numbers")
 
 
 def _finite_or_null(value):
@@ -363,16 +371,18 @@ def simulate_cmd(graph_spec, band, method, period, beta_bar, sequence_file, x0, 
     A divergent run, one whose consensus error is not finite at some step,
     prints its non-finite summary numbers as null and exits with status 1.
     """
-    # Usage errors are found before the eigendecomposition, the costly step.
+    # Usage errors and malformed input files are found before the
+    # eigendecomposition, the costly step.
     if sequence_file is None and method is None:
         raise click.BadParameter("provide --method or --sequence")
     if x0 not in ("uniform", "worst_eigenvector") and not x0.startswith("file:"):
         raise click.BadParameter(f"unknown x0 mode {x0!r}")
+    if sequence_file is not None:
+        seq = filters.sequence_from_dict(_read_json(sequence_file, "sequence"))
+    x_init = _load_states(x0[5:]) if x0.startswith("file:") else None
     g = parse_graph_spec(graph_spec, seed)
     s = graphs.spectrum(g)
-    if sequence_file is not None:
-        seq = filters.load_sequence(sequence_file)
-    else:
+    if sequence_file is None:
         seq = _sequence(method, band, period, beta_bar, s)
 
     report = rates.exact_rate(seq, s)
@@ -388,8 +398,6 @@ def simulate_cmd(graph_spec, band, method, period, beta_bar, sequence_file, x0, 
     elif x0 == "worst_eigenvector":
         idx = int(np.searchsorted(s.eigenvalues, report.argmax_eigenvalue))
         x_init = s.eigenvectors[:, idx]
-    else:
-        x_init = _load_states(x0[5:])
 
     # A divergent run overflows to inf and NaN; it is reported below.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -414,13 +422,10 @@ def simulate_cmd(graph_spec, band, method, period, beta_bar, sequence_file, x0, 
         "measured_ratios": measured,
         "omitted_periods": omitted,
     }
-    text = json.dumps(_finite_or_null(summary), indent=2, allow_nan=False)
-    click.echo(text)
+    _emit([json.dumps(_finite_or_null(summary), indent=2, allow_nan=False)], out, "summary.json")
     if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
         (out / "trace.csv").write_text(
             "\n".join(sim.trace_csv_lines(trace, with_states)) + "\n", encoding="utf-8")
-        (out / "summary.json").write_text(text + "\n", encoding="utf-8")
     nonfinite = np.flatnonzero(~np.isfinite(trace.errors))
     if nonfinite.size:
         click.echo(f"Error: the run diverged: the consensus error is first non-finite "

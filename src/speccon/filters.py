@@ -10,7 +10,6 @@ with a single constant gain.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -244,18 +243,3 @@ def sequence_from_dict(d: dict) -> ControlSequence:
         raise ParameterError(f"period {d['period']!r} is not the number of gains, {len(gains)}")
     return ControlSequence(gains, method, band)
 
-
-def save_sequence(seq: ControlSequence, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(sequence_to_dict(seq), fh, indent=2)
-        fh.write("\n")
-
-
-def load_sequence(path) -> ControlSequence:
-    """Sequence from a JSON file; an unreadable or non-JSON file is a ParameterError."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise ParameterError(f"cannot read sequence file {path}: {exc}") from exc
-    return sequence_from_dict(doc)

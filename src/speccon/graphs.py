@@ -10,7 +10,6 @@ only for the eigensolver.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 
@@ -433,22 +432,6 @@ def graph_from_dict(d: dict) -> Graph:
     pairs = sorted(weights)
     ij = np.array(pairs, dtype=np.intp).reshape(-1, 2)
     return Graph(n, ij[:, 0], ij[:, 1], [weights[e] for e in pairs])
-
-
-def save_graph(g: Graph, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(graph_to_dict(g), fh, indent=2)
-        fh.write("\n")
-
-
-def load_graph(path) -> Graph:
-    """Graph from a JSON file; an unreadable or non-JSON file is a ParameterError."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise ParameterError(f"cannot read graph file {path}: {exc}") from exc
-    return graph_from_dict(doc)
 
 
 def spectrum_csv_lines(s: LaplacianSpectrum) -> list[str]:

@@ -41,27 +41,6 @@ class SimulationTrace:
         return self.states.shape[0] - 1
 
 
-def _neighbor_update(x, src, iu, ju, w):
-    """sum_j a_ij (x_j - x_i) per node; ``src`` is ``concat(iu, ju)``.
-
-    Node i receives +diff for its edges as ``iu`` and then -diff for its edges
-    as ``ju``, each in edge order, summed from zero.
-    """
-    diff = w * (x[ju] - x[iu])
-    return np.bincount(src, weights=np.concatenate([diff, -diff]), minlength=x.shape[0])
-
-
-def step(x, g: Graph, eps: float) -> np.ndarray:
-    """One protocol step x + eps * sum_j a_ij (x_j - x_i), via edge traversal."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (g.n,):
-        raise ParameterError(f"state vector must have length {g.n}")
-    if eps <= 0.0:
-        raise ParameterError("gain must be positive")
-    iu, ju, w = edge_arrays(g)
-    return x + eps * _neighbor_update(x, np.concatenate([iu, ju]), iu, ju, w)
-
-
 def _error(x, average: float) -> float:
     # the same reduction as np.linalg.norm(states - average, axis=1) per row,
     # bit for bit; a 1-D norm or d @ d would go through BLAS dot instead
@@ -91,7 +70,11 @@ def simulate(g: Graph, seq: ControlSequence, x0, steps: int) -> SimulationTrace:
     states[0] = x
     errors[0] = _error(x, average)
     for k in range(steps):
-        x = x + seq.gain_at(k) * _neighbor_update(x, src, iu, ju, w)
+        # sum_j a_ij (x_j - x_i) per node: node i receives +diff for its edges
+        # as ``iu`` and then -diff for its edges as ``ju``, each in edge order
+        diff = w * (x[ju] - x[iu])
+        x = x + seq.gain_at(k) * np.bincount(src, weights=np.concatenate([diff, -diff]),
+                                             minlength=g.n)
         states[k + 1] = x
         errors[k + 1] = _error(x, average)
     states.flags.writeable = False

@@ -442,6 +442,35 @@ def test_simulate_usage_errors_come_before_the_spectrum(monkeypatch, args, messa
     assert result.stdout == ""
 
 
+# A malformed --sequence or --x0 file fails the run (exit 1) before the
+# eigendecomposition, too; a wrong number of states is found later, by sim.
+@pytest.mark.parametrize("option,content", [
+    ("--sequence", "this is not JSON"),
+    ("--sequence", '{"gains": [0.1, 0.2], "period": 3}'),
+    ("--x0", None),  # no such file
+    ("--x0", "this is not JSON"),
+    ("--x0", '["a", "b", "c"]'),
+    ("--x0", "[1, NaN, 2]"),
+    ("--x0", "[" + "9" * 400 + ", 1, 2]"),
+], ids=["sequence-not-json", "sequence-period", "x0-missing", "x0-not-json", "x0-strings",
+        "x0-nan", "x0-integer-too-large-for-a-float"])
+def test_simulate_reads_input_files_before_the_spectrum(monkeypatch, tmp_path, option, content):
+    def no_spectrum(*_args, **_kwargs):
+        raise AssertionError("spectrum computed before the input files were read")
+
+    monkeypatch.setattr(graphs, "spectrum", no_spectrum)
+    path = tmp_path / "input.json"
+    if content is not None:
+        path.write_text(content)
+    value = str(path) if option == "--sequence" else f"file:{path}"
+    result = RUN.invoke(main, ["simulate", "--graph", "cycle:12", "--method", "finite_time",
+                               "--steps", "6", option, value])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.stdout == ""
+    assert result.stderr.startswith("Error: ") and len(result.stderr.splitlines()) == 1
+
+
 def test_graph_generate_and_inspect(tmp_path):
     out = tmp_path / "ws.json"
     result = invoke("graph", "generate", "ws:12,4,0.3", "--seed", "7", "--out", str(out))

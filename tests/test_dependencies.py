@@ -33,6 +33,13 @@ def test_package_imports_only_numpy_click_and_stdlib():
         assert not foreign, f"{path.name} imports {sorted(foreign)}"
 
 
+def test_math_modules_read_and_write_no_files():
+    # File formats are parsed and written by the CLI alone.
+    for name in ("graphs", "filters", "rates", "sim"):
+        io = _imported_roots(PACKAGE / f"{name}.py") & {"json", "importlib"}
+        assert not io, f"{name}.py imports {sorted(io)}"
+
+
 def test_guard_sees_a_forbidden_import(tmp_path):
     bad = tmp_path / "bad.py"
     bad.write_text("import numpy as np\nfrom scipy.sparse import csgraph\n")

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from speccon import (
     ControlSequence,
@@ -20,11 +21,10 @@ from speccon import (
     design_lagrange,
     design_uniform_unknown,
     eval_filter,
-    load_sequence,
-    save_sequence,
     sequence_from_dict,
     sequence_to_dict,
 )
+from speccon.cli import main
 
 BAND = SpectralBand(0.2, 12.8)
 
@@ -281,9 +281,17 @@ def test_sequence_json_roundtrip(tmp_path):
     back = sequence_from_dict(doc)
     assert back.gains == seq.gains
     assert back.band == seq.band
+    runner = CliRunner()
+    designed = runner.invoke(main, ["design", "--band", "0.2,12.8", "--method", "chebyshev",
+                                    "-M", "3"], catch_exceptions=False)
+    assert json.loads(designed.stdout) == doc
     path = tmp_path / "seq.json"
-    save_sequence(seq, path)
-    assert load_sequence(path).gains == seq.gains
-    assert json.loads(path.read_text())["period"] == 3
+    path.write_bytes(designed.stdout_bytes)
+    run = ["simulate", "--graph", "ws:40,4,0.3", "--seed", "5", "--steps", "12"]
+    from_file = runner.invoke(main, run + ["--sequence", str(path)], catch_exceptions=False)
+    from_method = runner.invoke(main, run + ["--band", "0.2,12.8", "--method", "chebyshev",
+                                               "-M", "3"], catch_exceptions=False)
+    assert from_file.exit_code == 0
+    assert from_file.stdout == from_method.stdout
     with pytest.raises(ParameterError):
         sequence_from_dict({"period": 2, "gains": [0.5], "method": "custom", "band": None})

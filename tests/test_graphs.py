@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -22,10 +23,9 @@ from speccon import (
     graph_from_dict,
     graph_to_dict,
     laplacian,
-    load_graph,
-    save_graph,
     spectrum,
 )
+from speccon.cli import main
 from speccon.graphs import edge_arrays, is_connected
 
 # Connected 12-node Watts-Strogatz instance (n=12, k=4, p=0.3, seed=7), frozen
@@ -280,10 +280,16 @@ def test_band_validation():
 def test_graph_json_roundtrip(tmp_path):
     g = build_graph("watts_strogatz", n=12, k=4, p=0.3, seed=7)
     path = tmp_path / "g.json"
-    save_graph(g, path)
-    _assert_same_graph(load_graph(path), g)
+    runner = CliRunner()
+    written = runner.invoke(main, ["graph", "generate", "ws:12,4,0.3", "--seed", "7",
+                                   "--out", str(path)], catch_exceptions=False)
+    assert written.exit_code == 0 and written.stdout == ""
     doc = json.loads(path.read_text())
+    _assert_same_graph(graph_from_dict(doc), g)
     assert all(i < j and w > 0 for i, j, w in doc["edges"])
+    reread = runner.invoke(main, ["graph", "generate", f"file:{path}"], catch_exceptions=False)
+    assert reread.exit_code == 0
+    assert reread.stdout_bytes == path.read_bytes()
 
 
 def test_graph_from_dict_symmetrizes_and_validates():
@@ -613,15 +619,6 @@ def test_graph_requires_two_nodes():
 def test_graph_from_dict_rejects_malformed_documents(doc):
     with pytest.raises(ParameterError):
         graph_from_dict(doc)
-
-
-def test_load_graph_rejects_missing_and_non_json_files(tmp_path):
-    with pytest.raises(ParameterError):
-        load_graph(tmp_path / "absent.json")
-    path = tmp_path / "g.json"
-    path.write_text("n = 3\n")
-    with pytest.raises(ParameterError):
-        load_graph(path)
 
 
 def test_graph_from_dict_last_duplicate_weight_wins():
