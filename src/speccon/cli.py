@@ -83,13 +83,13 @@ def parse_graph_spec(spec: str, seed: int | None = None) -> graphs.Graph:
         if kind in ("complete", "star", "cycle", "path"):
             (n,) = parts
             return graphs.build_graph(kind, n=int(n))
-        if kind in ("bipartite", "complete_bipartite"):
+        if kind == "bipartite":
             m, n = parts
             return graphs.build_graph("complete_bipartite", m=int(m), n=int(n))
-        if kind in ("ws", "watts_strogatz"):
+        if kind == "ws":
             n, k, p = parts
             return graphs.build_graph("watts_strogatz", n=int(n), k=int(k), p=float(p), seed=seed)
-        if kind in ("er", "random_connected"):
+        if kind == "er":
             n, p = parts
             return graphs.build_graph("random_connected", n=int(n), p=float(p), seed=seed)
     except ValueError as exc:
@@ -428,9 +428,8 @@ def simulate_cmd(graph_spec, band, method, period, beta_bar, sequence_file, x0, 
             "\n".join(sim.trace_csv_lines(trace, with_states)) + "\n", encoding="utf-8")
     nonfinite = np.flatnonzero(~np.isfinite(trace.errors))
     if nonfinite.size:
-        click.echo(f"Error: the run diverged: the consensus error is first non-finite "
-                   f"at step {nonfinite[0]}", err=True)
-        sys.exit(1)
+        raise click.ClickException(
+            f"the run diverged: the consensus error is first non-finite at step {nonfinite[0]}")
 
 
 @main.group()
@@ -463,7 +462,8 @@ def inspect(spec, fmt, seed):
     g = parse_graph_spec(spec, seed)
     s = graphs.spectrum(g)
     if fmt == "csv":
-        click.echo("\n".join(graphs.spectrum_csv_lines(s)))
+        lines = ["index,eigenvalue"] + [f"{i + 1},{_fmt6(v)}" for i, v in enumerate(s.eigenvalues)]
+        click.echo("\n".join(lines))
         return
     iu, _, w = graphs.edge_arrays(g)
     click.echo(json.dumps({

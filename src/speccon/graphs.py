@@ -113,6 +113,13 @@ class LaplacianSpectrum:
     def is_connected(self) -> bool:
         return self.lambda_2 > GROUP_TOL * max(1.0, self.lambda_max)
 
+    def nonzero_eigenvalues(self) -> np.ndarray:
+        """lambda_2..lambda_N; a ConnectivityError when lambda_2 counts as zero."""
+        if not self.is_connected():
+            raise ConnectivityError(
+                f"spectrum is effectively disconnected (lambda_2 = {self.lambda_2:.3e})")
+        return self.eigenvalues[1:]
+
     def scaled(self, c: float) -> LaplacianSpectrum:
         """Spectrum of the graph with every edge weight multiplied by ``c > 0``.
 
@@ -225,8 +232,6 @@ def build_graph(family: str, seed: int | None = None, **params) -> Graph:
     if family == "complete_bipartite":
         m = _require_int(params, "m", 1)
         n = _require_int(params, "n", 1)
-        if m + n < 2:
-            raise ParameterError("complete_bipartite needs at least 2 vertices")
         return _unit_graph(m + n, np.repeat(np.arange(m), n), np.tile(np.arange(m, m + n), m))
     if family == "star":
         n = _require_int(params, "n", 2)
@@ -385,10 +390,8 @@ def distinct_nonzero_eigenvalues(s: LaplacianSpectrum) -> list[float]:
     falls below the grouping tolerance (effectively disconnected graph).
     """
     tol = GROUP_TOL * max(1.0, s.lambda_max)
-    if not s.is_connected():
-        raise ConnectivityError(f"lambda_2 = {s.lambda_2:.3e} is below tolerance {tol:.3e}")
     groups: list[list[float]] = []
-    for v in s.eigenvalues[1:]:
+    for v in s.nonzero_eigenvalues():
         if groups and v - groups[-1][0] <= tol:
             groups[-1].append(float(v))
         else:
@@ -432,10 +435,3 @@ def graph_from_dict(d: dict) -> Graph:
     pairs = sorted(weights)
     ij = np.array(pairs, dtype=np.intp).reshape(-1, 2)
     return Graph(n, ij[:, 0], ij[:, 1], [weights[e] for e in pairs])
-
-
-def spectrum_csv_lines(s: LaplacianSpectrum) -> list[str]:
-    """CSV lines "index,eigenvalue" with 1-based index, ascending."""
-    lines = ["index,eigenvalue"]
-    lines += [f"{i + 1},{v:.6g}" for i, v in enumerate(s.eigenvalues)]
-    return lines

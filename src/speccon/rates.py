@@ -8,20 +8,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConnectivityError, ParameterError
+from .errors import ParameterError
 from .filters import ControlSequence, eval_filter
 from .graphs import LaplacianSpectrum, SpectralBand
 
 
 @dataclass(frozen=True)
 class RateReport:
-    """Per-period convergence rate of a sequence on a spectrum."""
+    """Exact rate max |h(lambda_i, steps)| and the smallest eigenvalue attaining it."""
 
     exact_rate: float
     argmax_eigenvalue: float
-    per_step_rate: float
-    method: str
-    steps: int
 
 
 def worst_case_rate(seq: ControlSequence, b: SpectralBand, steps: int | None = None) -> float:
@@ -54,14 +51,6 @@ def worst_case_rate(seq: ControlSequence, b: SpectralBand, steps: int | None = N
     return float(np.abs(eval_filter(seq, candidates, steps)).max())
 
 
-def _nonzero_eigenvalues(s: LaplacianSpectrum) -> np.ndarray:
-    if not s.is_connected():
-        raise ConnectivityError(
-            f"spectrum is effectively disconnected (lambda_2 = {s.lambda_2:.3e})"
-        )
-    return s.eigenvalues[1:]
-
-
 def rate_on_eigenvalues(seq: ControlSequence, eigenvalues, steps: int | None = None) -> RateReport:
     """Rate report for an explicit list of nonzero eigenvalues."""
     steps = seq.period if steps is None else steps
@@ -72,19 +61,12 @@ def rate_on_eigenvalues(seq: ControlSequence, eigenvalues, steps: int | None = N
         raise ParameterError("eigenvalues must be positive")
     values = np.abs(eval_filter(seq, eigs, steps))
     idx = int(np.argmax(values))  # first occurrence: ties go to the smallest
-    rho = float(values[idx])
-    return RateReport(
-        exact_rate=rho,
-        argmax_eigenvalue=float(eigs[idx]),
-        per_step_rate=rho ** (1.0 / steps),
-        method=seq.method,
-        steps=steps,
-    )
+    return RateReport(exact_rate=float(values[idx]), argmax_eigenvalue=float(eigs[idx]))
 
 
 def exact_rate(seq: ControlSequence, s: LaplacianSpectrum, steps: int | None = None) -> RateReport:
     """Max of |h(lambda_i, steps)| over the nonzero eigenvalues of a connected graph."""
-    return rate_on_eigenvalues(seq, _nonzero_eigenvalues(s), steps)
+    return rate_on_eigenvalues(seq, s.nonzero_eigenvalues(), steps)
 
 
 def asymptotic_optimal_limit(b: SpectralBand) -> float:
@@ -103,7 +85,7 @@ def check_finite_time(seq: ControlSequence, s: LaplacianSpectrum, horizon: int,
     """
     if horizon < 1:
         raise ParameterError("horizon must be >= 1")
-    residuals = np.abs(eval_filter(seq, _nonzero_eigenvalues(s), horizon))
+    residuals = np.abs(eval_filter(seq, s.nonzero_eigenvalues(), horizon))
     return bool(residuals.max() <= tol), residuals
 
 
@@ -120,7 +102,7 @@ def decaying_gain_residuals(kind: str, s: LaplacianSpectrum, horizon: int) -> np
         raise ParameterError(f"unknown gain schedule {kind!r}")
     if horizon < 0:
         raise ParameterError("horizon must be non-negative")
-    eigs = _nonzero_eigenvalues(s)
+    eigs = s.nonzero_eigenvalues()
     c = 1.0 / s.lambda_max
     residual = np.ones_like(eigs)
     envelope = np.empty(horizon + 1)

@@ -43,9 +43,16 @@ class SimulationTrace:
 
 def _error(x, average: float) -> float:
     # the same reduction as np.linalg.norm(states - average, axis=1) per row,
-    # bit for bit; a 1-D norm or d @ d would go through BLAS dot instead
-    d = x - average
-    return np.sqrt(np.add.reduce(d * d))
+    # bit for bit; a 1-D norm or d @ d would go through BLAS dot instead.
+    # Finite deviations whose squares overflow are scaled by the largest one
+    # first, so finite states keep a finite error.
+    with np.errstate(over="ignore"):
+        d = x - average
+        sq = np.add.reduce(d * d)
+        if sq == np.inf and np.all(np.isfinite(d)):
+            m = np.abs(d).max()
+            return m * np.sqrt(np.add.reduce((d / m) ** 2))
+    return np.sqrt(sq)
 
 
 def simulate(g: Graph, seq: ControlSequence, x0, steps: int) -> SimulationTrace:
@@ -113,11 +120,13 @@ def consensus_time(trace: SimulationTrace, tol: float) -> int | None:
     """Smallest k with errors[j] <= tol * max(1, errors[0]) for all j >= k.
 
     The threshold has an absolute floor of 1e-12. Returns None when the trace
-    never settles below the threshold; a non-finite error (a divergent run)
-    counts as above it.
+    never settles below the threshold or its first error is not finite; any
+    other non-finite error (a divergent run) counts as above it.
     """
     if not 0.0 < tol < np.inf:  # also rejects NaN
         raise ParameterError("tolerance must be finite and positive")
+    if not np.isfinite(trace.errors[0]):
+        return None
     threshold = max(tol * max(1.0, float(trace.errors[0])), 1e-12)
     above = np.nonzero(~(trace.errors <= threshold))[0]
     if above.size == 0:
@@ -126,10 +135,9 @@ def consensus_time(trace: SimulationTrace, tol: float) -> int | None:
     return None if k == trace.errors.shape[0] else k
 
 
-def uniform_initial_states(n: int, seed: int | None, low: float = 0.0,
-                           high: float = 10.0) -> np.ndarray:
-    """Seeded uniform initial states on [low, high]."""
-    return np.random.default_rng(seed).uniform(low, high, n)
+def uniform_initial_states(n: int, seed: int | None) -> np.ndarray:
+    """Seeded uniform initial states on [0, 10]."""
+    return np.random.default_rng(seed).uniform(0.0, 10.0, n)
 
 
 # ---------------------------------------------------------------------------

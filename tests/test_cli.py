@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +16,7 @@ from speccon.cli import bundled_spectrum, main, parse_graph_spec
 RUN = CliRunner()
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).parents[1] / "src"
+README = Path(__file__).parents[1] / "README.md"
 
 
 def invoke(*args, env=None):
@@ -44,6 +46,9 @@ def test_design_usage_errors():
     assert RUN.invoke(main, ["design", "--band", "5,2", "--method", "chebyshev"]).exit_code == 2
     assert RUN.invoke(main, ["design", "--method", "chebyshev"]).exit_code != 0
     assert RUN.invoke(main, ["design", "--band", "1,2", "--method", "nope"]).exit_code == 2
+    no_bound = RUN.invoke(main, ["design", "--method", "uniform_unknown", "-M", "4"])
+    assert no_bound.exit_code == 2
+    assert "requires --beta-bar" in no_bound.stderr
 
 
 # design stdout and stderr (roots, worst-case rate) and response stdout pinned
@@ -89,6 +94,15 @@ def test_infinite_band_is_a_usage_error(args):
     assert result.stdout == ""
 
 
+@pytest.mark.parametrize("command", ["table2", "table3"])
+@pytest.mark.parametrize("periods", ["0", "a,b"])
+def test_bad_periods_are_a_usage_error(command, periods):
+    result = RUN.invoke(main, [command, "--periods", periods])
+    assert result.exit_code == 2
+    assert "--periods" in result.stderr
+    assert result.stdout == ""
+
+
 @pytest.mark.parametrize("methods", [", ", "", "lagrange,,chebyshev", "lagrange,nope"])
 def test_response_rejects_empty_or_unknown_methods(methods):
     result = RUN.invoke(main, ["response", "--methods", methods])
@@ -129,6 +143,16 @@ def test_table3_csv(tmp_path):
     assert (tmp_path / "table3.csv").read_text() == result.stdout
 
 
+def test_table3_json_cells_equal_the_csv():
+    csv_lines = invoke("table3").stdout.splitlines()[1:]
+    doc = json.loads(invoke("table3", "--format", "json").stdout)
+    assert doc["periods"] == [2, 3, 4, 5]
+    csv_cells = [(g, m, [float(v) for v in cells])
+                 for g, m, *cells in (line.split(",") for line in csv_lines)]
+    json_cells = [(g, m, doc["rates"][g][m]) for g in doc["rates"] for m in doc["rates"][g]]
+    assert json_cells == csv_cells
+
+
 def test_bundled_spectrum_shape():
     eigs = bundled_spectrum()
     assert eigs.shape == (12,)
@@ -165,6 +189,23 @@ def test_sweep_small_and_deterministic(tmp_path):
         l2, ln, lp, wo, xs = (float(v) for v in fields[1:])
         assert 0.0 < l2 <= ln <= 12.8 + 1e-9
         assert lp < xs
+
+
+def test_sweep_json_rows_match_the_csv():
+    args = ("sweep", "--trials", "6", "--nodes", "30", "--edge-prob", "0.2", "--seed", "9",
+            "-M", "5", "--band", "1,12.8")
+    csv_lines = invoke(*args).stdout.splitlines()
+    doc = json.loads(invoke(*args, "--format", "json").stdout)
+    columns = csv_lines[0].split(",")
+    assert len(doc["rows"]) == len(csv_lines) - 1 == 6
+    band = graphs.SpectralBand(1.0, 12.8)
+    for row, line in zip(doc["rows"], csv_lines[1:]):
+        assert line == ",".join(str(row[c]) if c == "graph_id" else f"{row[c]:.6g}"
+                                for c in columns)
+        s = graphs.LaplacianSpectrum(np.array([0.0, row["lambda2"], row["lambda_n"]]), None,
+                                     row["lambda_n"])
+        assert row["in_band"] is graphs.band_contains(s, band)
+    assert {row["in_band"] for row in doc["rows"]} == {True, False}
 
 
 # Sweep stdout pinned byte for byte: the CLI's determinism contract holds across
@@ -315,7 +356,8 @@ def test_simulate_divergent_run_is_reported_as_failure(tmp_path):
     # complete:20 has lambda_N = 20 > beta, so the predicted rate is about 25
     # and the errors overflow: the run must not pass for a success.
     args = ["simulate", "--graph", "complete:20", "--band", "0.2,12.8", "--method",
-            "chebyshev", "-M", "3", "--steps", "3000", "--seed", "1", "--out", str(tmp_path)]
+            "chebyshev", "-M", "3", "--steps", "3000", "--seed", "1", "--states",
+            "--out", str(tmp_path)]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)}
     proc = subprocess.run([sys.executable, "-m", "speccon.cli", *args],
@@ -329,7 +371,11 @@ def test_simulate_divergent_run_is_reported_as_failure(tmp_path):
     rows = (tmp_path / "trace.csv").read_text(encoding="utf-8").splitlines()[1:]
     assert len(rows) == 3001
     first = next(k for k, row in enumerate(rows) if not math.isfinite(float(row.split(",")[1])))
-    assert first == 327
+    # the error turns non-finite with the first non-finite state, not when the
+    # squared deviations of finite states overflow (from step 327 on)
+    assert first == next(k for k, row in enumerate(rows)
+                         if not all(math.isfinite(float(v)) for v in row.split(",")[2:]))
+    assert first == 657
     # one line naming the first non-finite step, and no numpy RuntimeWarnings
     lines = proc.stderr.splitlines()
     assert len(lines) == 1
@@ -340,6 +386,32 @@ def test_simulate_divergent_run_is_reported_as_failure(tmp_path):
     assert oob.exit_code == 0
     assert oob.stderr == ""
     assert json.loads(oob.stdout, parse_constant=_reject_constant)["predicted_rate"] == 39.0
+
+
+def test_simulate_finite_states_with_overflowing_squares_converge(tmp_path):
+    # deviations near 1e200 square past the float range, but every state is finite
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps([1e200] + [0.0] * 11))
+    result = invoke("simulate", "--graph", "cycle:12", "--method", "finite_time", "--steps", "8",
+                    "--x0", f"file:{path}", "--out", str(tmp_path))
+    assert result.exit_code == 0
+    assert result.stderr == ""
+    assert json.loads(result.stdout)["consensus_time"] == 6
+    rows = (tmp_path / "trace.csv").read_text().splitlines()[1:]
+    errors = [float(row.split(",")[1]) for row in rows]
+    assert errors[0] == pytest.approx(1e200 * math.sqrt(132) / 12, rel=1e-5)
+    assert all(math.isfinite(e) for e in errors)
+
+
+def test_simulate_infinite_first_error_has_no_consensus_time(tmp_path):
+    # the mean of these finite states overflows, so every error is infinite
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps([1.5e308, 1.5e308, 1.0]))
+    result = invoke("simulate", "--graph", "path:3", "--band", "0.5,3", "--method", "chebyshev",
+                    "-M", "2", "--steps", "4", "--x0", f"file:{path}")
+    assert result.exit_code == 1
+    assert json.loads(result.stdout)["consensus_time"] is None
+    assert "diverged" in result.stderr
 
 
 def test_simulate_finite_time_consensus_times():
@@ -357,6 +429,14 @@ def test_simulate_worst_eigenvector_attains_rate():
                     "--steps", "6")
     summary = json.loads(result.stdout)
     assert summary["measured_ratios"][0] == pytest.approx(summary["predicted_rate"], abs=1e-9)
+
+
+def test_simulate_shorter_than_two_periods_measures_no_ratios():
+    result = invoke("simulate", "--graph", "star:12", "--band", "0.2,12.8", "--method",
+                    "chebyshev", "-M", "3", "--steps", "5", "--seed", "1")
+    assert result.exit_code == 0
+    summary = json.loads(result.stdout)
+    assert summary["measured_ratios"] == [] and summary["omitted_periods"] == []
 
 
 def test_simulate_with_sequence_file(tmp_path):
@@ -543,11 +623,30 @@ def test_simulate_rejects_one_node_graph(tmp_path):
     assert result.stderr.startswith("Error: ")
 
 
+@pytest.mark.parametrize("method", ["finite_time", "chebyshev"])
+def test_simulate_disconnected_graph_is_one_error(tmp_path, method):
+    path = tmp_path / "g.json"
+    path.write_text('{"n": 4, "edges": [[0, 1, 1.0], [2, 3, 1.0]]}')
+    result = RUN.invoke(main, ["simulate", "--graph", f"file:{path}", "--method", method,
+                               "--band", "0.2,12.8", "--steps", "3"])
+    assert result.exit_code == 1
+    assert result.stderr == "Error: spectrum is effectively disconnected (lambda_2 = 0.000e+00)\n"
+
+
 def test_parse_graph_spec_errors():
     with pytest.raises(Exception):
         parse_graph_spec("hexagon:7")
     with pytest.raises(Exception):
         parse_graph_spec("star:many")
+    # the spec list in README is the whole grammar: no long family names
+    for spec in ("complete_bipartite:3,4", "watts_strogatz:12,4,0.3", "random_connected:12,0.5"):
+        with pytest.raises(Exception, match="unknown graph family"):
+            parse_graph_spec(spec, seed=1)
+
+
+def test_bipartite_spec_is_the_complete_bipartite_family():
+    assert graph_to_dict(parse_graph_spec("bipartite:3,4")) == graph_to_dict(
+        build_graph("complete_bipartite", m=3, n=4))
 
 
 def test_console_entry_point():
@@ -555,3 +654,21 @@ def test_console_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.startswith("method,2,3,4,5")
+
+
+def _readme_cli_commands() -> list[list[str]]:
+    """The arguments of each ``speccon`` line in README's CLI block, in order."""
+    text = README.read_text(encoding="utf-8")
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("speccon ")]
+
+
+def test_readme_cli_commands_run(tmp_path, monkeypatch):
+    # run in order: `graph inspect file:g.json` reads the file the line before writes
+    monkeypatch.chdir(tmp_path)
+    commands = _readme_cli_commands()
+    assert len(commands) == 9
+    for argv in commands:
+        result = RUN.invoke(main, argv)
+        assert result.exit_code == 0, (argv, result.output)

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -228,6 +229,23 @@ def test_consensus_time_divergent_run_is_not_consensus():
     for tail in (np.inf, np.nan):
         stalled = SimulationTrace(np.zeros((3, 2)), np.array([1.0, 0.0, tail]), 0.0)
         assert consensus_time(stalled, 1e-9) is None
+        # an infinite first error makes the threshold infinite, and inf <= inf
+        diverged = SimulationTrace(np.zeros((3, 2)), np.array([tail] * 3), 0.0)
+        assert consensus_time(diverged, 1e-9) is None
+
+
+def test_error_of_finite_states_does_not_overflow():
+    # Scaling x(0) by a power of two scales every state exactly, so the errors
+    # scale too, although the squared deviations of the large run overflow.
+    g = build_graph("cycle", n=12)
+    seq = design_finite_time(distinct_nonzero_eigenvalues(spectrum(g)))
+    x0 = uniform_initial_states(12, 3)
+    small = simulate(g, seq, x0, 8)
+    big = simulate(g, seq, 2.0 ** 600 * x0, 8)  # no RuntimeWarning either
+    assert np.array_equal(big.states, 2.0 ** 600 * small.states)
+    assert np.all(np.isfinite(big.errors))
+    assert np.allclose(big.errors, 2.0 ** 600 * small.errors, rtol=1e-14, atol=0.0)
+    assert consensus_time(big, 1e-9) == consensus_time(small, 1e-9) == 6
 
 
 def test_trace_serialization():
@@ -282,8 +300,14 @@ def test_simulate_states_equal_add_at_oracle_bitwise(family, kwargs, seq, steps)
         trace = simulate(g, seq, x0, steps)
         errors = np.linalg.norm(expected - trace.average, axis=1)
     assert trace.states.tobytes() == expected.tobytes()
-    assert trace.errors.tobytes() == errors.tobytes()
+    # the norm overflows on finite states whose squares do not fit a float;
+    # there the trace keeps the finite error, which math.hypot computes too
+    overflowed = np.isinf(errors) & np.isfinite(expected).all(axis=1)
+    assert trace.errors[~overflowed].tobytes() == errors[~overflowed].tobytes()
+    hypot = [math.hypot(*(x - trace.average)) for x in expected[overflowed]]
+    assert np.allclose(trace.errors[overflowed], hypot, rtol=1e-14, atol=0.0)
     if family == "complete":
+        assert np.flatnonzero(overflowed)[[0, -1]].tolist() == [327, 656]
         assert np.isnan(trace.states[-1]).all() and np.isnan(trace.errors[-1])
 
 
