@@ -40,7 +40,6 @@ from .graphs import (
 from .rates import (
     RateReport,
     asymptotic_optimal_limit,
-    check_finite_time,
     decaying_gain_residuals,
     exact_rate,
     rate_on_eigenvalues,

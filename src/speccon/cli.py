@@ -1,7 +1,8 @@
 """Command-line front end: protocol design, rate tables, simulations, sweeps.
 
-All commands are seeded and byte-deterministic for fixed inputs. Tables are
-rounded to 4 decimals; other CSV output carries 6 significant digits.
+All commands are seeded and byte-deterministic for fixed inputs on a fixed
+numpy/BLAS build and BLAS thread count. Tables are rounded to 4 decimals;
+other CSV output carries 6 significant digits.
 """
 
 from __future__ import annotations
@@ -47,6 +48,12 @@ def _parse_methods(_ctx, _param, value) -> list[str]:
 def _parse_tol(_ctx, _param, value) -> float:
     if not 0.0 < value < math.inf:  # also rejects NaN
         raise click.BadParameter(f"expected a finite positive tolerance, got {value}")
+    return value
+
+
+def _parse_edge_prob(_ctx, _param, value) -> float:
+    if not 0.0 < value <= 1.0:  # also rejects NaN
+        raise click.BadParameter(f"expected a probability in (0, 1], got {value}")
     return value
 
 
@@ -163,13 +170,20 @@ def _emit(lines: list[str], out: Path | None, filename: str) -> None:
         (out / filename).write_text(text, encoding="utf-8")
 
 
-band_option = click.option("--band", callback=_parse_band, default=None,
-                           help="Uncertainty interval 'alpha,beta'.")
 seed_option = click.option("--seed", type=int, default=None, help="Seed for random draws.")
 format_option = click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
                              default="csv", show_default=True, help="Output format.")
 out_option = click.option("--out", type=click.Path(path_type=Path), default=None,
                           help="Directory to write output files into.")
+
+
+# The band of the paper's rate tables, the default where a command needs one.
+PAPER_BAND = "0.2,12.8"
+
+
+def _band_option(default: str | None = None):
+    return click.option("--band", callback=_parse_band, default=default,
+                        help="Uncertainty interval 'alpha,beta'.")
 
 
 def _period_option(default: int):
@@ -194,7 +208,7 @@ def main():
 
 
 @main.command()
-@band_option
+@_band_option()
 # finite_time needs a graph's spectrum, so only simulate offers it.
 @click.option("--method", type=click.Choice([m for m in METHODS if m != "finite_time"]),
               required=True)
@@ -212,13 +226,12 @@ def design(band, method, period, beta_bar):
 
 
 @main.command()
-@band_option
+@_band_option(PAPER_BAND)
 @click.option("--periods", callback=_parse_periods, default="2,3,4,5", show_default=True)
 @format_option
 @out_option
 def table2(band, periods, fmt, out):
     """Worst-case rates gamma_M per method over the band (4-decimal cells)."""
-    band = band or graphs.SpectralBand(0.2, 12.8)
     cells = {m: [round(_closed_rate(m, band, p), 4) for p in periods] for m in TABLE_METHODS}
     if fmt == "json":
         doc = {"alpha": band.alpha, "beta": band.beta, "periods": list(periods), "rates": cells}
@@ -235,13 +248,12 @@ TABLE3_GRAPHS = {"star12": "star:12", "cycle12": "cycle:12", "path6": "path:6",
 
 
 @main.command()
-@band_option
+@_band_option(PAPER_BAND)
 @click.option("--periods", callback=_parse_periods, default="2,3,4,5", show_default=True)
 @format_option
 @out_option
 def table3(band, periods, fmt, out):
     """Exact rates rho_M per graph and method (4-decimal cells)."""
-    band = band or graphs.SpectralBand(0.2, 12.8)
     seqs = {(m, p): _sequence(m, band, p) for m in TABLE_METHODS for p in periods}
     rows = {}
     for gname, spec in TABLE3_GRAPHS.items():
@@ -281,11 +293,12 @@ def _sweep_row(seqs, band, period, nodes, edge_prob, seed, graph_id) -> dict:
 
 
 @main.command()
-@band_option
+@_band_option(PAPER_BAND)
 @_period_option(5)
 @click.option("--trials", type=click.IntRange(min=1), default=80, show_default=True)
-@click.option("--nodes", type=int, default=100, show_default=True)
-@click.option("--edge-prob", type=float, default=0.08, show_default=True)
+@click.option("--nodes", type=click.IntRange(min=2), default=100, show_default=True)
+@click.option("--edge-prob", type=float, callback=_parse_edge_prob, default=0.08,
+              show_default=True)
 @seed_option
 @format_option
 @out_option
@@ -297,17 +310,14 @@ def sweep(band, period, trials, nodes, edge_prob, seed, fmt, out):
     is rescaled by the same factor, which is exact, so it is not decomposed
     again. Rows are computed one after another in graph-id order, so the
     linear algebra library may use every core; failed graphs are reported on
-    stderr after the rows. A bad argument fails the run with one error.
+    stderr after the rows.
     """
-    band = band or graphs.SpectralBand(0.2, 12.8)
     seed = 0 if seed is None else seed
     seqs = {m: _sequence(m, band, period) for m in TABLE_METHODS}
     rows, failures = [], []
     for graph_id in range(trials):
         try:
             rows.append(_sweep_row(seqs, band, period, nodes, edge_prob, seed, graph_id))
-        except ParameterError:
-            raise  # a bad argument fails every graph alike: reported once
         except SpecconError as exc:
             failures.append(f"graph {graph_id}: {exc}")
     if fmt == "json":
@@ -326,7 +336,7 @@ def sweep(band, period, trials, nodes, edge_prob, seed, fmt, out):
 
 
 @main.command()
-@band_option
+@_band_option(PAPER_BAND)
 @click.option("--methods", "names", callback=_parse_methods, default=",".join(TABLE_METHODS),
               show_default=True, help=f"Comma-separated subset of {','.join(TABLE_METHODS)}.")
 @_period_option(3)
@@ -334,7 +344,6 @@ def sweep(band, period, trials, nodes, edge_prob, seed, fmt, out):
 @out_option
 def response(band, names, period, samples, out):
     """Filter response h(lambda) per method on [0, beta * 1.05] as CSV."""
-    band = band or graphs.SpectralBand(0.2, 12.8)
     columns = {}
     grid = np.linspace(0.0, band.beta * 1.05, samples)
     for name in names:
@@ -349,7 +358,7 @@ def response(band, names, period, samples, out):
 @main.command(name="simulate")
 @click.option("--graph", "graph_spec", required=True,
               help="Graph spec, e.g. star:12, bipartite:3,4, ws:12,4,0.3, file:g.json.")
-@band_option
+@_band_option()
 @click.option("--method", type=click.Choice(METHODS), default=None,
               help="Design method (alternative to --sequence).")
 @_period_option(3)
@@ -402,11 +411,7 @@ def simulate_cmd(graph_spec, band, method, period, beta_bar, sequence_file, x0, 
     # A divergent run overflows to inf and NaN; it is reported below.
     with np.errstate(over="ignore", invalid="ignore"):
         trace = sim.simulate(g, seq, x_init, steps)
-        try:
-            ratios = sim.measured_period_ratios(trace, seq.period)
-            measured, omitted = list(ratios.ratios), list(ratios.omitted)
-        except SpecconError:
-            measured, omitted = [], []  # trace shorter than two periods
+        ratios = sim.measured_period_ratios(trace, seq.period)
     summary = {
         "graph": graph_spec,
         "n": g.n,
@@ -419,8 +424,8 @@ def simulate_cmd(graph_spec, band, method, period, beta_bar, sequence_file, x0, 
         "consensus_time": sim.consensus_time(trace, tol),
         "predicted_rate": report.exact_rate,
         "argmax_lambda": report.argmax_eigenvalue,
-        "measured_ratios": measured,
-        "omitted_periods": omitted,
+        "measured_ratios": list(ratios.ratios),
+        "omitted_periods": list(ratios.omitted),
     }
     _emit([json.dumps(_finite_or_null(summary), indent=2, allow_nan=False)], out, "summary.json")
     if out is not None:

@@ -77,18 +77,6 @@ def asymptotic_optimal_limit(b: SpectralBand) -> float:
     return (s - 1.0) / (s + 1.0)
 
 
-def check_finite_time(seq: ControlSequence, s: LaplacianSpectrum, horizon: int,
-                      tol: float) -> tuple[bool, np.ndarray]:
-    """Whether |h(lambda_i, horizon)| <= tol for every nonzero eigenvalue.
-
-    Returns (reached, residuals) with one residual per nonzero eigenvalue.
-    """
-    if horizon < 1:
-        raise ParameterError("horizon must be >= 1")
-    residuals = np.abs(eval_filter(seq, s.nonzero_eigenvalues(), horizon))
-    return bool(residuals.max() <= tol), residuals
-
-
 def decaying_gain_residuals(kind: str, s: LaplacianSpectrum, horizon: int) -> np.ndarray:
     """Residual envelope max_i |h(lambda_i, t)| for t = 0..horizon under decaying gains.
 

@@ -71,7 +71,13 @@ def simulate(g: Graph, seq: ControlSequence, x0, steps: int) -> SimulationTrace:
         raise ParameterError("steps must be non-negative")
     iu, ju, w = edge_arrays(g)
     src = np.concatenate([iu, ju])
-    average = float(x.mean())
+    # A mean whose sum overflows is taken over the states scaled by the
+    # largest one, so finite states keep a finite mean.
+    with np.errstate(over="ignore", invalid="ignore"):
+        average = float(x.mean())
+    if not np.isfinite(average):
+        m = np.abs(x).max()
+        average = float(m * (x / m).mean())
     states = np.empty((steps + 1, g.n))
     errors = np.empty(steps + 1)
     states[0] = x
@@ -98,22 +104,13 @@ class PeriodRatios:
 
 
 def measured_period_ratios(trace: SimulationTrace, period: int) -> PeriodRatios:
-    """Ratios errors[(j+1)M] / errors[jM] for each whole period in the trace."""
+    """Ratios errors[(j+1)M] / errors[jM] for each whole period j in the trace."""
     if period < 1:
         raise ParameterError("period must be >= 1")
-    if trace.steps < 2 * period:
-        raise ParameterError(f"trace must cover at least two periods ({2 * period} steps)")
-    ratios = []
-    omitted = []
-    j = 0
-    while (j + 1) * period <= trace.steps:
-        e0 = trace.errors[j * period]
-        if e0 > ERROR_FLOOR:
-            ratios.append(float(trace.errors[(j + 1) * period] / e0))
-        else:
-            omitted.append(j)
-        j += 1
-    return PeriodRatios(tuple(ratios), tuple(omitted))
+    e = trace.errors[::period]
+    kept = e[:-1] > ERROR_FLOOR
+    return PeriodRatios(tuple((e[1:][kept] / e[:-1][kept]).tolist()),
+                        tuple(np.flatnonzero(~kept).tolist()))
 
 
 def consensus_time(trace: SimulationTrace, tol: float) -> int | None:

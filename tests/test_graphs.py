@@ -428,15 +428,60 @@ def _stretch_vectors(vals, vecs):
     return vals, vecs * (1.0 + 1e-8)
 
 
-@pytest.mark.parametrize("bad", [_bump_entry, _permute_interior_values, _stretch_vectors])
+def _stretch_null_vector(vals, vecs):
+    # the null eigenvalue is zero to round-off, so only orthonormality notices
+    vecs[:, 0] *= 2.0
+    return vals, vecs
+
+
+def _lift_null_value(vals, vecs):
+    # within the reconstruction tolerance, since the null vector has norm 1/sqrt(n)
+    vals[0] += 1e-7 * max(1.0, vals[-1])
+    return vals, vecs
+
+
+# the message of the one check that can notice a perturbation, where only one can
+FAILED_CHECK = {
+    _permute_interior_values: "reconstruction",
+    _stretch_null_vector: "not orthonormal",
+    _lift_null_value: "smallest eigenvalue .* not zero",
+}
+
+
+@pytest.mark.parametrize("bad", [_bump_entry, _permute_interior_values, _stretch_vectors,
+                                 _stretch_null_vector, _lift_null_value])
 def test_full_spectrum_rejects_bad_eigenvectors(monkeypatch, bad):
     g = build_graph("random_connected", n=40, p=0.2, seed=5)
     spectrum(g)  # unperturbed: accepted
     original = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a: bad(*(m.copy() for m in original(a))))
-    with pytest.raises(NumericalError,
-                       match="reconstruction" if bad is _permute_interior_values else None):
+    with pytest.raises(NumericalError, match=FAILED_CHECK.get(bad)):
         spectrum(g)
+
+
+def _move_mass_to_null_value(vals):
+    # keeps the trace and, to within the tolerance, the sum of squares
+    delta = 1e-8 * max(1.0, vals[-1])
+    vals[0] += delta
+    vals[1] -= delta
+    return vals
+
+
+def test_values_only_spectrum_rejects_nonzero_smallest_eigenvalue(monkeypatch):
+    g = build_graph("random_connected", n=40, p=0.2, seed=5)
+    _perturb_numpy(monkeypatch, "eigvalsh", _move_mass_to_null_value)
+    with pytest.raises(NumericalError, match="smallest eigenvalue .* not zero"):
+        spectrum(g, vectors=False)
+
+
+@pytest.mark.parametrize("vectors,solver", [(True, "eigh"), (False, "eigvalsh")])
+def test_spectrum_reports_solver_failure(monkeypatch, vectors, solver):
+    def fail(a):
+        raise np.linalg.LinAlgError("did not converge")
+
+    monkeypatch.setattr(np.linalg, solver, fail)
+    with pytest.raises(NumericalError, match="eigendecomposition failed: did not converge"):
+        spectrum(build_graph("path", n=4), vectors=vectors)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from speccon import (
     SpectralBand,
     asymptotic_optimal_limit,
     build_graph,
-    check_finite_time,
     closed_rate_chebyshev,
     closed_rate_constant,
     closed_rate_lagrange,
@@ -193,18 +192,15 @@ def test_chebyshev_per_step_rate_approaches_limit():
 
 
 def test_check_finite_time():
+    # finite-time reach in K steps is an exact rate of zero at K steps
     seq = design_finite_time(distinct_nonzero_eigenvalues(STAR12))
-    ok, residuals = check_finite_time(seq, STAR12, 2, 1e-10)
-    assert ok
-    assert residuals.shape == (11,)
+    assert exact_rate(seq, STAR12, steps=2).exact_rate <= 1e-10
     cyc = spectrum(build_graph("cycle", n=12))
     seq6 = design_finite_time(distinct_nonzero_eigenvalues(cyc))
     assert seq6.period == 6
-    assert check_finite_time(seq6, cyc, 6, 1e-10)[0]
+    assert exact_rate(seq6, cyc, steps=6).exact_rate <= 1e-10
     constant = ControlSequence((1.0 / 6.5,))
-    ok, residuals = check_finite_time(constant, STAR12, 10, 1e-6)
-    assert not ok
-    assert residuals.max() >= (1.0 - 1.0 / 6.5) ** 10 - 1e-12
+    assert exact_rate(constant, STAR12, steps=10).exact_rate >= (1.0 - 1.0 / 6.5) ** 10 - 1e-12
 
 
 def test_decaying_gain_residuals_contracts():

@@ -185,8 +185,9 @@ def test_measured_ratios_omit_vanished_periods():
     ratios = measured_period_ratios(trace, 2)
     assert ratios.ratios[0] <= 1e-9
     assert ratios.omitted  # error vanished after the first period
+    assert len(measured_period_ratios(trace, 5).ratios) == 1  # one whole period in 8 steps
     with pytest.raises(ParameterError):
-        measured_period_ratios(trace, 5)  # trace covers < 2 periods
+        measured_period_ratios(trace, 0)
 
 
 def test_consensus_time_examples():
@@ -246,6 +247,14 @@ def test_error_of_finite_states_does_not_overflow():
     assert np.all(np.isfinite(big.errors))
     assert np.allclose(big.errors, 2.0 ** 600 * small.errors, rtol=1e-14, atol=0.0)
     assert consensus_time(big, 1e-9) == consensus_time(small, 1e-9) == 6
+
+
+def test_mean_of_finite_states_does_not_overflow():
+    # the sum overflows, so the mean is taken over states scaled by the largest
+    trace = simulate(build_graph("path", n=3), ControlSequence((0.25,)),
+                     np.array([1.5e308, 1.5e308, 1.0]), 2)  # no RuntimeWarning either
+    assert trace.average == pytest.approx(1e308, rel=1e-15)
+    assert np.all(np.isfinite(trace.errors))
 
 
 def test_trace_serialization():
