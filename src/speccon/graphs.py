@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -252,28 +253,22 @@ def build_graph(family: str, seed: int | None = None, **params) -> Graph:
             raise ParameterError("watts_strogatz requires even k < n")
         if p is None or not (0.0 <= p <= 1.0):
             raise ParameterError("watts_strogatz requires rewiring probability p in [0, 1]")
-        rng = np.random.default_rng(seed)
-        for _ in range(MAX_GENERATION_ATTEMPTS):
-            g = _watts_strogatz_once(n, k, float(p), rng)
-            if is_connected(g):
-                return g
-        raise GenerationError(
-            f"no connected watts_strogatz graph in {MAX_GENERATION_ATTEMPTS} attempts"
-        )
-    if family == "random_connected":
+        draw = partial(_watts_strogatz_once, n, k, float(p))
+    elif family == "random_connected":
         n = _require_int(params, "n", 2)
         p = params.get("p")
         if p is None or not (0.0 < p <= 1.0):
             raise ParameterError("random_connected requires edge probability p in (0, 1]")
-        rng = np.random.default_rng(seed)
-        for _ in range(MAX_GENERATION_ATTEMPTS):
-            g = _erdos_renyi_once(n, float(p), rng)
-            if is_connected(g):
-                return g
-        raise GenerationError(
-            f"no connected random graph in {MAX_GENERATION_ATTEMPTS} attempts (n={n}, p={p})"
-        )
-    raise ParameterError(f"unknown graph family {family!r}")
+        draw = partial(_erdos_renyi_once, n, float(p))
+    else:
+        raise ParameterError(f"unknown graph family {family!r}")
+    rng = np.random.default_rng(seed)
+    for _ in range(MAX_GENERATION_ATTEMPTS):
+        g = draw(rng)
+        if is_connected(g):
+            return g
+    raise GenerationError(
+        f"no connected random graph in {MAX_GENERATION_ATTEMPTS} attempts (n={n}, p={p})")
 
 
 def laplacian(g: Graph) -> np.ndarray:

@@ -36,23 +36,21 @@ class SimulationTrace:
         object.__setattr__(self, "states", _read_only(self.states))
         object.__setattr__(self, "errors", _read_only(self.errors))
 
-    @property
-    def steps(self) -> int:
-        return self.states.shape[0] - 1
+
+def _scaled(reduce, v):
+    """``reduce(v)``, redone as ``m * reduce(v / m)`` with ``m = max|v|`` when
+    it overflows on finite ``v``, so finite states keep a finite mean and error."""
+    r = reduce(v)
+    if not np.isfinite(r) and np.all(np.isfinite(v)):
+        m = np.abs(v).max()
+        return m * reduce(v / m)
+    return r
 
 
-def _error(x, average: float) -> float:
+def _norm(d):
     # the same reduction as np.linalg.norm(states - average, axis=1) per row,
     # bit for bit; a 1-D norm or d @ d would go through BLAS dot instead.
-    # Finite deviations whose squares overflow are scaled by the largest one
-    # first, so finite states keep a finite error.
-    with np.errstate(over="ignore"):
-        d = x - average
-        sq = np.add.reduce(d * d)
-        if sq == np.inf and np.all(np.isfinite(d)):
-            m = np.abs(d).max()
-            return m * np.sqrt(np.add.reduce((d / m) ** 2))
-    return np.sqrt(sq)
+    return np.sqrt(np.add.reduce(d * d))
 
 
 def simulate(g: Graph, seq: ControlSequence, x0, steps: int) -> SimulationTrace:
@@ -60,7 +58,10 @@ def simulate(g: Graph, seq: ControlSequence, x0, steps: int) -> SimulationTrace:
 
     The consensus error of each state is computed as the state is produced,
     so the only array of size (steps + 1) x n is the stored states; the
-    returned trace owns it and the errors without a copy.
+    returned trace owns it and the errors without a copy. Initial states whose
+    spread or consensus error exceeds the float range are a ParameterError;
+    a run that diverges from valid ones overflows to inf and NaN without a
+    warning.
     """
     x = np.asarray(x0, dtype=float)
     if x.shape != (g.n,):
@@ -71,25 +72,24 @@ def simulate(g: Graph, seq: ControlSequence, x0, steps: int) -> SimulationTrace:
         raise ParameterError("steps must be non-negative")
     iu, ju, w = edge_arrays(g)
     src = np.concatenate([iu, ju])
-    # A mean whose sum overflows is taken over the states scaled by the
-    # largest one, so finite states keep a finite mean.
-    with np.errstate(over="ignore", invalid="ignore"):
-        average = float(x.mean())
-    if not np.isfinite(average):
-        m = np.abs(x).max()
-        average = float(m * (x / m).mean())
     states = np.empty((steps + 1, g.n))
     errors = np.empty(steps + 1)
-    states[0] = x
-    errors[0] = _error(x, average)
-    for k in range(steps):
-        # sum_j a_ij (x_j - x_i) per node: node i receives +diff for its edges
-        # as ``iu`` and then -diff for its edges as ``ju``, each in edge order
-        diff = w * (x[ju] - x[iu])
-        x = x + seq.gain_at(k) * np.bincount(src, weights=np.concatenate([diff, -diff]),
-                                             minlength=g.n)
-        states[k + 1] = x
-        errors[k + 1] = _error(x, average)
+    with np.errstate(over="ignore", invalid="ignore"):
+        average = float(_scaled(np.mean, x))
+        states[0] = x
+        errors[0] = _scaled(_norm, x - average)
+        if not np.isfinite(x.max() - x.min()) or not np.isfinite(errors[0]):
+            raise ParameterError("x0 is out of range: the spread and the consensus error of "
+                                 "the initial states must be finite floats")
+        for k in range(steps):
+            # sum_j a_ij (x_j - x_i) per node: node i receives +diff for its
+            # edges as ``iu`` and then -diff for its edges as ``ju``, each in
+            # edge order
+            diff = w * (x[ju] - x[iu])
+            x = x + seq.gain_at(k) * np.bincount(src, weights=np.concatenate([diff, -diff]),
+                                                 minlength=g.n)
+            states[k + 1] = x
+            errors[k + 1] = _scaled(_norm, x - average)
     states.flags.writeable = False
     errors.flags.writeable = False
     return SimulationTrace(states, errors, average)
@@ -97,7 +97,8 @@ def simulate(g: Graph, seq: ControlSequence, x0, steps: int) -> SimulationTrace:
 
 @dataclass(frozen=True)
 class PeriodRatios:
-    """Per-period error contractions; periods with vanished error are omitted."""
+    """Per-period error contractions; periods whose starting error has vanished
+    are omitted, and a non-finite starting error gives a non-finite ratio."""
 
     ratios: tuple[float, ...]
     omitted: tuple[int, ...]
@@ -108,9 +109,10 @@ def measured_period_ratios(trace: SimulationTrace, period: int) -> PeriodRatios:
     if period < 1:
         raise ParameterError("period must be >= 1")
     e = trace.errors[::period]
-    kept = e[:-1] > ERROR_FLOOR
-    return PeriodRatios(tuple((e[1:][kept] / e[:-1][kept]).tolist()),
-                        tuple(np.flatnonzero(~kept).tolist()))
+    kept = ~(e[:-1] <= ERROR_FLOOR)  # NaN is kept
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratios = e[1:][kept] / e[:-1][kept]
+    return PeriodRatios(tuple(ratios.tolist()), tuple(np.flatnonzero(~kept).tolist()))
 
 
 def consensus_time(trace: SimulationTrace, tol: float) -> int | None:

@@ -42,6 +42,12 @@ def test_design_constant():
     assert doc["gains"] == [2.0 / 13.0]
 
 
+def test_version_runs_from_source():
+    result = RUN.invoke(main, ["--version"])
+    assert result.exit_code == 0
+    assert result.stdout.rstrip().endswith("version 0.1.0")
+
+
 def test_design_usage_errors():
     assert RUN.invoke(main, ["design", "--band", "5,2", "--method", "chebyshev"]).exit_code == 2
     assert RUN.invoke(main, ["design", "--method", "chebyshev"]).exit_code != 0
@@ -482,6 +488,9 @@ def test_simulate_reports_malformed_sequence_file(tmp_path, content):
     "[true, false, true]",
     pytest.param("[" + "9" * 400 + ", 1, 2]", id="integer-too-large-for-a-float"),
     "[1, NaN, 2]",  # bad input, not a divergent run
+    # finite states whose spread is not a float, although the protocol settles
+    pytest.param("[1.7e308, -1.7e308, 0.0]", id="spread-and-error-out-of-range"),
+    pytest.param("[1e308, -1e308, 0.0]", id="spread-out-of-range"),
 ])
 def test_simulate_reports_malformed_x0_file(tmp_path, content):
     x0_path = tmp_path / "x0.json"

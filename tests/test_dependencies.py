@@ -41,6 +41,14 @@ def test_math_modules_read_and_write_no_files():
         assert not io, f"{name}.py imports {sorted(io)}"
 
 
+def test_cli_sets_no_floating_point_error_mode():
+    # sim keeps finite states finite and lets a divergent run overflow without
+    # a warning, so the CLI needs no np.errstate of its own.
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    names = {getattr(node, "attr", None) or getattr(node, "id", None) for node in ast.walk(tree)}
+    assert not names & {"errstate", "seterr"}
+
+
 def test_guard_sees_a_forbidden_import(tmp_path):
     bad = tmp_path / "bad.py"
     bad.write_text("import numpy as np\nfrom scipy.sparse import csgraph\n")

@@ -190,6 +190,23 @@ def test_measured_ratios_omit_vanished_periods():
         measured_period_ratios(trace, 0)
 
 
+def test_measured_ratios_omit_only_vanished_periods():
+    # A divergent run's errors turn inf and then NaN. Such a starting error has
+    # not vanished, so its period gets a ratio, not a place in ``omitted``;
+    # neither the run nor the ratios warn.
+    g = build_graph("complete", n=20)
+    trace = simulate(g, design_chebyshev(BAND, 3), uniform_initial_states(20, 1), 3000)
+    ratios = measured_period_ratios(trace, 3)
+    assert len(ratios.ratios) + len(ratios.omitted) == 1000
+    assert all(trace.errors[3 * j] <= 1e-14 for j in ratios.omitted)
+    assert math.isnan(ratios.ratios[-1])
+    errors = np.array([1e-13, 1e300, np.inf, np.nan, 0.0, 1.0])
+    synthetic = measured_period_ratios(SimulationTrace(np.zeros((6, 1)), errors, 0.0), 1)
+    assert synthetic.omitted == (4,)
+    assert synthetic.ratios[:2] == (math.inf, math.inf)
+    assert all(math.isnan(r) for r in synthetic.ratios[2:])
+
+
 def test_consensus_time_examples():
     g5 = build_graph("complete", n=5)
     trace = simulate(g5, ControlSequence((0.2,)), uniform_initial_states(5, 3), 3)
@@ -277,6 +294,18 @@ def test_simulate_validates_inputs():
     for bad in (np.nan, np.inf, -np.inf):  # bad input, not a divergent run
         with pytest.raises(ParameterError, match="finite"):
             simulate(g, ControlSequence((0.25,)), [1.0, bad, 2.0], 2)
+
+
+@pytest.mark.parametrize("x0", [
+    [1.7e308, -1.7e308, 0.0, 0.0, 0.0, 0.0],  # spread and error overflow
+    [1e308, -1e308, 0.0, 0.0, 0.0, 0.0],  # spread overflows, error 1.41e308 does not
+    [8.9e307] * 3 + [-8.9e307] * 3,  # spread 1.78e308 fits, error 2.18e308 does not
+])
+def test_simulate_rejects_x0_outside_float_range(x0):
+    # finite states whose first neighbor difference or consensus error is not
+    # a float are bad input, not a divergent run
+    with pytest.raises(ParameterError, match="x0 is out of range"):
+        simulate(build_graph("path", n=6), ControlSequence((0.25,)), x0, 2)
 
 
 def _add_at_states(g, seq, x0, steps):
