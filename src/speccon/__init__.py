@@ -49,6 +49,7 @@ from .rates import (
 from .sim import (
     PeriodRatios,
     SimulationTrace,
+    check_initial_states,
     consensus_time,
     measured_period_ratios,
     simulate,

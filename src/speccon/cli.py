@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+from functools import partial
 from pathlib import Path
 
 import click
@@ -111,17 +112,14 @@ def bundled_spectrum() -> np.ndarray:
 
 
 def _sequence(method: str, band: graphs.SpectralBand | None, period: int,
-              beta_bar: float | None = None,
-              s: graphs.LaplacianSpectrum | None = None) -> filters.ControlSequence:
-    """The method's gain sequence for period M.
+              beta_bar: float | None = None) -> filters.ControlSequence:
+    """The gain sequence for period M of any method but finite_time, which
+    needs a graph's spectrum.
 
-    finite_time reads the spectrum ``s``, uniform_unknown needs ``beta_bar``
-    and the other methods the band. Methods are compared over M steps, which
-    is not ``seq.period`` for the period-1 constant sequence, so callers pass
-    M itself as the step count.
+    uniform_unknown needs ``beta_bar`` and the other methods the band.
+    Methods are compared over M steps, which is not ``seq.period`` for the
+    period-1 constant sequence, so callers pass M itself as the step count.
     """
-    if method == "finite_time":
-        return filters.design_finite_time(graphs.distinct_nonzero_eigenvalues(s))
     if method == "uniform_unknown":
         if beta_bar is None:
             raise click.BadParameter("uniform_unknown requires --beta-bar")
@@ -138,17 +136,20 @@ def _closed_rate(method: str, band: graphs.SpectralBand, period: int) -> float:
     return getattr(filters, f"closed_rate_{method}")(band, period)
 
 
-def _load_states(path) -> np.ndarray:
-    """Initial states from a JSON list of finite numbers; anything else is a ParameterError."""
+def _check_in_band(rate: float, gamma: float) -> None:
+    """A rate on a spectrum inside the band is bounded by the band's worst case
+    ``gamma``; a breach is a numerical fault."""
+    if not (rate <= gamma * (1.0 + 1e-9) + 1e-12):
+        raise NumericalError(f"predicted rate {rate:.6g} exceeds the band worst case {gamma:.6g}")
+
+
+def _load_states(path) -> list:
+    """Initial states from a JSON list of numbers; any other document is a
+    ParameterError. ``sim.check_initial_states`` judges their values."""
     doc = _read_json(path, "initial states")
     if isinstance(doc, list) and all(type(v) in (int, float) for v in doc):
-        try:
-            x = np.array([float(v) for v in doc])
-        except OverflowError:  # an integer too large for a float
-            x = np.array([math.inf])
-        if np.all(np.isfinite(x)):
-            return x
-    raise ParameterError(f"initial states file {path} must hold a JSON list of finite numbers")
+        return doc
+    raise ParameterError(f"initial states file {path} must hold a JSON list of numbers")
 
 
 def _finite_or_null(value):
@@ -258,13 +259,13 @@ def table3(band, periods, fmt, out):
     rows = {}
     for gname, spec in TABLE3_GRAPHS.items():
         if spec is None:
-            eigs = bundled_spectrum()[1:]
+            rate = partial(rates.rate_on_eigenvalues, eigenvalues=bundled_spectrum()[1:])
         else:
-            eigs = graphs.spectrum(parse_graph_spec(spec), vectors=False).eigenvalues[1:]
+            rate = partial(rates.exact_rate,
+                           s=graphs.spectrum(parse_graph_spec(spec), vectors=False))
         for method in TABLE_METHODS:
             rows[(gname, method)] = [
-                round(rates.rate_on_eigenvalues(seqs[(method, p)], eigs, steps=p).exact_rate, 4)
-                for p in periods]
+                round(rate(seqs[(method, p)], steps=p).exact_rate, 4) for p in periods]
     if fmt == "json":
         doc = {
             "alpha": band.alpha, "beta": band.beta, "periods": list(periods),
@@ -279,8 +280,9 @@ def table3(band, periods, fmt, out):
     _emit(lines, out, "table3.csv")
 
 
-def _sweep_row(seqs, band, period, nodes, edge_prob, seed, graph_id) -> dict:
-    """One graph's spectrum extremes, band membership and exact rate per method."""
+def _sweep_row(seqs, gammas, band, period, nodes, edge_prob, seed, graph_id) -> dict:
+    """One graph's spectrum extremes, band membership and exact rate per method;
+    an in-band rate is checked against the method's closed form in ``gammas``."""
     g = graphs.build_graph("random_connected", n=nodes, p=edge_prob, seed=[seed, graph_id])
     s = graphs.spectrum(g, vectors=False)
     if s.lambda_max > band.beta:
@@ -289,6 +291,8 @@ def _sweep_row(seqs, band, period, nodes, edge_prob, seed, graph_id) -> dict:
            "in_band": graphs.band_contains(s, band)}
     for method, seq in seqs.items():
         row[f"rho_{method}"] = rates.exact_rate(seq, s, steps=period).exact_rate
+        if row["in_band"]:
+            _check_in_band(row[f"rho_{method}"], gammas[method])
     return row
 
 
@@ -309,15 +313,17 @@ def sweep(band, period, trials, nodes, edge_prob, seed, fmt, out):
     exceeds beta has its edge weights rescaled by beta/lambda_N; its spectrum
     is rescaled by the same factor, which is exact, so it is not decomposed
     again. Rows are computed one after another in graph-id order, so the
-    linear algebra library may use every core; failed graphs are reported on
-    stderr after the rows.
+    linear algebra library may use every core. A graph that fails, including
+    an in-band one whose exact rate exceeds its method's closed-form worst
+    case, is reported on stderr after the rows.
     """
     seed = 0 if seed is None else seed
     seqs = {m: _sequence(m, band, period) for m in TABLE_METHODS}
+    gammas = {m: _closed_rate(m, band, period) for m in TABLE_METHODS}
     rows, failures = [], []
     for graph_id in range(trials):
         try:
-            rows.append(_sweep_row(seqs, band, period, nodes, edge_prob, seed, graph_id))
+            rows.append(_sweep_row(seqs, gammas, band, period, nodes, edge_prob, seed, graph_id))
         except SpecconError as exc:
             failures.append(f"graph {graph_id}: {exc}")
     if fmt == "json":
@@ -377,34 +383,38 @@ def simulate_cmd(graph_spec, band, method, period, beta_bar, sequence_file, x0, 
                  tol, with_states, seed, out):
     """Simulate the protocol on a graph; write trace CSV and summary JSON.
 
-    A divergent run, one whose consensus error is not finite at some step,
-    prints its non-finite summary numbers as null and exits with status 1.
+    Every error that needs no spectrum, from a missing --band or --beta-bar
+    to initial states of the wrong length or out of the float range, is
+    reported before the graph is decomposed, the costly step. On a spectrum
+    inside the band, the predicted rate is checked against the band's worst
+    case, as sweep checks its in-band rows. A divergent run, one whose
+    consensus error is not finite at some step, prints its non-finite
+    summary numbers as null and exits with status 1.
     """
-    # Usage errors and malformed input files are found before the
-    # eigendecomposition, the costly step.
     if sequence_file is None and method is None:
         raise click.BadParameter("provide --method or --sequence")
     if x0 not in ("uniform", "worst_eigenvector") and not x0.startswith("file:"):
         raise click.BadParameter(f"unknown x0 mode {x0!r}")
+    seq = None  # finite_time is designed from the spectrum
     if sequence_file is not None:
         seq = filters.sequence_from_dict(_read_json(sequence_file, "sequence"))
+    elif method != "finite_time":
+        seq = _sequence(method, band, period, beta_bar)
     x_init = _load_states(x0[5:]) if x0.startswith("file:") else None
-    g = parse_graph_spec(graph_spec, seed)
-    s = graphs.spectrum(g)
-    if sequence_file is None:
-        seq = _sequence(method, band, period, beta_bar, s)
 
-    report = rates.exact_rate(seq, s)
-    if seq.band is not None and graphs.band_contains(s, seq.band):
-        # Every nonzero eigenvalue lies in the band, so the band's worst
-        # case bounds the predicted rate; a breach is a numerical fault.
-        gamma = rates.worst_case_rate(seq, seq.band)
-        if not (report.exact_rate <= gamma * (1.0 + 1e-9) + 1e-12):
-            raise NumericalError(f"predicted rate {report.exact_rate:.6g} exceeds the "
-                                 f"band worst case {gamma:.6g}")
+    g = parse_graph_spec(graph_spec, seed)
     if x0 == "uniform":
         x_init = sim.uniform_initial_states(g.n, seed)
-    elif x0 == "worst_eigenvector":
+    elif x_init is not None:
+        x_init = sim.check_initial_states(x_init, g.n)
+
+    s = graphs.spectrum(g)
+    if seq is None:
+        seq = filters.design_finite_time(graphs.distinct_nonzero_eigenvalues(s))
+    report = rates.exact_rate(seq, s)
+    if seq.band is not None and graphs.band_contains(s, seq.band):
+        _check_in_band(report.exact_rate, rates.worst_case_rate(seq, seq.band))
+    if x0 == "worst_eigenvector":
         idx = int(np.searchsorted(s.eigenvalues, report.argmax_eigenvalue))
         x_init = s.eigenvectors[:, idx]
 

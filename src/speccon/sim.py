@@ -53,21 +53,35 @@ def _norm(d):
     return np.sqrt(np.add.reduce(d * d))
 
 
+def check_initial_states(x0, n: int) -> np.ndarray:
+    """``x0`` as a float array of n finite states whose spread ``max - min``
+    and consensus error are finite floats; anything else is a ParameterError."""
+    try:
+        x = np.asarray(x0, dtype=float)
+    except OverflowError:  # an integer too large for a float
+        raise ParameterError("x0 must be finite") from None
+    if x.shape != (n,):
+        raise ParameterError(f"x0 must have length {n}")
+    if not np.all(np.isfinite(x)):
+        raise ParameterError("x0 must be finite")
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not (np.isfinite(x.max() - x.min())
+                and np.isfinite(_scaled(_norm, x - _scaled(np.mean, x)))):
+            raise ParameterError("x0 is out of range: the spread and the consensus error of "
+                                 "the initial states must be finite floats")
+    return x
+
+
 def simulate(g: Graph, seq: ControlSequence, x0, steps: int) -> SimulationTrace:
     """Run ``steps`` protocol steps with the periodic gains of ``seq``.
 
     The consensus error of each state is computed as the state is produced,
     so the only array of size (steps + 1) x n is the stored states; the
-    returned trace owns it and the errors without a copy. Initial states whose
-    spread or consensus error exceeds the float range are a ParameterError;
-    a run that diverges from valid ones overflows to inf and NaN without a
-    warning.
+    returned trace owns it and the errors without a copy. Initial states that
+    ``check_initial_states`` rejects are a ParameterError; a run that diverges
+    from valid ones overflows to inf and NaN without a warning.
     """
-    x = np.asarray(x0, dtype=float)
-    if x.shape != (g.n,):
-        raise ParameterError(f"x0 must have length {g.n}")
-    if not np.all(np.isfinite(x)):
-        raise ParameterError("x0 must be finite")
+    x = check_initial_states(x0, g.n)
     if steps < 0:
         raise ParameterError("steps must be non-negative")
     iu, ju, w = edge_arrays(g)
@@ -78,9 +92,6 @@ def simulate(g: Graph, seq: ControlSequence, x0, steps: int) -> SimulationTrace:
         average = float(_scaled(np.mean, x))
         states[0] = x
         errors[0] = _scaled(_norm, x - average)
-        if not np.isfinite(x.max() - x.min()) or not np.isfinite(errors[0]):
-            raise ParameterError("x0 is out of range: the spread and the consensus error of "
-                                 "the initial states must be finite floats")
         for k in range(steps):
             # sum_j a_ij (x_j - x_i) per node: node i receives +diff for its
             # edges as ``iu`` and then -diff for its edges as ``ju``, each in

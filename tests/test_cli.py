@@ -11,7 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 from speccon import build_graph, filters, graph_to_dict, graphs, rates
-from speccon.cli import bundled_spectrum, main, parse_graph_spec
+from speccon.cli import TABLE_METHODS, bundled_spectrum, main, parse_graph_spec
 
 RUN = CliRunner()
 DATA = Path(__file__).parent / "data"
@@ -238,6 +238,31 @@ def test_sweep_and_table3_compute_no_worst_case_rate(monkeypatch):
                   "--seed", "9", "-M", "5").exit_code == 0
     assert invoke("table3").exit_code == 0
     assert calls == []
+
+
+def test_table3_graph_rows_are_exact_rates(monkeypatch):
+    # star, cycle and path go through exact_rate and so through its one
+    # connectivity rule; only the bundled small-world list does not
+    calls = []
+    original = rates.exact_rate
+    monkeypatch.setattr(rates, "exact_rate",
+                        lambda *args, **kw: calls.append(args) or original(*args, **kw))
+    assert invoke("table3", "--periods", "2,3").exit_code == 0
+    assert len(calls) == 3 * len(TABLE_METHODS) * 2
+
+
+def test_sweep_checks_in_band_rates_against_closed_form(monkeypatch):
+    # graph 2 of this run is out of band (lambda_2 = 0.109), the rest in band
+    args = ["sweep", "--trials", "6", "--nodes", "30", "--edge-prob", "0.1", "--seed", "9",
+            "-M", "5"]
+    assert invoke(*args).exit_code == 0
+    monkeypatch.setattr(filters, "closed_rate_lagrange", lambda *args: 0.0)
+    result = RUN.invoke(main, args)
+    assert result.exit_code == 1
+    assert [line.split(",")[0] for line in result.stdout.splitlines()[1:]] == ["2"]
+    failed = result.stderr.splitlines()
+    assert [line.split(":")[0] for line in failed] == [f"graph {k}" for k in (0, 1, 3, 4, 5)]
+    assert all("exceeds the band worst case 0" in line for line in failed)
 
 
 def test_simulate_checks_rate_against_band_worst_case(monkeypatch):
@@ -528,8 +553,10 @@ def test_simulate_with_x0_file(tmp_path):
     (("--method", "finite_time", "--steps", "6", "--tol", "-1"), "--tol"),
     (("--method", "finite_time", "--steps", "6", "--tol", "nan"), "--tol"),
     (("--method", "finite_time", "--steps", "6", "--tol", "inf"), "--tol"),
+    (("--method", "chebyshev", "--steps", "6"), "chebyshev requires --band"),
+    (("--method", "uniform_unknown", "--steps", "6"), "uniform_unknown requires --beta-bar"),
 ], ids=["no-method", "x0-mode", "steps-negative", "tol-zero", "tol-negative", "tol-nan",
-        "tol-inf"])
+        "tol-inf", "no-band", "no-beta-bar"])
 def test_simulate_usage_errors_come_before_the_spectrum(monkeypatch, args, message):
     def no_spectrum(*_args, **_kwargs):
         raise AssertionError("spectrum computed before the arguments were checked")
@@ -542,7 +569,8 @@ def test_simulate_usage_errors_come_before_the_spectrum(monkeypatch, args, messa
 
 
 # A malformed --sequence or --x0 file fails the run (exit 1) before the
-# eigendecomposition, too; a wrong number of states is found later, by sim.
+# eigendecomposition, too, and so do initial states of the wrong length or out
+# of the float range: they are checked as soon as the graph is built.
 @pytest.mark.parametrize("option,content", [
     ("--sequence", "this is not JSON"),
     ("--sequence", '{"gains": [0.1, 0.2], "period": 3}'),
@@ -551,8 +579,10 @@ def test_simulate_usage_errors_come_before_the_spectrum(monkeypatch, args, messa
     ("--x0", '["a", "b", "c"]'),
     ("--x0", "[1, NaN, 2]"),
     ("--x0", "[" + "9" * 400 + ", 1, 2]"),
+    ("--x0", "[1, 2, 3]"),
+    ("--x0", json.dumps([1e308, -1e308] + [0.0] * 10)),
 ], ids=["sequence-not-json", "sequence-period", "x0-missing", "x0-not-json", "x0-strings",
-        "x0-nan", "x0-integer-too-large-for-a-float"])
+        "x0-nan", "x0-integer-too-large-for-a-float", "x0-wrong-length", "x0-out-of-range"])
 def test_simulate_reads_input_files_before_the_spectrum(monkeypatch, tmp_path, option, content):
     def no_spectrum(*_args, **_kwargs):
         raise AssertionError("spectrum computed before the input files were read")
@@ -568,6 +598,30 @@ def test_simulate_reads_input_files_before_the_spectrum(monkeypatch, tmp_path, o
     assert isinstance(result.exception, SystemExit)
     assert result.stdout == ""
     assert result.stderr.startswith("Error: ") and len(result.stderr.splitlines()) == 1
+
+
+def test_simulate_design_errors_come_before_the_spectrum(monkeypatch):
+    def no_spectrum(*_args, **_kwargs):
+        raise AssertionError("spectrum computed before the sequence was designed")
+
+    monkeypatch.setattr(graphs, "spectrum", no_spectrum)
+    result = RUN.invoke(main, ["simulate", "--graph", "cycle:12", "--band", "1,1", "--method",
+                               "chebyshev", "--steps", "6", "--seed", "1"])
+    assert result.exit_code == 1
+    assert result.stderr == "Error: chebyshev design requires alpha < beta\n"
+    assert result.stdout == ""
+
+
+def test_simulate_designs_finite_time_after_one_spectrum(monkeypatch):
+    calls = []
+    spectrum, design = graphs.spectrum, filters.design_finite_time
+    monkeypatch.setattr(graphs, "spectrum",
+                        lambda *args, **kw: calls.append("spectrum") or spectrum(*args, **kw))
+    monkeypatch.setattr(filters, "design_finite_time",
+                        lambda *args: calls.append("design") or design(*args))
+    assert invoke("simulate", "--graph", "path:6", "--method", "finite_time", "--steps", "10",
+                  "--seed", "2").exit_code == 0
+    assert calls == ["spectrum", "design"]
 
 
 def test_graph_generate_and_inspect(tmp_path):

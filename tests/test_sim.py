@@ -10,6 +10,7 @@ from speccon import (
     SimulationTrace,
     SpectralBand,
     build_graph,
+    check_initial_states,
     consensus_time,
     design_chebyshev,
     design_constant,
@@ -306,6 +307,18 @@ def test_simulate_rejects_x0_outside_float_range(x0):
     # a float are bad input, not a divergent run
     with pytest.raises(ParameterError, match="x0 is out of range"):
         simulate(build_graph("path", n=6), ControlSequence((0.25,)), x0, 2)
+
+
+def test_check_initial_states_is_the_rule_simulate_applies():
+    x = check_initial_states([1, 2.5, 3], 3)
+    assert x.dtype == float and x.tolist() == [1.0, 2.5, 3.0]
+    for bad, message in [([1.0, 2.0], "length 3"), ([[1.0, 2.0, 3.0]], "length 3"),
+                         ([1.0, np.nan, 2.0], "finite"), ([10 ** 400, 1, 2], "finite"),
+                         ([1e308, -1e308, 0.0], "out of range")]:
+        with pytest.raises(ParameterError, match=message):
+            check_initial_states(bad, 3)
+        with pytest.raises(ParameterError, match=message):
+            simulate(build_graph("path", n=3), ControlSequence((0.25,)), bad, 2)
 
 
 def _add_at_states(g, seq, x0, steps):
