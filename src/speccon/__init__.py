@@ -9,9 +9,7 @@ from .errors import (
 )
 from .filters import (
     ControlSequence,
-    cheby_on_band,
     cheby_on_band_at_zero,
-    cheby_t,
     closed_rate_chebyshev,
     closed_rate_constant,
     closed_rate_lagrange,
@@ -39,7 +37,6 @@ from .graphs import (
 )
 from .rates import (
     RateReport,
-    asymptotic_optimal_limit,
     decaying_gain_residuals,
     exact_rate,
     rate_on_eigenvalues,

@@ -366,11 +366,11 @@ def response(band, names, period, samples, out):
               help="Graph spec, e.g. star:12, bipartite:3,4, ws:12,4,0.3, file:g.json.")
 @_band_option()
 @click.option("--method", type=click.Choice(METHODS), default=None,
-              help="Design method (alternative to --sequence).")
+              help="Design method; not with --sequence.")
 @_period_option(3)
 @click.option("--beta-bar", type=float, default=None)
 @click.option("--sequence", "sequence_file", type=click.Path(exists=True), default=None,
-              help="Load the gain sequence from a JSON file.")
+              help="Gain sequence JSON file; not with --method, --band or --beta-bar.")
 @click.option("--x0", default="uniform", show_default=True,
               help="Initial states: uniform | worst_eigenvector | file:PATH.")
 @click.option("--steps", type=click.IntRange(min=0), required=True)
@@ -383,7 +383,8 @@ def simulate_cmd(graph_spec, band, method, period, beta_bar, sequence_file, x0, 
                  tol, with_states, seed, out):
     """Simulate the protocol on a graph; write trace CSV and summary JSON.
 
-    Every error that needs no spectrum, from a missing --band or --beta-bar
+    Every error that needs no spectrum, from a missing --band or --beta-bar,
+    or a --method, --band or --beta-bar that --sequence would leave unread,
     to initial states of the wrong length or out of the float range, is
     reported before the graph is decomposed, the costly step. On a spectrum
     inside the band, the predicted rate is checked against the band's worst
@@ -393,6 +394,10 @@ def simulate_cmd(graph_spec, band, method, period, beta_bar, sequence_file, x0, 
     """
     if sequence_file is None and method is None:
         raise click.BadParameter("provide --method or --sequence")
+    unread = [name for name, value in (("--method", method), ("--band", band),
+                                       ("--beta-bar", beta_bar)) if value is not None]
+    if sequence_file is not None and unread:
+        raise click.BadParameter(f"--sequence cannot be given with {', '.join(unread)}")
     if x0 not in ("uniform", "worst_eigenvector") and not x0.startswith("file:"):
         raise click.BadParameter(f"unknown x0 mode {x0!r}")
     seq = None  # finite_time is designed from the spectrum

@@ -130,43 +130,9 @@ def design_uniform_unknown(beta_bar: float, period: int) -> ControlSequence:
     )
 
 
-def _cheb_recursion(m: int, x: float) -> float:
-    if m == 0:
-        return 1.0
-    prev, cur = 1.0, float(x)
-    for _ in range(m - 1):
-        prev, cur = cur, 2.0 * x * cur - prev
-    return cur
-
-
-def cheby_t(m: int, chi: float) -> float:
-    """Chebyshev polynomial T_m(chi) on [-1, 1], by the three-term recursion."""
-    if m < 0:
-        raise ParameterError("order must be non-negative")
-    if abs(chi) > 1.0 + 1e-12:
-        raise ParameterError(f"chi = {chi} outside [-1, 1]")
-    return _cheb_recursion(m, chi)
-
-
-def _band_chi(b: SpectralBand, lam: float) -> float:
-    if b.alpha == b.beta:
-        raise ParameterError("band map requires alpha < beta")
-    return (2.0 * lam - (b.beta + b.alpha)) / (b.beta - b.alpha)
-
-
-def cheby_on_band(b: SpectralBand, m: int, lam: float) -> float:
-    """T_m composed with the affine map sending [alpha, beta] onto [-1, 1].
-
-    Uses the polynomial recursion, valid for any real ``lam`` (in particular
-    lam = 0, which lies outside the band).
-    """
-    if m < 0:
-        raise ParameterError("order must be non-negative")
-    return _cheb_recursion(m, _band_chi(b, lam))
-
-
 def cheby_on_band_at_zero(b: SpectralBand, m: int) -> float:
-    """Closed form of cheby_on_band(b, m, 0).
+    """T_m(chi(0)), with chi(lam) = (2 lam - beta - alpha)/(beta - alpha) the
+    affine map of [alpha, beta] onto [-1, 1], which sends lambda = 0 outside.
 
     With s = sqrt(beta/alpha):
       0.5 * (-1)^m * [((s - 1)/(s + 1))^m + ((s + 1)/(s - 1))^m].

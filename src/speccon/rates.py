@@ -1,9 +1,8 @@
 """Convergence-rate analysis: exact rates on known spectra, worst-case rates
-over uncertainty bands, asymptotic limits, and consensus-condition checks."""
+over uncertainty bands, decaying-gain envelopes and the spectral state."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,14 +66,6 @@ def rate_on_eigenvalues(seq: ControlSequence, eigenvalues, steps: int | None = N
 def exact_rate(seq: ControlSequence, s: LaplacianSpectrum, steps: int | None = None) -> RateReport:
     """Max of |h(lambda_i, steps)| over the nonzero eigenvalues of a connected graph."""
     return rate_on_eigenvalues(seq, s.nonzero_eigenvalues(), steps)
-
-
-def asymptotic_optimal_limit(b: SpectralBand) -> float:
-    """Limit of the optimal per-step rate: (sqrt(beta/alpha) - 1)/(sqrt(beta/alpha) + 1)."""
-    if b.alpha == b.beta:
-        return 0.0
-    s = math.sqrt(b.beta / b.alpha)
-    return (s - 1.0) / (s + 1.0)
 
 
 def decaying_gain_residuals(kind: str, s: LaplacianSpectrum, horizon: int) -> np.ndarray:

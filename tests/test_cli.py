@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from speccon import build_graph, filters, graph_to_dict, graphs, rates
+from speccon import build_graph, cli, filters, graph_to_dict, graphs, rates
 from speccon.cli import TABLE_METHODS, bundled_spectrum, main, parse_graph_spec
 
 RUN = CliRunner()
@@ -555,13 +555,30 @@ def test_simulate_with_x0_file(tmp_path):
     (("--method", "finite_time", "--steps", "6", "--tol", "inf"), "--tol"),
     (("--method", "chebyshev", "--steps", "6"), "chebyshev requires --band"),
     (("--method", "uniform_unknown", "--steps", "6"), "uniform_unknown requires --beta-bar"),
+    # --sequence takes the place of the design options; beside it they would go unread
+    (("--method", "chebyshev", "--band", "0.2,12.8", "--sequence", "{seq}", "--steps", "4"),
+     "--sequence cannot be given with --method, --band"),
+    (("--method", "finite_time", "--sequence", "{seq}", "--steps", "4"),
+     "--sequence cannot be given with --method"),
+    (("--band", "0.2,12.8", "--sequence", "{seq}", "--steps", "4"),
+     "--sequence cannot be given with --band"),
+    (("--beta-bar", "13", "--sequence", "{seq}", "--steps", "4"),
+     "--sequence cannot be given with --beta-bar"),
 ], ids=["no-method", "x0-mode", "steps-negative", "tol-zero", "tol-negative", "tol-nan",
-        "tol-inf", "no-band", "no-beta-bar"])
-def test_simulate_usage_errors_come_before_the_spectrum(monkeypatch, args, message):
+        "tol-inf", "no-band", "no-beta-bar", "sequence-with-method-and-band",
+        "sequence-with-method", "sequence-with-band", "sequence-with-beta-bar"])
+def test_simulate_usage_errors_come_before_the_spectrum(monkeypatch, tmp_path, args, message):
     def no_spectrum(*_args, **_kwargs):
         raise AssertionError("spectrum computed before the arguments were checked")
 
+    def no_graph(*_args, **_kwargs):
+        raise AssertionError("graph built before the arguments were checked")
+
     monkeypatch.setattr(graphs, "spectrum", no_spectrum)
+    monkeypatch.setattr(cli, "parse_graph_spec", no_graph)
+    seq = tmp_path / "seq.json"
+    seq.write_text(json.dumps({"period": 1, "gains": [0.2], "method": "custom", "band": None}))
+    args = [str(seq) if a == "{seq}" else a for a in args]
     result = RUN.invoke(main, ["simulate", "--graph", "cycle:12", *args, "--seed", "1"])
     assert result.exit_code == 2
     assert message in result.stderr
@@ -591,9 +608,9 @@ def test_simulate_reads_input_files_before_the_spectrum(monkeypatch, tmp_path, o
     path = tmp_path / "input.json"
     if content is not None:
         path.write_text(content)
-    value = str(path) if option == "--sequence" else f"file:{path}"
-    result = RUN.invoke(main, ["simulate", "--graph", "cycle:12", "--method", "finite_time",
-                               "--steps", "6", option, value])
+    source = ["--sequence", str(path)] if option == "--sequence" else \
+        ["--method", "finite_time", "--x0", f"file:{path}"]
+    result = RUN.invoke(main, ["simulate", "--graph", "cycle:12", "--steps", "6", *source])
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
     assert result.stdout == ""

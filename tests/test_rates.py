@@ -11,7 +11,6 @@ from speccon import (
     Graph,
     ParameterError,
     SpectralBand,
-    asymptotic_optimal_limit,
     build_graph,
     closed_rate_chebyshev,
     closed_rate_constant,
@@ -176,15 +175,9 @@ def test_exact_below_worst_case_for_in_band_spectra():
             assert report.exact_rate <= worst_case_rate(seq, band, steps) + 1e-9
 
 
-def test_asymptotic_optimal_limit():
-    assert abs(asymptotic_optimal_limit(BAND) - 7.0 / 9.0) <= 1e-15
-    assert abs(asymptotic_optimal_limit(SpectralBand(1.0, 4.0)) - 1.0 / 3.0) <= 1e-15
-    assert asymptotic_optimal_limit(SpectralBand(2.0, 2.0)) == 0.0
-    assert asymptotic_optimal_limit(SpectralBand(1.0, 1.0 + 1e-12)) <= 1e-6
-
-
 def test_chebyshev_per_step_rate_approaches_limit():
-    limit = asymptotic_optimal_limit(BAND)
+    s = math.sqrt(BAND.beta / BAND.alpha)
+    limit = (s - 1.0) / (s + 1.0)
     per_step = [closed_rate_chebyshev(BAND, m) ** (1.0 / m) for m in range(1, 21)]
     assert all(b < a for a, b in zip(per_step, per_step[1:]))
     assert per_step[-1] / limit <= 1.05
