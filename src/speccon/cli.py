@@ -15,6 +15,7 @@ from pathlib import Path
 
 import click
 import numpy as np
+from click.core import ParameterSource
 
 from . import __version__, filters, graphs, rates, sim
 from .errors import NumericalError, ParameterError, SpecconError
@@ -131,6 +132,20 @@ def _sequence(method: str, band: graphs.SpectralBand | None, period: int,
     return getattr(filters, f"design_{method}")(band, period)
 
 
+# The design options each method's sequence reads (design also prints the
+# constant gain's rate over -M steps).
+_READS = {"lagrange": ("--band", "-M"), "chebyshev": ("--band", "-M"), "constant": ("--band",),
+          "uniform_unknown": ("--beta-bar", "-M"), "finite_time": ()}
+
+
+def _refuse_unread(source: str, reads, given: dict) -> None:
+    """A usage error naming each option in ``given`` that is not None and not
+    in ``reads``, the options that ``source`` reads."""
+    unread = [name for name, value in given.items() if value is not None and name not in reads]
+    if unread:
+        raise click.BadParameter(f"{source} cannot be given with {', '.join(unread)}")
+
+
 def _closed_rate(method: str, band: graphs.SpectralBand, period: int) -> float:
     """Closed-form worst-case rate over the band of a ``TABLE_METHODS`` design."""
     return getattr(filters, f"closed_rate_{method}")(band, period)
@@ -217,7 +232,12 @@ def main():
 @click.option("--beta-bar", type=float, default=None,
               help="Spectral radius bound for uniform_unknown.")
 def design(band, method, period, beta_bar):
-    """Design a gain sequence and print it as JSON (roots and rate on stderr)."""
+    """Design a gain sequence and print it as JSON (roots and rate on stderr).
+
+    A --band or --beta-bar that the method would leave unread is a usage error.
+    """
+    _refuse_unread(f"--method {method}", _READS[method],
+                   {"--band": band, "--beta-bar": beta_bar})
     seq = _sequence(method, band, period, beta_bar)
     gamma = _closed_rate(method, band, period) if method in TABLE_METHODS else None
     click.echo(json.dumps(filters.sequence_to_dict(seq), indent=2))
@@ -370,12 +390,12 @@ def response(band, names, period, samples, out):
 @_period_option(3)
 @click.option("--beta-bar", type=float, default=None)
 @click.option("--sequence", "sequence_file", type=click.Path(exists=True), default=None,
-              help="Gain sequence JSON file; not with --method, --band or --beta-bar.")
+              help="Gain sequence JSON file; not with --method, --band, --beta-bar or -M.")
 @click.option("--x0", default="uniform", show_default=True,
               help="Initial states: uniform | worst_eigenvector | file:PATH.")
 @click.option("--steps", type=click.IntRange(min=0), required=True)
 @click.option("--tol", type=float, callback=_parse_tol, default=1e-9, show_default=True,
-              help="Relative consensus tolerance.")
+              help="Consensus tolerance relative to the first error, at least n*2**-53.")
 @click.option("--states", "with_states", is_flag=True, help="Include state columns in the trace CSV.")
 @seed_option
 @out_option
@@ -384,20 +404,23 @@ def simulate_cmd(graph_spec, band, method, period, beta_bar, sequence_file, x0, 
     """Simulate the protocol on a graph; write trace CSV and summary JSON.
 
     Every error that needs no spectrum, from a missing --band or --beta-bar,
-    or a --method, --band or --beta-bar that --sequence would leave unread,
-    to initial states of the wrong length or out of the float range, is
-    reported before the graph is decomposed, the costly step. On a spectrum
-    inside the band, the predicted rate is checked against the band's worst
-    case, as sweep checks its in-band rows. A divergent run, one whose
-    consensus error is not finite at some step, prints its non-finite
-    summary numbers as null and exits with status 1.
+    or a --method, --band, --beta-bar or -M that --sequence or the method
+    would leave unread, to initial states of the wrong length or out of the
+    float range, is reported before the graph is decomposed, the costly
+    step. On a spectrum inside the band, the predicted rate is checked
+    against the band's worst case, as sweep checks its in-band rows. A
+    divergent run, one whose consensus error is not finite at some step,
+    prints its non-finite summary numbers as null and exits with status 1.
     """
     if sequence_file is None and method is None:
         raise click.BadParameter("provide --method or --sequence")
-    unread = [name for name, value in (("--method", method), ("--band", band),
-                                       ("--beta-bar", beta_bar)) if value is not None]
-    if sequence_file is not None and unread:
-        raise click.BadParameter(f"--sequence cannot be given with {', '.join(unread)}")
+    period_source = click.get_current_context().get_parameter_source("period")
+    given = {"--band": band, "--beta-bar": beta_bar,
+             "-M": None if period_source is ParameterSource.DEFAULT else period}
+    if sequence_file is not None:
+        _refuse_unread("--sequence", (), {"--method": method, **given})
+    else:
+        _refuse_unread(f"--method {method}", _READS[method], given)
     if x0 not in ("uniform", "worst_eigenvector") and not x0.startswith("file:"):
         raise click.BadParameter(f"unknown x0 mode {x0!r}")
     seq = None  # finite_time is designed from the spectrum

@@ -16,7 +16,18 @@ from .errors import ParameterError
 from .filters import ControlSequence
 from .graphs import Graph, _read_only, edge_arrays
 
-ERROR_FLOOR = 1e-14
+
+def round_off_floor(n: int) -> float:
+    """n·u, with u = 2**-53 the double unit round-off: the share of the first
+    consensus error below which an error of n agents is round-off.
+
+    The mean, each neighbor sum and each squared error norm is a sum of up to
+    n terms, which carries a relative error of up to n·u / (1 - n·u)
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 3). Being
+    relative, the floor does not move when x(0) is scaled; it assumes a mean
+    not far above the spread of the states.
+    """
+    return n * 2.0 ** -53
 
 
 @dataclass(frozen=True)
@@ -108,8 +119,9 @@ def simulate(g: Graph, seq: ControlSequence, x0, steps: int) -> SimulationTrace:
 
 @dataclass(frozen=True)
 class PeriodRatios:
-    """Per-period error contractions; periods whose starting error has vanished
-    are omitted, and a non-finite starting error gives a non-finite ratio."""
+    """Per-period error contractions. A period whose starting error is finite
+    and at most ``round_off_floor(n) * errors[0]`` has vanished into round-off
+    and is omitted; a non-finite starting error gives a non-finite ratio."""
 
     ratios: tuple[float, ...]
     omitted: tuple[int, ...]
@@ -120,24 +132,27 @@ def measured_period_ratios(trace: SimulationTrace, period: int) -> PeriodRatios:
     if period < 1:
         raise ParameterError("period must be >= 1")
     e = trace.errors[::period]
-    kept = ~(e[:-1] <= ERROR_FLOOR)  # NaN is kept
+    start = e[:-1]
+    kept = ~(np.isfinite(start) & (start <= round_off_floor(trace.states.shape[1]) * e[0]))
     with np.errstate(over="ignore", invalid="ignore"):
-        ratios = e[1:][kept] / e[:-1][kept]
+        ratios = e[1:][kept] / start[kept]
     return PeriodRatios(tuple(ratios.tolist()), tuple(np.flatnonzero(~kept).tolist()))
 
 
 def consensus_time(trace: SimulationTrace, tol: float) -> int | None:
-    """Smallest k with errors[j] <= tol * max(1, errors[0]) for all j >= k.
+    """Smallest k with errors[j] <= max(tol, round_off_floor(n)) * errors[0]
+    for all j >= k: ``tol`` is relative to the first error, and no tighter
+    than round-off.
 
-    The threshold has an absolute floor of 1e-12. Returns None when the trace
-    never settles below the threshold or its first error is not finite; any
-    other non-finite error (a divergent run) counts as above it.
+    Returns None when the trace never settles below the threshold or its
+    first error is not finite; any other non-finite error (a divergent run)
+    counts as above it.
     """
     if not 0.0 < tol < np.inf:  # also rejects NaN
         raise ParameterError("tolerance must be finite and positive")
     if not np.isfinite(trace.errors[0]):
         return None
-    threshold = max(tol * max(1.0, float(trace.errors[0])), 1e-12)
+    threshold = max(tol, round_off_floor(trace.states.shape[1])) * float(trace.errors[0])
     above = np.nonzero(~(trace.errors <= threshold))[0]
     if above.size == 0:
         return 0

@@ -57,6 +57,21 @@ def test_design_usage_errors():
     assert "requires --beta-bar" in no_bound.stderr
 
 
+# design, like simulate, refuses a design option its method would leave unread
+@pytest.mark.parametrize("args,message", [
+    (("--method", "uniform_unknown", "--beta-bar", "10", "--band", "0.2,12.8"), "--band"),
+    (("--method", "chebyshev", "--band", "0.2,12.8", "--beta-bar", "10"), "--beta-bar"),
+    (("--method", "lagrange", "--band", "0.2,12.8", "--beta-bar", "10", "-M", "3"), "--beta-bar"),
+    (("--method", "constant", "--band", "0.2,12.8", "--beta-bar", "10"), "--beta-bar"),
+], ids=["uniform-unknown-with-band", "chebyshev-with-beta-bar", "lagrange-with-beta-bar",
+        "constant-with-beta-bar"])
+def test_design_refuses_unread_options(args, message):
+    result = RUN.invoke(main, ["design", *args])
+    assert result.exit_code == 2
+    assert f"--method {args[1]} cannot be given with {message}" in result.stderr
+    assert result.stdout == ""
+
+
 # design stdout and stderr (roots, worst-case rate) and response stdout pinned
 # byte for byte: the method dispatch may change, the output may not.
 @pytest.mark.parametrize("stem,args", [
@@ -461,6 +476,20 @@ def test_simulate_finite_time_consensus_times():
     assert json.loads(result.stdout)["consensus_time"] == 5
 
 
+def test_simulate_reports_round_off_blow_up_above_the_floor():
+    # The ascending finite-time gains amplify round-off on path:80: the first
+    # period's error grows by about 9.3e20 where the analysis predicts 1.8e-15.
+    # That starting error is errors[0] itself, so the round-off floor, which
+    # is relative to it, must leave the ratio in the report.
+    result = invoke("simulate", "--graph", "path:80", "--method", "finite_time",
+                    "--steps", "160", "--seed", "1")
+    assert result.exit_code == 0
+    summary = json.loads(result.stdout)
+    assert summary["predicted_rate"] < 1e-14
+    assert summary["measured_ratios"][0] == pytest.approx(9.3e20, rel=0.05)
+    assert summary["consensus_time"] is None
+
+
 def test_simulate_worst_eigenvector_attains_rate():
     result = invoke("simulate", "--graph", "cycle:12", "--band", "0.2,12.8",
                     "--method", "lagrange", "-M", "3", "--x0", "worst_eigenvector",
@@ -564,9 +593,27 @@ def test_simulate_with_x0_file(tmp_path):
      "--sequence cannot be given with --band"),
     (("--beta-bar", "13", "--sequence", "{seq}", "--steps", "4"),
      "--sequence cannot be given with --beta-bar"),
+    (("-M", "9", "--sequence", "{seq}", "--steps", "4"), "--sequence cannot be given with -M"),
+    # a method that does not read a design option cannot be given it either;
+    # -M has a default, so only an -M on the command line counts
+    (("--method", "finite_time", "-M", "3", "--steps", "4"),
+     "--method finite_time cannot be given with -M"),
+    (("--method", "constant", "--band", "0.2,12.8", "--period", "7", "--steps", "4"),
+     "--method constant cannot be given with -M"),
+    (("--method", "finite_time", "--band", "0.2,12.8", "-M", "7", "--steps", "4"),
+     "--method finite_time cannot be given with --band, -M"),
+    (("--method", "uniform_unknown", "--beta-bar", "13", "--band", "0.2,12.8", "--steps", "4"),
+     "--method uniform_unknown cannot be given with --band"),
+    (("--method", "chebyshev", "--band", "0.2,12.8", "--beta-bar", "99", "--steps", "4"),
+     "--method chebyshev cannot be given with --beta-bar"),
+    (("--method", "finite_time", "--beta-bar", "99", "--steps", "4"),
+     "--method finite_time cannot be given with --beta-bar"),
 ], ids=["no-method", "x0-mode", "steps-negative", "tol-zero", "tol-negative", "tol-nan",
         "tol-inf", "no-band", "no-beta-bar", "sequence-with-method-and-band",
-        "sequence-with-method", "sequence-with-band", "sequence-with-beta-bar"])
+        "sequence-with-method", "sequence-with-band", "sequence-with-beta-bar",
+        "sequence-with-period", "finite-time-with-period", "constant-with-period",
+        "finite-time-with-band-and-period", "uniform-unknown-with-band",
+        "band-method-with-beta-bar", "finite-time-with-beta-bar"])
 def test_simulate_usage_errors_come_before_the_spectrum(monkeypatch, tmp_path, args, message):
     def no_spectrum(*_args, **_kwargs):
         raise AssertionError("spectrum computed before the arguments were checked")
@@ -718,8 +765,9 @@ def test_simulate_rejects_one_node_graph(tmp_path):
 def test_simulate_disconnected_graph_is_one_error(tmp_path, method):
     path = tmp_path / "g.json"
     path.write_text('{"n": 4, "edges": [[0, 1, 1.0], [2, 3, 1.0]]}')
+    band = ["--band", "0.2,12.8"] if method == "chebyshev" else []  # finite_time reads none
     result = RUN.invoke(main, ["simulate", "--graph", f"file:{path}", "--method", method,
-                               "--band", "0.2,12.8", "--steps", "3"])
+                               *band, "--steps", "3"])
     assert result.exit_code == 1
     assert result.stderr == "Error: spectrum is effectively disconnected (lambda_2 = 0.000e+00)\n"
 

@@ -2,8 +2,8 @@
 public name of the package has a caller.
 
 The tests and the benchmark import only those, the package itself, their own
-modules, and the test extra declared in pyproject.toml (pytest and
-hypothesis); no test-only package may become a run-time dependency.
+modules, and the test extra declared in pyproject.toml (pytest, hypothesis
+and mpmath); no test-only package may become a run-time dependency.
 """
 
 import ast

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from speccon import (
     ControlSequence,
@@ -27,6 +29,7 @@ from speccon import (
     uniform_initial_states,
 )
 from speccon.graphs import edge_arrays
+from speccon.sim import round_off_floor
 
 BAND = SpectralBand(0.2, 12.8)
 
@@ -199,7 +202,9 @@ def test_measured_ratios_omit_only_vanished_periods():
     trace = simulate(g, design_chebyshev(BAND, 3), uniform_initial_states(20, 1), 3000)
     ratios = measured_period_ratios(trace, 3)
     assert len(ratios.ratios) + len(ratios.omitted) == 1000
-    assert all(trace.errors[3 * j] <= 1e-14 for j in ratios.omitted)
+    floor = round_off_floor(20) * trace.errors[0]
+    assert all(trace.errors[3 * j] <= floor for j in ratios.omitted)
+    assert all(not trace.errors[3 * j] <= floor for j in range(1000) if j not in ratios.omitted)
     assert math.isnan(ratios.ratios[-1])
     errors = np.array([1e-13, 1e300, np.inf, np.nan, 0.0, 1.0])
     synthetic = measured_period_ratios(SimulationTrace(np.zeros((6, 1)), errors, 0.0), 1)
@@ -265,6 +270,49 @@ def test_error_of_finite_states_does_not_overflow():
     assert np.all(np.isfinite(big.errors))
     assert np.allclose(big.errors, 2.0 ** 600 * small.errors, rtol=1e-14, atol=0.0)
     assert consensus_time(big, 1e-9) == consensus_time(small, 1e-9) == 6
+
+
+def _scaling_run(family, kwargs, seq, steps):
+    g = build_graph(family, **kwargs)
+    return g, seq, uniform_initial_states(g.n, 1), steps
+
+
+SCALING_RUNS = {
+    "ws200-chebyshev": _scaling_run("watts_strogatz", dict(n=200, k=6, p=0.3, seed=1),
+                                    design_chebyshev(SpectralBand(0.2, 20), 5), 600),
+    "cycle12-constant": _scaling_run("cycle", dict(n=12), design_constant(BAND), 60),
+}
+UNSCALED = {name: simulate(*run) for name, run in SCALING_RUNS.items()}
+
+
+@settings(derandomize=True, deadline=None)
+@example(run="ws200-chebyshev", k=-50)  # consensus_time 0 against 221 under an absolute floor
+@example(run="cycle12-constant", k=-50)
+@given(run=st.sampled_from(sorted(SCALING_RUNS)), k=st.integers(-60, 60))
+def test_measurements_do_not_depend_on_the_scale_of_x0(run, k):
+    # The protocol is linear and scaling by a power of two is exact, so every
+    # error scales by 2**k bit for bit, and the consensus time and the period
+    # ratios, which compare errors with errors, must not move.
+    g, seq, x0, steps = SCALING_RUNS[run]
+    unscaled = UNSCALED[run]
+    scaled = simulate(g, seq, 2.0 ** k * x0, steps)
+    assert scaled.errors.tobytes() == (2.0 ** k * unscaled.errors).tobytes()
+    assert consensus_time(scaled, 1e-9) == consensus_time(unscaled, 1e-9)
+    assert measured_period_ratios(scaled, seq.period) == measured_period_ratios(unscaled, seq.period)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_reported_ratios_never_exceed_rate_at_scale(seed):
+    # Criterion 07's property on the benchmark's simulate graph: periods whose
+    # starting error is round-off are omitted, so no reported ratio exceeds
+    # the exact rate.
+    g = build_graph("watts_strogatz", n=2000, k=6, p=0.3, seed=seed)
+    seq = design_chebyshev(SpectralBand(0.2, 20), 5)
+    rho = exact_rate(seq, spectrum(g, vectors=False)).exact_rate
+    trace = simulate(g, seq, uniform_initial_states(g.n, seed), 5000)
+    ratios = measured_period_ratios(trace, 5)
+    assert len(ratios.ratios) + len(ratios.omitted) == 1000
+    assert ratios.ratios and max(ratios.ratios) <= rho * (1 + 1e-9)
 
 
 def test_mean_of_finite_states_does_not_overflow():
