@@ -20,13 +20,16 @@ from click.core import ParameterSource
 from . import __version__, filters, graphs, rates, sim
 from .errors import NumericalError, ParameterError, SpecconError
 
-# Band methods, compared in the rate tables, the sweep and the response plot.
-TABLE_METHODS = ("lagrange", "chebyshev", "constant")
-METHODS = TABLE_METHODS + ("uniform_unknown", "finite_time")
+# The design methods and the design options each one's sequence reads
+# (design also prints the constant gain's rate over -M steps).
+_READS = {"lagrange": ("--band", "-M"), "chebyshev": ("--band", "-M"), "constant": ("--band",),
+          "uniform_unknown": ("--beta-bar", "-M"), "finite_time": ()}
+METHODS = tuple(_READS)
+# Band methods, the ones with a closed-form rate, compared in the rate tables,
+# the sweep and the response plot.
+TABLE_METHODS = tuple(m for m, reads in _READS.items() if "--band" in reads)
 
-
-def _fmt6(x: float) -> str:
-    return f"{x:.6g}"
+_fmt6 = sim._fmt6  # 6 significant digits: every printed number but the tables' cells
 
 
 def _parse_band(_ctx, _param, value) -> graphs.SpectralBand | None:
@@ -78,32 +81,35 @@ def _read_json(path, what: str):
         raise ParameterError(f"cannot read {what} file {path}: {exc}") from exc
 
 
-def parse_graph_spec(spec: str, seed: int | None = None) -> graphs.Graph:
-    """Build or load a graph from a compact spec string.
+# The graph spec grammar besides file:PATH: kind -> build_graph family and its
+# parameters in order with their types, each passed as its name in lower case
+# (ws: Watts-Strogatz, er: connected Erdos-Renyi).
+_SPECS = {"complete": ("complete", {"N": int}), "star": ("star", {"N": int}),
+          "cycle": ("cycle", {"N": int}), "path": ("path", {"N": int}),
+          "bipartite": ("complete_bipartite", {"M": int, "N": int}),
+          "ws": ("watts_strogatz", {"N": int, "K": int, "P": float}),
+          "er": ("random_connected", {"N": int, "P": float})}
 
-    Forms: complete:N, star:N, cycle:N, path:N, bipartite:M,N,
-    ws:N,K,P (Watts-Strogatz), er:N,P (connected Erdos-Renyi), file:PATH.
-    """
+
+def parse_graph_spec(spec: str, seed: int | None = None) -> graphs.Graph:
+    """Build a graph from a compact spec string such as ws:12,4,0.3, or load
+    one with file:PATH. ``seed`` seeds the random families."""
     kind, _, arg = spec.partition(":")
     if kind == "file":
         return graphs.graph_from_dict(_read_json(arg, "graph"))
+    if kind not in _SPECS:
+        raise click.BadParameter(f"unknown graph family in spec {spec!r}")
+    family, params = _SPECS[kind]
+    parts = arg.split(",") if arg else []
+    if len(parts) != len(params):
+        raise click.BadParameter(
+            f"bad graph spec {spec!r}: expected {len(params)} parameter"
+            f"{'s' if len(params) > 1 else ''} ({','.join(params)}), got {len(parts)}")
     try:
-        parts = arg.split(",") if arg else []
-        if kind in ("complete", "star", "cycle", "path"):
-            (n,) = parts
-            return graphs.build_graph(kind, n=int(n))
-        if kind == "bipartite":
-            m, n = parts
-            return graphs.build_graph("complete_bipartite", m=int(m), n=int(n))
-        if kind == "ws":
-            n, k, p = parts
-            return graphs.build_graph("watts_strogatz", n=int(n), k=int(k), p=float(p), seed=seed)
-        if kind == "er":
-            n, p = parts
-            return graphs.build_graph("random_connected", n=int(n), p=float(p), seed=seed)
+        values = {name.lower(): cast(part) for (name, cast), part in zip(params.items(), parts)}
+        return graphs.build_graph(family, seed=seed, **values)
     except ValueError as exc:
         raise click.BadParameter(f"bad graph spec {spec!r}: {exc}")
-    raise click.BadParameter(f"unknown graph family in spec {spec!r}")
 
 
 def bundled_spectrum() -> np.ndarray:
@@ -117,25 +123,19 @@ def _sequence(method: str, band: graphs.SpectralBand | None, period: int,
     """The gain sequence for period M of any method but finite_time, which
     needs a graph's spectrum.
 
-    uniform_unknown needs ``beta_bar`` and the other methods the band.
+    A method without an option it reads in ``_READS`` is a usage error.
     Methods are compared over M steps, which is not ``seq.period`` for the
     period-1 constant sequence, so callers pass M itself as the step count.
     """
+    given = {"--band": band, "--beta-bar": beta_bar, "-M": period}
+    for option in _READS[method]:
+        if given[option] is None:
+            raise click.BadParameter(f"{method} requires {option}")
     if method == "uniform_unknown":
-        if beta_bar is None:
-            raise click.BadParameter("uniform_unknown requires --beta-bar")
         return filters.design_uniform_unknown(beta_bar, period)
-    if band is None:
-        raise click.BadParameter(f"{method} requires --band")
     if method == "constant":
         return filters.design_constant(band)
     return getattr(filters, f"design_{method}")(band, period)
-
-
-# The design options each method's sequence reads (design also prints the
-# constant gain's rate over -M steps).
-_READS = {"lagrange": ("--band", "-M"), "chebyshev": ("--band", "-M"), "constant": ("--band",),
-          "uniform_unknown": ("--beta-bar", "-M"), "finite_time": ()}
 
 
 def _refuse_unread(source: str, reads, given: dict) -> None:
@@ -155,16 +155,17 @@ def _check_in_band(rate: float, gamma: float) -> None:
     """A rate on a spectrum inside the band is bounded by the band's worst case
     ``gamma``; a breach is a numerical fault."""
     if not (rate <= gamma * (1.0 + 1e-9) + 1e-12):
-        raise NumericalError(f"predicted rate {rate:.6g} exceeds the band worst case {gamma:.6g}")
+        raise NumericalError(
+            f"predicted rate {_fmt6(rate)} exceeds the band worst case {_fmt6(gamma)}")
 
 
 def _load_states(path) -> list:
-    """Initial states from a JSON list of numbers; any other document is a
-    ParameterError. ``sim.check_initial_states`` judges their values."""
+    """Initial states from a JSON list of numbers (``graphs._number``); any other
+    document is a ParameterError. ``sim.check_initial_states`` judges their values."""
     doc = _read_json(path, "initial states")
-    if isinstance(doc, list) and all(type(v) in (int, float) for v in doc):
-        return doc
-    raise ParameterError(f"initial states file {path} must hold a JSON list of numbers")
+    if not isinstance(doc, list):
+        raise ParameterError(f"initial states file {path} must hold a JSON list of numbers")
+    return [graphs._number(v, f"an initial state in {path}") for v in doc]
 
 
 def _finite_or_null(value):
@@ -184,6 +185,25 @@ def _emit(lines: list[str], out: Path | None, filename: str) -> None:
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
         (out / filename).write_text(text, encoding="utf-8")
+
+
+def _emit_table(name: str, labels: tuple[str, ...], rows: dict, band, periods, fmt, out) -> None:
+    """A rate table: per key of ``rows``, a tuple of the ``labels`` columns, one
+    cell per period rounded to 4 decimals; JSON nests the cells under the key."""
+    cells = {key: [round(v, 4) for v in values] for key, values in rows.items()}
+    if fmt == "json":
+        nested = {}
+        for key, row in cells.items():
+            node = nested
+            for label in key[:-1]:
+                node = node.setdefault(label, {})
+            node[key[-1]] = row
+        doc = {"alpha": band.alpha, "beta": band.beta, "periods": list(periods), "rates": nested}
+        _emit([json.dumps(doc, indent=2)], out, f"{name}.json")
+        return
+    lines = [",".join([*labels, *map(str, periods)])]
+    lines += [",".join([*key, *(f"{v:.4f}" for v in row)]) for key, row in cells.items()]
+    _emit(lines, out, f"{name}.csv")
 
 
 seed_option = click.option("--seed", type=int, default=None, help="Seed for random draws.")
@@ -253,14 +273,8 @@ def design(band, method, period, beta_bar):
 @out_option
 def table2(band, periods, fmt, out):
     """Worst-case rates gamma_M per method over the band (4-decimal cells)."""
-    cells = {m: [round(_closed_rate(m, band, p), 4) for p in periods] for m in TABLE_METHODS}
-    if fmt == "json":
-        doc = {"alpha": band.alpha, "beta": band.beta, "periods": list(periods), "rates": cells}
-        _emit([json.dumps(doc, indent=2)], out, "table2.json")
-        return
-    lines = ["method," + ",".join(str(p) for p in periods)]
-    lines += [m + "," + ",".join(f"{v:.4f}" for v in cells[m]) for m in TABLE_METHODS]
-    _emit(lines, out, "table2.csv")
+    rows = {(m,): [_closed_rate(m, band, p) for p in periods] for m in TABLE_METHODS}
+    _emit_table("table2", ("method",), rows, band, periods, fmt, out)
 
 
 # Table 3's graphs by spec; smallworld12 is the spectrum bundled with the package.
@@ -284,20 +298,8 @@ def table3(band, periods, fmt, out):
             rate = partial(rates.exact_rate,
                            s=graphs.spectrum(parse_graph_spec(spec), vectors=False))
         for method in TABLE_METHODS:
-            rows[(gname, method)] = [
-                round(rate(seqs[(method, p)], steps=p).exact_rate, 4) for p in periods]
-    if fmt == "json":
-        doc = {
-            "alpha": band.alpha, "beta": band.beta, "periods": list(periods),
-            "rates": {g: {m: rows[(g, m)] for m in TABLE_METHODS} for g in TABLE3_GRAPHS},
-        }
-        _emit([json.dumps(doc, indent=2)], out, "table3.json")
-        return
-    lines = ["graph,method," + ",".join(str(p) for p in periods)]
-    for gname in TABLE3_GRAPHS:
-        for method in TABLE_METHODS:
-            lines.append(f"{gname},{method}," + ",".join(f"{v:.4f}" for v in rows[(gname, method)]))
-    _emit(lines, out, "table3.csv")
+            rows[(gname, method)] = [rate(seqs[(method, p)], steps=p).exact_rate for p in periods]
+    _emit_table("table3", ("graph", "method"), rows, band, periods, fmt, out)
 
 
 def _sweep_row(seqs, gammas, band, period, nodes, edge_prob, seed, graph_id) -> dict:
@@ -370,11 +372,9 @@ def sweep(band, period, trials, nodes, edge_prob, seed, fmt, out):
 @out_option
 def response(band, names, period, samples, out):
     """Filter response h(lambda) per method on [0, beta * 1.05] as CSV."""
-    columns = {}
     grid = np.linspace(0.0, band.beta * 1.05, samples)
-    for name in names:
-        seq = _sequence(name, band, period)
-        columns[name] = filters.eval_filter(seq, grid, period)
+    columns = {name: filters.eval_filter(_sequence(name, band, period), grid, period)
+               for name in names}
     lines = ["lambda," + ",".join(f"h_{n}" for n in names)]
     for i, lam in enumerate(grid):
         lines.append(_fmt6(lam) + "," + ",".join(_fmt6(columns[n][i]) for n in names))

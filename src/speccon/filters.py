@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .graphs import SpectralBand
+from .graphs import SpectralBand, _number
 
 METHOD_TAGS = ("finite_time", "constant", "lagrange", "chebyshev", "uniform_unknown", "custom")
 
@@ -199,13 +199,13 @@ def sequence_to_dict(seq: ControlSequence) -> dict:
 def sequence_from_dict(d: dict) -> ControlSequence:
     """Sequence from its document; a malformed document is a ParameterError."""
     try:
-        gains = tuple(float(g) for g in d["gains"])
+        gains = tuple(float(_number(g, "a gain")) for g in d["gains"])
         method = d.get("method", "custom")
         band = d.get("band")
-        band = None if band is None else SpectralBand(*band)
-    except (KeyError, TypeError, ValueError) as exc:
+        band = None if band is None else SpectralBand(*(_number(v, "a band end") for v in band))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParameterError(f"malformed sequence document: {exc}") from exc
-    if "period" in d and d["period"] != len(gains):
+    if "period" in d and _number(d["period"], "period") != len(gains):
         raise ParameterError(f"period {d['period']!r} is not the number of gains, {len(gains)}")
     return ControlSequence(gains, method, band)
 

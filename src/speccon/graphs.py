@@ -41,7 +41,7 @@ class Graph:
     def __init__(self, n: int, i, j, w) -> None:
         if int(n) != n or n < 2:
             raise ParameterError(f"a graph needs n >= 2 nodes, got {n!r}")
-        i, j, w = _read_only(i, np.intp), _read_only(j, np.intp), _read_only(w)
+        i, j, w = _node_indices(i), _node_indices(j), _read_only(w)
         if not (i.ndim == 1 and i.shape == j.shape == w.shape):
             raise ParameterError("edge arrays must be 1-D and of equal length")
         if i.size and (i.min() < 0 or j.max() >= n or np.any(i >= j)):
@@ -79,6 +79,17 @@ def _read_only(a, dtype=np.float64) -> np.ndarray:
         a = np.array(a, dtype=dtype)
         a.flags.writeable = False
     return a
+
+
+def _node_indices(a) -> np.ndarray:
+    """``a`` as ``_read_only`` intp node indices. An integer array is not
+    scanned; a boolean one, or a float one with a value that is not an
+    integer below 2**63, is a ParameterError rather than cast."""
+    a = np.asarray(a)
+    if a.dtype.kind not in "iu" and not (
+            a.dtype.kind == "f" and np.all((np.trunc(a) == a) & (np.abs(a) < 2.0 ** 63))):
+        raise ParameterError(f"node indices must be integers below 2**63, got {a.dtype} values")
+    return _read_only(a, np.intp)
 
 
 @dataclass(frozen=True)
@@ -157,6 +168,15 @@ def _integral(v, what: str) -> int:
     if int(v) != v:
         raise ParameterError(f"{what} must be an integer, got {v!r}")
     return int(v)
+
+
+def _number(v, what: str):
+    """``v`` if it is a number of an input document: an int or a float, as JSON
+    gives them, or a numpy number; a bool, a string or anything else is a
+    ParameterError. The one number rule for graph, sequence and state documents."""
+    if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)):
+        raise ParameterError(f"{what} must be a number, got {v!r}")
+    return v
 
 
 def _require_int(params: dict, key: str, minimum: int) -> int:
@@ -412,12 +432,13 @@ def graph_from_dict(d: dict) -> Graph:
     """Graph from its edge-list document. An edge may be given as [i, j, w] or
     [j, i, w]; the last weight given for an edge wins."""
     try:
-        n = _integral(d["n"], "n")
+        n = _integral(_number(d["n"], "n"), "n")
         weights = {}
         for e in d["edges"]:
             if len(e) != 3:
                 raise ParameterError(f"edge entry {e!r} must be [i, j, w]")
-            i, j, w = _integral(e[0], "a node index"), _integral(e[1], "a node index"), float(e[2])
+            i, j = (_integral(_number(v, "a node index"), "a node index") for v in e[:2])
+            w = float(_number(e[2], "an edge weight"))
             if not (0 <= i < n and 0 <= j < n) or i == j:
                 raise ParameterError(f"edge ({i}, {j}) out of range for n={n}")
             if w <= 0.0:

@@ -18,16 +18,28 @@ from .graphs import Graph, _read_only, edge_arrays
 
 
 def round_off_floor(n: int) -> float:
-    """n·u, with u = 2**-53 the double unit round-off: the share of the first
-    consensus error below which an error of n agents is round-off.
+    """n·u, with u = 2**-53 the double unit round-off: the share of the size
+    of the initial states, ||x(0)||_2, below which an error of n agents is
+    round-off.
 
     The mean, each neighbor sum and each squared error norm is a sum of up to
-    n terms, which carries a relative error of up to n·u / (1 - n·u)
-    (Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 3). Being
-    relative, the floor does not move when x(0) is scaled; it assumes a mean
-    not far above the spread of the states.
+    n terms, which carries an error of up to n·u / (1 - n·u) times the sum of
+    the terms' magnitudes (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, ch. 3). Those terms are of the size of the states, not of
+    their spread: states at consensus whose computed mean is not exact keep
+    a first error of that size. Being relative, the floor does not move when
+    x(0) is scaled.
     """
     return n * 2.0 ** -53
+
+
+def _floor(trace: SimulationTrace) -> float:
+    """round_off_floor(n)·||x(0)||_2, with ||x(0)||_2^2 = errors[0]^2 + n·average^2
+    since x(0) - average is orthogonal to the constant vector; each term is
+    scaled before the sum, so finite states give a finite floor."""
+    n = trace.states.shape[1]
+    f = round_off_floor(n)
+    return float(np.hypot(f * trace.errors[0], f * np.sqrt(n) * abs(trace.average)))
 
 
 @dataclass(frozen=True)
@@ -120,7 +132,7 @@ def simulate(g: Graph, seq: ControlSequence, x0, steps: int) -> SimulationTrace:
 @dataclass(frozen=True)
 class PeriodRatios:
     """Per-period error contractions. A period whose starting error is finite
-    and at most ``round_off_floor(n) * errors[0]`` has vanished into round-off
+    and at most ``round_off_floor(n) * ||x(0)||_2`` has vanished into round-off
     and is omitted; a non-finite starting error gives a non-finite ratio."""
 
     ratios: tuple[float, ...]
@@ -133,16 +145,16 @@ def measured_period_ratios(trace: SimulationTrace, period: int) -> PeriodRatios:
         raise ParameterError("period must be >= 1")
     e = trace.errors[::period]
     start = e[:-1]
-    kept = ~(np.isfinite(start) & (start <= round_off_floor(trace.states.shape[1]) * e[0]))
+    kept = ~(np.isfinite(start) & (start <= _floor(trace)))
     with np.errstate(over="ignore", invalid="ignore"):
         ratios = e[1:][kept] / start[kept]
     return PeriodRatios(tuple(ratios.tolist()), tuple(np.flatnonzero(~kept).tolist()))
 
 
 def consensus_time(trace: SimulationTrace, tol: float) -> int | None:
-    """Smallest k with errors[j] <= max(tol, round_off_floor(n)) * errors[0]
-    for all j >= k: ``tol`` is relative to the first error, and no tighter
-    than round-off.
+    """Smallest k with errors[j] <= max(tol * errors[0], round_off_floor(n) *
+    ||x(0)||_2) for all j >= k: ``tol`` is relative to the first error, and
+    no tighter than round-off.
 
     Returns None when the trace never settles below the threshold or its
     first error is not finite; any other non-finite error (a divergent run)
@@ -152,7 +164,7 @@ def consensus_time(trace: SimulationTrace, tol: float) -> int | None:
         raise ParameterError("tolerance must be finite and positive")
     if not np.isfinite(trace.errors[0]):
         return None
-    threshold = max(tol, round_off_floor(trace.states.shape[1])) * float(trace.errors[0])
+    threshold = max(tol * float(trace.errors[0]), _floor(trace))
     above = np.nonzero(~(trace.errors <= threshold))[0]
     if above.size == 0:
         return 0
@@ -168,6 +180,11 @@ def uniform_initial_states(n: int, seed: int | None) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # serialization
 
+def _fmt6(x: float) -> str:
+    """A number as the CSV documents print it: 6 significant digits."""
+    return f"{x:.6g}"
+
+
 def trace_csv_lines(trace: SimulationTrace, include_states: bool = False) -> list[str]:
     """CSV "k,err[,x_0,...,x_{n-1}]" with one row per recorded step."""
     n = trace.states.shape[1]
@@ -176,8 +193,8 @@ def trace_csv_lines(trace: SimulationTrace, include_states: bool = False) -> lis
         header += "," + ",".join(f"x_{i}" for i in range(n))
     lines = [header]
     for k in range(trace.states.shape[0]):
-        row = f"{k},{trace.errors[k]:.6g}"
+        row = f"{k},{_fmt6(trace.errors[k])}"
         if include_states:
-            row += "," + ",".join(f"{v:.6g}" for v in trace.states[k])
+            row += "," + ",".join(_fmt6(v) for v in trace.states[k])
         lines.append(row)
     return lines

@@ -1,11 +1,13 @@
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
 from pathlib import Path
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -522,6 +524,11 @@ def test_simulate_with_sequence_file(tmp_path):
     '{"gains": [0.1, 0.2], "period": "x"}',
     '{"gains": [0.1, 0.2], "period": 2.5}',
     '{"gains": [0.1, 0.2], "band": [1]}',
+    # a number is a JSON number, never a string or a bool
+    '{"gains": ["0.2", true]}',
+    '{"gains": [0.1, 0.2], "band": [true, 12.8]}',
+    '{"gains": [0.2], "period": true}',
+    pytest.param('{"gains": [' + "9" * 401 + "]}", id="gain-too-large-for-a-float"),
 ])
 def test_simulate_reports_malformed_sequence_file(tmp_path, content):
     seq_path = tmp_path / "seq.json"
@@ -530,6 +537,7 @@ def test_simulate_reports_malformed_sequence_file(tmp_path, content):
                                "--steps", "4"])
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
+    assert result.stdout == ""
     assert result.stderr.startswith("Error: ") and len(result.stderr.splitlines()) == 1
 
 
@@ -740,6 +748,9 @@ def test_weighted_file_graph_matches_pinned_output(args, fixture):
     '{"n": 100000000, "edges": [[0, 1, 1.0]]}',  # its dense Laplacian needs 71 PiB
     '{"n": Infinity, "edges": []}',
     '{"n": 3, "edges": [[0, 1]]}',
+    # a number is a JSON number, never a bool or a string
+    '{"n": 3, "edges": [[0, 1, 1.0], [true, 2, 1.0]]}',
+    '{"n": 3, "edges": [[0, 1, "2.5"], [1, 2, 1.0]]}',
 ])
 def test_graph_inspect_reports_malformed_file(tmp_path, content):
     path = tmp_path / "g.json"
@@ -748,6 +759,7 @@ def test_graph_inspect_reports_malformed_file(tmp_path, content):
     result = RUN.invoke(main, ["graph", "inspect", f"file:{path}", "--format", "json"])
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
+    assert result.stdout == ""
     assert result.stderr.startswith("Error: ") and len(result.stderr.splitlines()) == 1
 
 
@@ -777,6 +789,13 @@ def test_parse_graph_spec_errors():
         parse_graph_spec("hexagon:7")
     with pytest.raises(Exception):
         parse_graph_spec("star:many")
+    # a wrong parameter count is told in the spec's terms
+    for spec, message in (("ws:10,4", "expected 3 parameters (N,K,P), got 2"),
+                          ("complete:", "expected 1 parameter (N), got 0"),
+                          ("er:10,0.5,3", "expected 2 parameters (N,P), got 3")):
+        with pytest.raises(click.BadParameter) as info:
+            parse_graph_spec(spec, seed=1)
+        assert info.value.message == f"bad graph spec {spec!r}: {message}"
     # the spec list in README is the whole grammar: no long family names
     for spec in ("complete_bipartite:3,4", "watts_strogatz:12,4,0.3", "random_connected:12,0.5"):
         with pytest.raises(Exception, match="unknown graph family"):
@@ -786,6 +805,20 @@ def test_parse_graph_spec_errors():
 def test_bipartite_spec_is_the_complete_bipartite_family():
     assert graph_to_dict(parse_graph_spec("bipartite:3,4")) == graph_to_dict(
         build_graph("complete_bipartite", m=3, n=4))
+
+
+def test_readme_spec_list_is_the_spec_grammar():
+    text = README.read_text(encoding="utf-8")
+    paragraph = text.split("\nGraph specs: ", 1)[1].split("This list", 1)[0]
+    listed = re.findall(r"`([^`]+)`", paragraph)
+    grammar = [f"{kind}:{','.join(params)}" for kind, (_, params) in cli._SPECS.items()]
+    assert listed == grammar + ["file:PATH"]
+
+
+def test_cli_methods_are_the_method_tags():
+    assert set(cli.METHODS) | {"custom"} == set(filters.METHOD_TAGS)
+    # the band methods are the ones with a closed-form rate
+    assert all(hasattr(filters, f"closed_rate_{m}") == (m in TABLE_METHODS) for m in cli.METHODS)
 
 
 def test_console_entry_point():

@@ -292,3 +292,11 @@ def test_sequence_json_roundtrip(tmp_path):
     assert from_file.stdout == from_method.stdout
     with pytest.raises(ParameterError):
         sequence_from_dict({"period": 2, "gains": [0.5], "method": "custom", "band": None})
+
+
+def test_sequence_from_dict_reads_numpy_numbers():
+    doc = {"period": np.int64(2), "gains": [np.float64(0.5), np.float32(0.25)],
+           "band": [np.float64(0.2), np.int64(13)]}
+    seq = sequence_from_dict(doc)
+    assert seq.gains == (0.5, 0.25)
+    assert seq.band == SpectralBand(0.2, 13)

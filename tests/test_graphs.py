@@ -138,10 +138,25 @@ def test_graph_invariants_enforced():
     (3, [0], [1], [-1.0], "positive"),
     (3, [0], [1], [math.inf], "finite"),
     (3, [0], [1], [math.nan], "finite"),
+    # indices are kept as given, never cast: these were edges (0, 1), (1, 2)
+    (3, [0.5, 1.7], [1.2, 2.9], [1.0, 1.0], "integers"),
+    (3, [False, True], [True, True], [1.0, 1.0], "integers"),
+    (3, [0, math.inf], [1, 2], [1.0, 1.0], "integers"),
+    (3, [0.0], [1e20], [1.0], "integers"),  # its cast to intp is undefined
 ])
 def test_graph_rejects_invalid_edges(n, i, j, w, match):
     with pytest.raises(ParameterError, match=match):
         Graph(n, i, j, w)
+
+
+def test_graph_keeps_integral_indices_and_read_only_arrays():
+    assert graph_to_dict(Graph(3, [0.0, 1.0], np.array([1, 2], dtype=np.uint8), [1.0, 2.0])) \
+        == {"n": 3, "edges": [[0, 1, 1.0], [1, 2, 2.0]]}
+    arrays = [np.array([0, 1]), np.array([1, 2]), np.array([1.0, 2.0])]
+    for a in arrays:
+        a.flags.writeable = False
+    g = Graph(3, *arrays)
+    assert all(x is a for x, a in zip(edge_arrays(g), arrays))  # handed over, not copied
 
 
 def test_laplacian_examples():
@@ -660,10 +675,19 @@ def test_graph_requires_two_nodes():
     {"n": 3, "edges": 7},
     {"n": "three", "edges": []},
     [1, 2, 3],
+    # a number is an int or a float, never a bool or a string
+    {"n": 3, "edges": [[0, 1, 1.0], [True, 2, 1.0]]},
+    {"n": 3, "edges": [[0, 1, "2.5"], [1, 2, 1.0]]},
 ])
 def test_graph_from_dict_rejects_malformed_documents(doc):
     with pytest.raises(ParameterError):
         graph_from_dict(doc)
+
+
+def test_graph_from_dict_reads_numpy_numbers():
+    doc = {"n": np.int64(3), "edges": [[np.int32(0), np.int64(1), np.float64(0.5)],
+                                       [1, 2, np.float32(2.0)]]}
+    assert graph_to_dict(graph_from_dict(doc)) == {"n": 3, "edges": [[0, 1, 0.5], [1, 2, 2.0]]}
 
 
 def test_graph_from_dict_last_duplicate_weight_wins():

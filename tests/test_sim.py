@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from speccon import (
     ControlSequence,
     ParameterError,
+    PeriodRatios,
     SimulationTrace,
     SpectralBand,
     build_graph,
@@ -202,7 +203,9 @@ def test_measured_ratios_omit_only_vanished_periods():
     trace = simulate(g, design_chebyshev(BAND, 3), uniform_initial_states(20, 1), 3000)
     ratios = measured_period_ratios(trace, 3)
     assert len(ratios.ratios) + len(ratios.omitted) == 1000
-    floor = round_off_floor(20) * trace.errors[0]
+    # round_off_floor(n)·||x(0)||_2, with ||x(0)||_2^2 = errors[0]^2 + n·average^2
+    f = round_off_floor(20)
+    floor = np.hypot(f * trace.errors[0], f * np.sqrt(20) * abs(trace.average))
     assert all(trace.errors[3 * j] <= floor for j in ratios.omitted)
     assert all(not trace.errors[3 * j] <= floor for j in range(1000) if j not in ratios.omitted)
     assert math.isnan(ratios.ratios[-1])
@@ -211,6 +214,16 @@ def test_measured_ratios_omit_only_vanished_periods():
     assert synthetic.omitted == (4,)
     assert synthetic.ratios[:2] == (math.inf, math.inf)
     assert all(math.isnan(r) for r in synthetic.ratios[2:])
+
+
+def test_states_at_consensus_are_settled_from_the_start():
+    # The computed mean of [0.1, 0.1, 0.1] is not exact, so every error is a
+    # round-off 2.4e-17 that never falls: below the floor, which is relative
+    # to the size of the states, not to that first error.
+    trace = simulate(build_graph("path", n=3), design_constant(BAND), [0.1, 0.1, 0.1], 5)
+    assert trace.errors[0] > 0.0
+    assert consensus_time(trace, 1e-9) == 0
+    assert measured_period_ratios(trace, 1) == PeriodRatios((), (0, 1, 2, 3, 4))
 
 
 def test_consensus_time_examples():
