@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import math
 import sys
-from functools import partial
 from pathlib import Path
 
 import click
@@ -292,13 +291,11 @@ def table3(band, periods, fmt, out):
     seqs = {(m, p): _sequence(m, band, p) for m in TABLE_METHODS for p in periods}
     rows = {}
     for gname, spec in TABLE3_GRAPHS.items():
-        if spec is None:
-            rate = partial(rates.rate_on_eigenvalues, eigenvalues=bundled_spectrum()[1:])
-        else:
-            rate = partial(rates.exact_rate,
-                           s=graphs.spectrum(parse_graph_spec(spec), vectors=False))
+        eigs = (bundled_spectrum()[1:] if spec is None else
+                graphs.spectrum(parse_graph_spec(spec), vectors=False).nonzero_eigenvalues())
         for method in TABLE_METHODS:
-            rows[(gname, method)] = [rate(seqs[(method, p)], steps=p).exact_rate for p in periods]
+            rows[(gname, method)] = [
+                rates.rate_on_eigenvalues(seqs[(method, p)], eigs, p).exact_rate for p in periods]
     _emit_table("table3", ("graph", "method"), rows, band, periods, fmt, out)
 
 
@@ -501,7 +498,7 @@ def generate(spec, seed, out):
 def inspect(spec, fmt, seed):
     """Summarize a graph: size, degree, spectrum (csv) or key facts (json)."""
     g = parse_graph_spec(spec, seed)
-    s = graphs.spectrum(g)
+    s = graphs.spectrum(g, vectors=False)
     if fmt == "csv":
         lines = ["index,eigenvalue"] + [f"{i + 1},{_fmt6(v)}" for i, v in enumerate(s.eigenvalues)]
         click.echo("\n".join(lines))

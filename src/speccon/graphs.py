@@ -84,7 +84,11 @@ def _read_only(a, dtype=np.float64) -> np.ndarray:
 def _node_indices(a) -> np.ndarray:
     """``a`` as ``_read_only`` intp node indices. An integer array is not
     scanned; a boolean one, or a float one with a value that is not an
-    integer below 2**63, is a ParameterError rather than cast."""
+    integer below 2**63, is a ParameterError rather than cast, and so is a
+    list holding a bool, which ``np.asarray`` would cast with its ints."""
+    if not isinstance(a, np.ndarray) and any(
+            isinstance(v, (bool, np.bool_)) for v in np.array(a, dtype=object).flat):
+        raise ParameterError("node indices must be integers below 2**63, got a bool")
     a = np.asarray(a)
     if a.dtype.kind not in "iu" and not (
             a.dtype.kind == "f" and np.all((np.trunc(a) == a) & (np.abs(a) < 2.0 ** 63))):

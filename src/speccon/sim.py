@@ -131,9 +131,10 @@ def simulate(g: Graph, seq: ControlSequence, x0, steps: int) -> SimulationTrace:
 
 @dataclass(frozen=True)
 class PeriodRatios:
-    """Per-period error contractions. A period whose starting error is finite
-    and at most ``round_off_floor(n) * ||x(0)||_2`` has vanished into round-off
-    and is omitted; a non-finite starting error gives a non-finite ratio."""
+    """Per-period error contractions. A period whose starting error is at most
+    a finite ``round_off_floor(n) * ||x(0)||_2`` has vanished into round-off
+    and is omitted; a non-finite starting error gives a non-finite ratio, and
+    a floor that is not finite omits no period."""
 
     ratios: tuple[float, ...]
     omitted: tuple[int, ...]
@@ -145,7 +146,8 @@ def measured_period_ratios(trace: SimulationTrace, period: int) -> PeriodRatios:
         raise ParameterError("period must be >= 1")
     e = trace.errors[::period]
     start = e[:-1]
-    kept = ~(np.isfinite(start) & (start <= _floor(trace)))
+    floor = _floor(trace)
+    kept = ~(np.isfinite(floor) & (start <= floor))
     with np.errstate(over="ignore", invalid="ignore"):
         ratios = e[1:][kept] / start[kept]
     return PeriodRatios(tuple(ratios.tolist()), tuple(np.flatnonzero(~kept).tolist()))

@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import os
@@ -258,14 +259,19 @@ def test_sweep_and_table3_compute_no_worst_case_rate(monkeypatch):
 
 
 def test_table3_graph_rows_are_exact_rates(monkeypatch):
-    # star, cycle and path go through exact_rate and so through its one
+    # every cell is one rate_on_eigenvalues call; star, cycle and path take
+    # their eigenvalues once each through nonzero_eigenvalues, the one
     # connectivity rule; only the bundled small-world list does not
-    calls = []
-    original = rates.exact_rate
-    monkeypatch.setattr(rates, "exact_rate",
+    calls, spectra = [], []
+    original = rates.rate_on_eigenvalues
+    monkeypatch.setattr(rates, "rate_on_eigenvalues",
                         lambda *args, **kw: calls.append(args) or original(*args, **kw))
+    nonzero = graphs.LaplacianSpectrum.nonzero_eigenvalues
+    monkeypatch.setattr(graphs.LaplacianSpectrum, "nonzero_eigenvalues",
+                        lambda s: spectra.append(s) or nonzero(s))
     assert invoke("table3", "--periods", "2,3").exit_code == 0
-    assert len(calls) == 3 * len(TABLE_METHODS) * 2
+    assert len(calls) == len(cli.TABLE3_GRAPHS) * len(TABLE_METHODS) * 2
+    assert len(spectra) == 3
 
 
 def test_sweep_checks_in_band_rates_against_closed_form(monkeypatch):
@@ -713,6 +719,37 @@ def test_graph_generate_and_inspect(tmp_path):
     assert len(lines) == 13
     assert [float(line.split(",")[1]) for line in lines[1:]] == pytest.approx(
         [0.0] + [1.0] * 10 + [12.0], abs=1e-6)
+
+
+def test_only_simulate_decomposes_with_eigenvectors():
+    # simulate --x0 worst_eigenvector reads an eigenvector; every other
+    # command reads eigenvalues only
+    tree = ast.parse((SRC / "speccon" / "cli.py").read_text(encoding="utf-8"))
+    simulate = next(node for node in ast.walk(tree)
+                    if isinstance(node, ast.FunctionDef) and node.name == "simulate_cmd")
+    inside = {id(node) for node in ast.walk(simulate)}
+    outside = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+               and ast.unparse(node.func) == "graphs.spectrum" and id(node) not in inside]
+    assert len(outside) == 3  # table3, the sweep row and graph inspect
+    for call in outside:
+        assert any(k.arg == "vectors" and isinstance(k.value, ast.Constant)
+                   and k.value.value is False for k in call.keywords), ast.unparse(call)
+
+
+def test_inspect_and_table3_call_no_eigh(monkeypatch):
+    path = DATA / "graph_weighted24.json"
+    values = graphs.spectrum(parse_graph_spec(f"file:{path}"), vectors=False).eigenvalues
+
+    def eigh(*args, **kwargs):
+        raise AssertionError("numpy.linalg.eigh was called")
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    assert invoke("table3").exit_code == 0
+    assert invoke("graph", "inspect", "ws:200,6,0.3", "--format", "json").exit_code == 0
+    result = invoke("graph", "inspect", f"file:{path}", "--format", "csv")
+    assert result.exit_code == 0
+    assert result.stdout.splitlines() == ["index,eigenvalue"] + [
+        f"{i + 1},{cli._fmt6(v)}" for i, v in enumerate(values)]
 
 
 def test_graph_inspect_rejects_infinite_weight(tmp_path):

@@ -143,6 +143,7 @@ def test_graph_invariants_enforced():
     (3, [False, True], [True, True], [1.0, 1.0], "integers"),
     (3, [0, math.inf], [1, 2], [1.0, 1.0], "integers"),
     (3, [0.0], [1e20], [1.0], "integers"),  # its cast to intp is undefined
+    (3, [False, 1], [1, 2], [1.0, 1.0], "integers"),  # np.asarray casts the bool with the int
 ])
 def test_graph_rejects_invalid_edges(n, i, j, w, match):
     with pytest.raises(ParameterError, match=match):

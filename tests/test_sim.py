@@ -216,6 +216,14 @@ def test_measured_ratios_omit_only_vanished_periods():
     assert all(math.isnan(r) for r in synthetic.ratios[2:])
 
 
+def test_a_floor_that_is_not_finite_omits_no_period():
+    # An infinite first error makes the floor infinite; the finite periods
+    # after it are still measured, and the trace never settles.
+    trace = SimulationTrace(np.zeros((4, 1)), np.array([np.inf, 1.0, 0.5, 0.25]), 0.0)
+    assert measured_period_ratios(trace, 1) == PeriodRatios((0.0, 0.5, 0.5), ())
+    assert consensus_time(trace, 1e-9) is None
+
+
 def test_states_at_consensus_are_settled_from_the_start():
     # The computed mean of [0.1, 0.1, 0.1] is not exact, so every error is a
     # round-off 2.4e-17 that never falls: below the floor, which is relative
