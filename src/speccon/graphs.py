@@ -21,8 +21,42 @@ from .errors import ConnectivityError, GenerationError, NumericalError, Paramete
 MAX_GENERATION_ATTEMPTS = 1000
 
 # Relative tolerance, times max(1, lambda_N), below which lambda_2 counts as
-# zero and within which eigenvalues are grouped as equal.
+# zero and within which eigenvalues are grouped as equal. A modelling choice,
+# not round-off (_eig_error): which eigenvalues finite_time designs for as one.
 GROUP_TOL = 1e-8
+
+_U = 2.0 ** -53  # the unit round-off of a double
+
+
+def _eig_error(n: int, scale: float) -> float:
+    """16·n·u·scale: how far round-off can move a computed eigenvalue of an
+    n-node Laplacian L with ||L||_2 <= scale; every spectral check takes its
+    tolerance from this one rule.
+
+    numpy's symmetric solvers (LAPACK) are backward stable: the computed
+    eigenvalues are the exact ones of L + dL, so by Weyl's inequality each is
+    within ||dL||_2 of its exact value (Demmel, *Applied Numerical Linear
+    Algebra*, ch. 5). dL is the round-off of two orthogonal similarities, the
+    reduction to tridiagonal form and its diagonalization, each applied from
+    both sides. Each one-sided product is made of n-term inner products, which
+    round by at most n·u times the size of their terms (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, ch. 3), and orthogonal factors keep
+    that size at ||L||_2: four products give 4·n·u·||L||_2 to first order. A
+    further factor 4 covers the rounding of a few u per plane rotation, which
+    does not shrink with n and so dominates on graphs of a few nodes. The same
+    count bounds the eigenvectors' departure from orthonormal (scale 1), and
+    the error of a sum over the spectrum, with the size of what it sums as
+    the scale.
+    """
+    return 16 * n * _U * scale
+
+
+def _addressable(n: int) -> int:
+    """``n`` if numpy can address an n x n float Laplacian; otherwise a
+    ParameterError, raised before anything of length n is allocated."""
+    if n * n * np.dtype(np.float64).itemsize > np.iinfo(np.intp).max:
+        raise ParameterError(f"n={n} nodes is too many: numpy cannot address an n x n Laplacian")
+    return n
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -41,13 +75,13 @@ class Graph:
     def __init__(self, n: int, i, j, w) -> None:
         if int(n) != n or n < 2:
             raise ParameterError(f"a graph needs n >= 2 nodes, got {n!r}")
+        _addressable(int(n))
         i, j, w = _node_indices(i), _node_indices(j), _read_only(w)
         if not (i.ndim == 1 and i.shape == j.shape == w.shape):
             raise ParameterError("edge arrays must be 1-D and of equal length")
         if i.size and (i.min() < 0 or j.max() >= n or np.any(i >= j)):
             raise ParameterError(f"edges must satisfy 0 <= i < j < {n}")
-        key = i * n + j
-        if np.any(key[1:] <= key[:-1]):
+        if np.any((i[1:] < i[:-1]) | ((i[1:] == i[:-1]) & (j[1:] <= j[:-1]))):
             raise ParameterError("edges must be sorted by (i, j) and unique")
         if not np.all(np.isfinite(w)):
             raise ParameterError("edge weights must be finite")
@@ -184,12 +218,14 @@ def _number(v, what: str):
 
 
 def _require_int(params: dict, key: str, minimum: int) -> int:
+    """The integer parameter ``key`` of a graph family, at least ``minimum``.
+    Each counts nodes or is below the node count, so each is ``_addressable``."""
     if key not in params or params[key] is None:
         raise ParameterError(f"missing parameter '{key}'")
     v = _integral(params[key], f"parameter '{key}'")
     if v < minimum:
         raise ParameterError(f"parameter '{key}' must be an integer >= {minimum}, got {v!r}")
-    return v
+    return _addressable(v)
 
 
 def _unit_graph(n: int, i, j) -> Graph:
@@ -257,6 +293,7 @@ def build_graph(family: str, seed: int | None = None, **params) -> Graph:
     if family == "complete_bipartite":
         m = _require_int(params, "m", 1)
         n = _require_int(params, "n", 1)
+        _addressable(m + n)
         return _unit_graph(m + n, np.repeat(np.arange(m), n), np.tile(np.arange(m, m + n), m))
     if family == "star":
         n = _require_int(params, "n", 2)
@@ -302,7 +339,8 @@ def laplacian(g: Graph) -> np.ndarray:
     of the edges, without building ``a``: the degrees are the row sums of the
     negated off-diagonal entries, summed in the same order, and
     round-to-nearest is symmetric in sign. A Laplacian too large to allocate
-    is a ParameterError.
+    is a ParameterError, and so are edge weights so large that twice the
+    largest degree, which bounds lambda_N, is not a finite float.
     """
     i, j, w = edge_arrays(g)
     try:
@@ -310,7 +348,11 @@ def laplacian(g: Graph) -> np.ndarray:
     except MemoryError as exc:
         raise ParameterError(f"a dense Laplacian on n={g.n} nodes does not fit in memory") from exc
     lap[i, j] = lap[j, i] = -w
-    np.fill_diagonal(lap, 0.0 - lap.sum(axis=1))
+    with np.errstate(over="ignore"):
+        np.fill_diagonal(lap, 0.0 - lap.sum(axis=1))
+    if not lap.diagonal().max() <= np.finfo(np.float64).max / 2:
+        raise ParameterError("edge weights are too large: twice the largest degree is not a "
+                             "finite float")
     return lap
 
 
@@ -319,12 +361,18 @@ def spectrum(g: Graph, vectors: bool = True) -> LaplacianSpectrum:
 
     With ``vectors=False`` only the eigenvalues are computed and the result
     carries ``eigenvectors=None``. Both modes raise NumericalError if the
-    eigensolver fails, the smallest eigenvalue is not zero, or the largest
-    exceeds twice the maximum degree. The full decomposition must reconstruct
-    the Laplacian to within 1e-8 * max(1, lambda_N) with orthonormal
-    eigenvectors; the eigenvalues alone must reproduce trace(L) to within
-    1e-8 * scale and ||L||_F^2 to within 1e-8 * scale^2, scale = max(1, lambda_N).
-    NaN fails every check.
+    eigensolver fails or a check fails; NaN fails every check. Each tolerance
+    is ``_eig_error`` of n and a scale, here scale = max(1, lambda_N):
+      - the smallest eigenvalue is zero to within _eig_error(n, scale);
+      - the largest is at most 2·max_degree, which holds exactly, to within
+        2·_eig_error(n, scale): the eigenvalue's error, and twice that of the
+        degree, a sum of up to n weights;
+      - the full decomposition reconstructs L to within _eig_error(n, scale)
+        in every entry, with eigenvectors orthonormal to within _eig_error(n, 1);
+      - the eigenvalues alone sum to trace(L) within _eig_error(n, trace(L)),
+        as they are nonnegative, and their squares to ||L||_F^2 within
+        2·_eig_error(n, ||L||_F^2), since that of L + dL moves by at most
+        2·||L||_F·||dL||_F.
     """
     lap = laplacian(g)
     max_degree = float(lap.diagonal().max())  # the degrees are L's diagonal
@@ -335,29 +383,31 @@ def spectrum(g: Graph, vectors: bool = True) -> LaplacianSpectrum:
             vals, vecs = np.linalg.eigvalsh(lap), None
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed: {exc}") from exc
-    scale = max(1.0, float(vals[-1]))
+    err = _eig_error(g.n, max(1.0, float(vals[-1])))
     if vectors:
         # one n x n scratch buffer holds both residuals in turn
         resid = (vecs * vals) @ vecs.T
         resid -= lap
         recon = np.abs(resid, out=resid).max()
-        if not (recon <= 1e-8 * scale):
+        if not (recon <= err):
             raise NumericalError(f"eigendecomposition reconstruction error {recon:.3e}")
         np.matmul(vecs.T, vecs, out=resid)
         resid.flat[::g.n + 1] -= 1.0
         ortho = np.abs(resid, out=resid).max()
-        if not (ortho <= 1e-9):
+        if not (ortho <= _eig_error(g.n, 1.0)):
             raise NumericalError(f"eigenvector matrix not orthonormal ({ortho:.3e})")
     else:
-        trace_err = abs(vals.sum() - np.trace(lap))
-        if not (trace_err <= 1e-8 * scale):
+        trace = np.trace(lap)
+        trace_err = abs(vals.sum() - trace)
+        if not (trace_err <= _eig_error(g.n, trace)):
             raise NumericalError(f"eigenvalue sum misses trace(L) by {trace_err:.3e}")
-        frob_err = abs(vals @ vals - np.vdot(lap, lap))
-        if not (frob_err <= 1e-8 * scale * scale):
+        frob = np.vdot(lap, lap)
+        frob_err = abs(vals @ vals - frob)
+        if not (frob_err <= 2.0 * _eig_error(g.n, frob)):
             raise NumericalError(f"eigenvalue sum of squares misses ||L||_F^2 by {frob_err:.3e}")
-    if not (abs(vals[0]) <= 1e-9 * scale):
+    if not (abs(vals[0]) <= err):
         raise NumericalError(f"smallest eigenvalue {vals[0]:.3e} not zero")
-    if not (vals[-1] <= 2.0 * max_degree + 1e-9):
+    if not (vals[-1] <= 2.0 * (max_degree + err)):
         raise NumericalError("largest eigenvalue exceeds twice the maximum degree")
     vals.flags.writeable = False
     if vecs is not None:
@@ -418,9 +468,19 @@ def distinct_nonzero_eigenvalues(s: LaplacianSpectrum) -> list[float]:
     return [float(np.mean(grp)) for grp in groups]
 
 
+def _widened(b: SpectralBand, n: int) -> tuple[float, float]:
+    """The band's ends moved out by _eig_error(n, max(1, beta)). A spectrum of n
+    eigenvalues inside the band has ||L||_2 <= beta, so its computed
+    eigenvalues lie inside these ends; the lower one may be zero or less."""
+    err = _eig_error(n, max(1.0, b.beta))
+    return b.alpha - err, b.beta + err
+
+
 def band_contains(s: LaplacianSpectrum, b: SpectralBand) -> bool:
-    """True iff [lambda_2, lambda_N] lies inside the band (1e-12 slack)."""
-    return s.lambda_2 >= b.alpha - 1e-12 and s.lambda_max <= b.beta + 1e-12
+    """True iff [lambda_2, lambda_N] lies inside the band, widened by the
+    eigenvalue error of the spectrum's n (``_widened``)."""
+    lo, hi = _widened(b, s.n)
+    return lo <= s.lambda_2 and s.lambda_max <= hi
 
 
 # ---------------------------------------------------------------------------

@@ -3,13 +3,15 @@ over uncertainty bands, decaying-gain envelopes and the spectral state."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import NumericalError, ParameterError
 from .filters import ControlSequence, eval_filter
-from .graphs import LaplacianSpectrum, SpectralBand
+from .graphs import _U, LaplacianSpectrum, SpectralBand, _widened
+from .sim import _fmt6
 
 
 @dataclass(frozen=True)
@@ -35,6 +37,9 @@ def worst_case_rate(seq: ControlSequence, b: SpectralBand, steps: int | None = N
     if steps < 1:
         raise ParameterError("steps must be >= 1")
     roots, mult = np.unique([1.0 / seq.gain_at(k) for k in range(steps)], return_counts=True)
+    # exact, through Python ints: numpy's first int-to-float cast in a process
+    # (astype, or int by float division) grows the heap by 64 KiB
+    mult = np.array(mult.tolist(), dtype=np.float64)
     lo, hi = np.clip(roots[:-1], b.alpha, b.beta), np.clip(roots[1:], b.alpha, b.beta)
     while True:
         mid = 0.5 * (lo + hi)
@@ -48,6 +53,33 @@ def worst_case_rate(seq: ControlSequence, b: SpectralBand, steps: int | None = N
         hi[inside] = np.where(rising, hi[inside], mid[inside])
     candidates = np.concatenate(([b.alpha, b.beta], mid))
     return float(np.abs(eval_filter(seq, candidates, steps)).max())
+
+
+def _in_band_check(seq: ControlSequence, band: SpectralBand, n: int, steps: int):
+    """The check of a rate over ``steps`` on a spectrum of n eigenvalues that
+    ``band_contains`` puts inside ``band``: a function of that rate that
+    raises NumericalError when it exceeds the band's worst case.
+
+    Such computed eigenvalues lie in the band widened by their error
+    (``graphs._widened``), so the limit is ``worst_case_rate`` on the widened
+    band [a, b], times 1 + 2·B·u with B = 2M + 2·b/(b - a)·M^2 for M =
+    ``steps``: B·u bounds worst_case_rate's shortfall from the band maximum
+    (tests/test_oracle.py), and B·u again the rounding of ``eval_filter`` at
+    an eigenvalue where |h| comes that close to it. When alpha is within the
+    error of zero, the widened band starts at the least positive float, where
+    h = 1: the spectrum is not known to stay away from zero, and the limit is
+    then at least 1.
+    """
+    lo, hi = _widened(band, n)
+    wide = SpectralBand(max(lo, math.ulp(0.0)), hi)
+    bound = 2 * steps + 2 * wide.beta / (wide.beta - wide.alpha) * steps ** 2
+    limit = worst_case_rate(seq, wide, steps) * (1.0 + 2 * bound * _U)
+
+    def check(rate: float) -> None:
+        if not rate <= limit:
+            raise NumericalError(
+                f"predicted rate {_fmt6(rate)} exceeds the band worst case {_fmt6(limit)}")
+    return check
 
 
 def rate_on_eigenvalues(seq: ControlSequence, eigenvalues, steps: int | None = None) -> RateReport:

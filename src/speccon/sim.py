@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .filters import ControlSequence
-from .graphs import Graph, _read_only, edge_arrays
+from .graphs import _U, Graph, _read_only, edge_arrays
 
 
 def round_off_floor(n: int) -> float:
@@ -30,7 +30,7 @@ def round_off_floor(n: int) -> float:
     a first error of that size. Being relative, the floor does not move when
     x(0) is scaled.
     """
-    return n * 2.0 ** -53
+    return n * _U
 
 
 def _floor(trace: SimulationTrace) -> float:
@@ -156,7 +156,9 @@ def measured_period_ratios(trace: SimulationTrace, period: int) -> PeriodRatios:
 def consensus_time(trace: SimulationTrace, tol: float) -> int | None:
     """Smallest k with errors[j] <= max(tol * errors[0], round_off_floor(n) *
     ||x(0)||_2) for all j >= k: ``tol`` is relative to the first error, and
-    no tighter than round-off.
+    no tighter than round-off. As in ``measured_period_ratios``, a floor that
+    is not finite (a library trace whose average is not) does not raise the
+    threshold.
 
     Returns None when the trace never settles below the threshold or its
     first error is not finite; any other non-finite error (a divergent run)
@@ -166,7 +168,8 @@ def consensus_time(trace: SimulationTrace, tol: float) -> int | None:
         raise ParameterError("tolerance must be finite and positive")
     if not np.isfinite(trace.errors[0]):
         return None
-    threshold = max(tol * float(trace.errors[0]), _floor(trace))
+    floor = _floor(trace)
+    threshold = max(tol * float(trace.errors[0]), floor if np.isfinite(floor) else 0.0)
     above = np.nonzero(~(trace.errors <= threshold))[0]
     if above.size == 0:
         return 0

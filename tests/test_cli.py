@@ -247,13 +247,20 @@ def test_sweep_csv_matches_pinned_output(fixture, args):
     assert result.stdout_bytes == (DATA / fixture).read_bytes()
 
 
-def test_sweep_and_table3_compute_no_worst_case_rate(monkeypatch):
+def test_sweep_computes_one_worst_case_rate_per_method_and_table3_none(monkeypatch):
+    # sweep bounds its in-band rows by each method's worst case over the band
+    # widened by the eigenvalue error, computed once per run, before any graph
     calls = []
     original = rates.worst_case_rate
     monkeypatch.setattr(rates, "worst_case_rate",
                         lambda *args: calls.append(args) or original(*args))
-    assert invoke("sweep", "--trials", "3", "--nodes", "30", "--edge-prob", "0.2",
-                  "--seed", "9", "-M", "5").exit_code == 0
+    for trials in ("3", "6"):
+        calls.clear()
+        assert invoke("sweep", "--trials", trials, "--nodes", "30", "--edge-prob", "0.2",
+                      "--seed", "9", "-M", "5").exit_code == 0
+        assert [(seq.method, steps) for seq, _, steps in calls] == [(m, 5) for m in TABLE_METHODS]
+        assert all(b.alpha < 0.2 and b.beta > 12.8 for _, b, _ in calls)
+    calls.clear()
     assert invoke("table3").exit_code == 0
     assert calls == []
 
@@ -274,12 +281,12 @@ def test_table3_graph_rows_are_exact_rates(monkeypatch):
     assert len(spectra) == 3
 
 
-def test_sweep_checks_in_band_rates_against_closed_form(monkeypatch):
+def test_sweep_checks_in_band_rates_against_band_worst_case(monkeypatch):
     # graph 2 of this run is out of band (lambda_2 = 0.109), the rest in band
     args = ["sweep", "--trials", "6", "--nodes", "30", "--edge-prob", "0.1", "--seed", "9",
             "-M", "5"]
     assert invoke(*args).exit_code == 0
-    monkeypatch.setattr(filters, "closed_rate_lagrange", lambda *args: 0.0)
+    monkeypatch.setattr(rates, "worst_case_rate", lambda *args: 0.0)
     result = RUN.invoke(main, args)
     assert result.exit_code == 1
     assert [line.split(",")[0] for line in result.stdout.splitlines()[1:]] == ["2"]
@@ -798,6 +805,34 @@ def test_graph_inspect_reports_malformed_file(tmp_path, content):
     assert isinstance(result.exception, SystemExit)
     assert result.stdout == ""
     assert result.stderr.startswith("Error: ") and len(result.stderr.splitlines()) == 1
+
+
+# Graphs out of numpy's range: too many nodes for an addressable n x n
+# Laplacian (refused before the 2**32 uniform states are drawn), or finite
+# weights whose degree, or twice it, overflows (refused before the solver,
+# without a numpy warning).
+TOO_MANY_NODES = "n={} nodes is too many: numpy cannot address an n x n Laplacian"
+TOO_HEAVY = "edge weights are too large: twice the largest degree is not a finite float"
+
+
+@pytest.mark.parametrize("command", [
+    ["graph", "inspect", "--format", "json"],
+    ["simulate", "--method", "constant", "--band", "0.2,12.8", "--steps", "3", "--graph"],
+], ids=["inspect", "simulate"])
+@pytest.mark.parametrize("doc,message", [
+    ({"n": 2 ** 63, "edges": [[0, 1, 1.0]]}, TOO_MANY_NODES.format(2 ** 63)),
+    ({"n": 2 ** 32, "edges": [[0, 1, 1.0]]}, TOO_MANY_NODES.format(2 ** 32)),
+    ({"n": 3, "edges": [[0, 1, 1e308], [0, 2, 1e308], [1, 2, 1e308]]}, TOO_HEAVY),
+    ({"n": 2, "edges": [[0, 1, 1e308]]}, TOO_HEAVY),
+], ids=["n-2**63", "n-2**32", "triangle-1e308", "edge-1e308"])
+def test_graph_file_out_of_range_is_one_error(tmp_path, command, doc, message):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(doc))
+    result = RUN.invoke(main, [*command, f"file:{path}"])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.stdout == ""
+    assert result.stderr == f"Error: {message}\n"
 
 
 def test_simulate_rejects_one_node_graph(tmp_path):

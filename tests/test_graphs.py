@@ -1,6 +1,13 @@
+import ast
+import inspect
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,8 +32,11 @@ from speccon import (
     laplacian,
     spectrum,
 )
+from speccon import graphs, rates
 from speccon.cli import main
-from speccon.graphs import edge_arrays, is_connected
+from speccon.graphs import _eig_error, edge_arrays, is_connected
+
+SRC = Path(__file__).parents[1] / "src"
 
 # Connected 12-node Watts-Strogatz instance (n=12, k=4, p=0.3, seed=7), frozen
 # from a run whose connectivity was verified by an independent breadth-first
@@ -144,10 +154,26 @@ def test_graph_invariants_enforced():
     (3, [0, math.inf], [1, 2], [1.0, 1.0], "integers"),
     (3, [0.0], [1e20], [1.0], "integers"),  # its cast to intp is undefined
     (3, [False, 1], [1, 2], [1.0, 1.0], "integers"),  # np.asarray casts the bool with the int
+    (3, [0, 0], [2, 1], [1.0, 1.0], "sorted"),
+    # i * n + j overflowed int64 here; no n x n array of these fits numpy's sizes
+    (2 ** 63, [0], [1], [1.0], "cannot address"),
+    (2 ** 32, [0], [1], [1.0], "cannot address"),
 ])
 def test_graph_rejects_invalid_edges(n, i, j, w, match):
     with pytest.raises(ParameterError, match=match):
         Graph(n, i, j, w)
+
+
+@pytest.mark.parametrize("family,params", [
+    ("complete", dict(n=2 ** 32)),
+    ("star", dict(n=2 ** 32)),
+    ("watts_strogatz", dict(n=2 ** 63, k=4, p=0.1)),
+    ("complete_bipartite", dict(m=2 ** 29, n=2 ** 29)),  # each part fits, not both
+])
+def test_build_graph_refuses_node_counts_numpy_cannot_address(family, params):
+    # refused before any array of that length is made
+    with pytest.raises(ParameterError, match="cannot address"):
+        build_graph(family, **params)
 
 
 def test_graph_keeps_integral_indices_and_read_only_arrays():
@@ -412,7 +438,8 @@ def _poison(vals):
     return vals
 
 
-@pytest.mark.parametrize("perturb", [_shift(-1, 1e-6), _shift(2, -1e-6), _swap_mass, _poison])
+@pytest.mark.parametrize("perturb", [_shift(-1, 1e-6), _shift(2, -1e-6), _swap_mass, _poison,
+                                     _shift(-1, 1e-10), _shift(2, -1e-10)])
 def test_values_only_moment_checks_reject_perturbed_eigenvalues(monkeypatch, perturb):
     g = build_graph("random_connected", n=40, p=0.2, seed=5)
     spectrum(g, vectors=False)  # unperturbed: accepted
@@ -451,9 +478,15 @@ def _stretch_null_vector(vals, vecs):
 
 
 def _lift_null_value(vals, vecs):
-    # within the reconstruction tolerance, since the null vector has norm 1/sqrt(n)
-    vals[0] += 1e-7 * max(1.0, vals[-1])
+    # within the reconstruction tolerance, since the null vector has entries
+    # 1/sqrt(n): the reconstruction moves by 4/n of the zero-eigenvalue tolerance
+    vals[0] += 4 * _eig_error(vals.size, max(1.0, vals[-1]))
     return vals, vecs
+
+
+def _stretch_values(vals, vecs):
+    # the reconstruction is off by 1e-10 relative, 1e-10 * max_degree at most
+    return vals * (1.0 + 1e-10), vecs
 
 
 # the message of the one check that can notice a perturbation, where only one can
@@ -461,11 +494,12 @@ FAILED_CHECK = {
     _permute_interior_values: "reconstruction",
     _stretch_null_vector: "not orthonormal",
     _lift_null_value: "smallest eigenvalue .* not zero",
+    _stretch_values: "reconstruction",
 }
 
 
 @pytest.mark.parametrize("bad", [_bump_entry, _permute_interior_values, _stretch_vectors,
-                                 _stretch_null_vector, _lift_null_value])
+                                 _stretch_null_vector, _lift_null_value, _stretch_values])
 def test_full_spectrum_rejects_bad_eigenvectors(monkeypatch, bad):
     g = build_graph("random_connected", n=40, p=0.2, seed=5)
     spectrum(g)  # unperturbed: accepted
@@ -476,8 +510,9 @@ def test_full_spectrum_rejects_bad_eigenvectors(monkeypatch, bad):
 
 
 def _move_mass_to_null_value(vals):
-    # keeps the trace and, to within the tolerance, the sum of squares
-    delta = 1e-8 * max(1.0, vals[-1])
+    # keeps the trace and, well within its tolerance, the sum of squares, which
+    # moves by about 2 * delta * lambda_2
+    delta = 4 * _eig_error(vals.size, max(1.0, vals[-1]))
     vals[0] += delta
     vals[1] -= delta
     return vals
@@ -488,6 +523,49 @@ def test_values_only_spectrum_rejects_nonzero_smallest_eigenvalue(monkeypatch):
     _perturb_numpy(monkeypatch, "eigvalsh", _move_mass_to_null_value)
     with pytest.raises(NumericalError, match="smallest eigenvalue .* not zero"):
         spectrum(g, vectors=False)
+
+
+# Each check of graphs.spectrum stays within a tenth of its tolerance on
+# these graphs under 1 and 2 BLAS threads, whose last bits differ: the
+# tolerances are divided by 10 in a fresh process that sets the thread count.
+HEADROOM = """
+from speccon import cli, graphs
+tolerance = graphs._eig_error
+graphs._eig_error = lambda n, scale: tolerance(n, scale) / 10
+graphs.spectrum(cli.parse_graph_spec("ws:2000,6,0.3", 1))
+for spec in ("er:1000,0.02", "er:100,0.08", "path:80", "complete:200", "cycle:12",
+             "bipartite:6,6"):
+    graphs.spectrum(cli.parse_graph_spec(spec, 1), vectors=False)
+"""
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_spectral_checks_have_tenfold_headroom(threads):
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", HEADROOM], capture_output=True, text=True,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_spectral_checks_take_every_tolerance_from_the_error_rule():
+    # no hand-set tolerance: each one is a multiple of _eig_error, reached
+    # directly or through _widened
+    for fn in (graphs.spectrum, graphs._widened, graphs.band_contains, rates._in_band_check):
+        tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+        numbers = {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)
+                   and type(node.value) in (int, float)}
+        assert numbers <= {0, 1, 2}, fn.__name__
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert names & {"_eig_error", "_widened"}, fn.__name__
+
+
+def test_laplacian_refuses_weights_whose_degree_overflows():
+    # finite weights, but twice the largest degree is not a finite float
+    for g in (Graph(2, [0], [1], [1e308]), Graph(3, [0, 0, 1], [1, 2, 2], [1e308] * 3)):
+        with pytest.raises(ParameterError, match="edge weights are too large"):
+            laplacian(g)
+    assert laplacian(Graph(2, [0], [1], [8e307]))[0, 0] == 8e307
 
 
 @pytest.mark.parametrize("vectors,solver", [(True, "eigh"), (False, "eigvalsh")])

@@ -224,6 +224,16 @@ def test_a_floor_that_is_not_finite_omits_no_period():
     assert consensus_time(trace, 1e-9) is None
 
 
+def test_a_floor_that_is_not_finite_does_not_settle_a_trace():
+    # An infinite average makes the floor infinite; as for the ratios, it does
+    # not raise the threshold, so these growing errors never settle.
+    trace = SimulationTrace(np.zeros((3, 1)), np.array([1.0, 2.0, 4.0]), math.inf)
+    assert measured_period_ratios(trace, 1) == PeriodRatios((2.0, 2.0), ())
+    assert consensus_time(trace, 1e-9) is None
+    assert consensus_time(SimulationTrace(np.zeros((3, 1)), np.array([1.0, 0.5, 0.0]),
+                                          math.inf), 0.1) == 2
+
+
 def test_states_at_consensus_are_settled_from_the_start():
     # The computed mean of [0.1, 0.1, 0.1] is not exact, so every error is a
     # round-off 2.4e-17 that never falls: below the floor, which is relative
