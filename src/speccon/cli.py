@@ -420,9 +420,7 @@ def simulate_cmd(graph_spec, band, method, period, beta_bar, sequence_file, x0, 
     x_init = _load_states(x0[5:]) if x0.startswith("file:") else None
 
     g = parse_graph_spec(graph_spec, seed)
-    if x0 == "uniform":
-        x_init = sim.uniform_initial_states(g.n, seed)
-    elif x_init is not None:
+    if x_init is not None:
         x_init = sim.check_initial_states(x_init, g.n)
 
     s = graphs.spectrum(g)
@@ -431,11 +429,15 @@ def simulate_cmd(graph_spec, band, method, period, beta_bar, sequence_file, x0, 
     report = rates.exact_rate(seq, s)
     if seq.band is not None and graphs.band_contains(s, seq.band):
         rates._in_band_check(seq, seq.band, g.n, seq.period)(report.exact_rate)
-    if x0 == "worst_eigenvector":
+    # uniform states are drawn from their own seeded generator, and only after
+    # the decomposition, which refuses a graph too large to hold first
+    if x0 == "uniform":
+        x_init = sim.uniform_initial_states(g.n, seed)
+    elif x0 == "worst_eigenvector":
         idx = int(np.searchsorted(s.eigenvalues, report.argmax_eigenvalue))
         x_init = s.eigenvectors[:, idx]
 
-    trace = sim.simulate(g, seq, x_init, steps)
+    trace = sim.simulate(g, seq, x_init, steps, states=with_states)
     ratios = sim.measured_period_ratios(trace, seq.period)
     summary = {
         "graph": graph_spec,
@@ -455,7 +457,7 @@ def simulate_cmd(graph_spec, band, method, period, beta_bar, sequence_file, x0, 
     _emit([json.dumps(_finite_or_null(summary), indent=2, allow_nan=False)], out, "summary.json")
     if out is not None:
         (out / "trace.csv").write_text(
-            "\n".join(sim.trace_csv_lines(trace, with_states)) + "\n", encoding="utf-8")
+            "\n".join(sim.trace_csv_lines(trace)) + "\n", encoding="utf-8")
     nonfinite = np.flatnonzero(~np.isfinite(trace.errors))
     if nonfinite.size:
         raise click.ClickException(

@@ -373,9 +373,17 @@ def spectrum(g: Graph, vectors: bool = True) -> LaplacianSpectrum:
         as they are nonnegative, and their squares to ||L||_F^2 within
         2·_eig_error(n, ||L||_F^2), since that of L + dL moves by at most
         2·||L||_F·||dL||_F.
+    In both modes, edge weights so large that twice ||L||_F^2 = sum deg^2 +
+    2·sum w^2 is not a finite float are a ParameterError, as in ``laplacian``
+    for the degree: the factor 2 keeps the squares of the eigenvalues, which
+    sum to ||L||_F^2 up to round-off, finite too.
     """
     lap = laplacian(g)
-    max_degree = float(lap.diagonal().max())  # the degrees are L's diagonal
+    degrees, w = lap.diagonal(), edge_arrays(g)[2]
+    max_degree = float(degrees.max())
+    with np.errstate(over="ignore"):
+        if not degrees @ degrees + 2.0 * (w @ w) <= np.finfo(np.float64).max / 2:
+            raise ParameterError("edge weights are too large: twice ||L||_F^2 is not a finite float")
     try:
         if vectors:
             vals, vecs = np.linalg.eigh(lap)

@@ -3,7 +3,7 @@
 The update is applied through neighbor sums over the edge list (the protocol
 is local: each agent moves toward the weighted average of its neighbors), not
 through an assembled Laplacian matrix. The pairwise accumulation keeps the
-state mean constant to round-off at every step.
+state mean constant to round-off at every step. States are kept on request.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ def _floor(trace: SimulationTrace) -> float:
 class SimulationTrace:
     """States x(0..T), consensus errors ||x(k) - mean(x(0))||_2, and that mean.
 
+    ``states`` has n columns and one row per error, or none if none was kept.
     Both arrays are read-only. A read-only float array that owns its memory,
     as ``simulate`` hands over, is kept without a copy; any other input is
     copied, so the trace never shares memory a caller can still write.
@@ -58,6 +59,8 @@ class SimulationTrace:
     def __post_init__(self):
         object.__setattr__(self, "states", _read_only(self.states))
         object.__setattr__(self, "errors", _read_only(self.errors))
+        if self.states.ndim != 2 or len(self.states) not in (0, len(self.errors)):
+            raise ParameterError("states must be a 2-D array with no row or one row per error")
 
 
 def _scaled(reduce, v):
@@ -95,12 +98,12 @@ def check_initial_states(x0, n: int) -> np.ndarray:
     return x
 
 
-def simulate(g: Graph, seq: ControlSequence, x0, steps: int) -> SimulationTrace:
+def simulate(g: Graph, seq: ControlSequence, x0, steps: int, states: bool = True) -> SimulationTrace:
     """Run ``steps`` protocol steps with the periodic gains of ``seq``.
 
-    The consensus error of each state is computed as the state is produced,
-    so the only array of size (steps + 1) x n is the stored states; the
-    returned trace owns it and the errors without a copy. Initial states that
+    The consensus error of each state is computed as the state is produced.
+    Only ``states`` keeps the states, the one array of size (steps + 1) x n;
+    without it the trace's states have no row. Initial states that
     ``check_initial_states`` rejects are a ParameterError; a run that diverges
     from valid ones overflows to inf and NaN without a warning.
     """
@@ -109,11 +112,12 @@ def simulate(g: Graph, seq: ControlSequence, x0, steps: int) -> SimulationTrace:
         raise ParameterError("steps must be non-negative")
     iu, ju, w = edge_arrays(g)
     src = np.concatenate([iu, ju])
-    states = np.empty((steps + 1, g.n))
+    rows = np.empty((steps + 1 if states else 0, g.n))
     errors = np.empty(steps + 1)
     with np.errstate(over="ignore", invalid="ignore"):
         average = float(_scaled(np.mean, x))
-        states[0] = x
+        if states:
+            rows[0] = x
         errors[0] = _scaled(_norm, x - average)
         for k in range(steps):
             # sum_j a_ij (x_j - x_i) per node: node i receives +diff for its
@@ -122,11 +126,12 @@ def simulate(g: Graph, seq: ControlSequence, x0, steps: int) -> SimulationTrace:
             diff = w * (x[ju] - x[iu])
             x = x + seq.gain_at(k) * np.bincount(src, weights=np.concatenate([diff, -diff]),
                                                  minlength=g.n)
-            states[k + 1] = x
+            if states:
+                rows[k + 1] = x
             errors[k + 1] = _scaled(_norm, x - average)
-    states.flags.writeable = False
+    rows.flags.writeable = False
     errors.flags.writeable = False
-    return SimulationTrace(states, errors, average)
+    return SimulationTrace(rows, errors, average)
 
 
 @dataclass(frozen=True)
@@ -190,16 +195,11 @@ def _fmt6(x: float) -> str:
     return f"{x:.6g}"
 
 
-def trace_csv_lines(trace: SimulationTrace, include_states: bool = False) -> list[str]:
-    """CSV "k,err[,x_0,...,x_{n-1}]" with one row per recorded step."""
-    n = trace.states.shape[1]
-    header = "k,err"
-    if include_states:
-        header += "," + ",".join(f"x_{i}" for i in range(n))
-    lines = [header]
-    for k in range(trace.states.shape[0]):
-        row = f"{k},{_fmt6(trace.errors[k])}"
-        if include_states:
-            row += "," + ",".join(_fmt6(v) for v in trace.states[k])
-        lines.append(row)
-    return lines
+def trace_csv_lines(trace: SimulationTrace) -> list[str]:
+    """CSV "k,err[,x_0,...,x_{n-1}]", one row per error; the state columns are
+    there exactly when the trace holds one state row per error."""
+    # a trace that kept no states is printed as one with no columns
+    states = trace.states if len(trace.states) else np.empty((len(trace.errors), 0))
+    return ["k,err" + "".join(f",x_{i}" for i in range(states.shape[1]))] + [
+        f"{k},{_fmt6(err)}" + "".join("," + _fmt6(v) for v in x)
+        for k, (err, x) in enumerate(zip(trace.errors, states))]

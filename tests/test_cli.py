@@ -6,6 +6,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import click
@@ -743,6 +744,32 @@ def test_only_simulate_decomposes_with_eigenvectors():
                    and k.value.value is False for k in call.keywords), ast.unparse(call)
 
 
+def test_every_simulate_call_says_whether_it_records_states():
+    # the library records states by default; a command records them only on request
+    calls = [node for path in sorted((SRC / "speccon").glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call) and ast.unparse(node.func) == "sim.simulate"]
+    assert calls
+    for call in calls:
+        assert any(k.arg == "states" for k in call.keywords), ast.unparse(call)
+
+
+def test_simulate_without_states_allocates_no_state_rows(tmp_path):
+    # ws:200 over 20000 steps: the 32 MB of states that --states would record
+    # dwarf the Laplacian and eigh arrays (under 2 MB)
+    argv = ["simulate", "--graph", "ws:200,6,0.3", "--method", "chebyshev", "--band", "0.2,20",
+            "-M", "5", "--steps", "20000", "--seed", "1", "--out", str(tmp_path)]
+    tracemalloc.start()
+    try:
+        result = invoke(*argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.exit_code == 0
+    assert (tmp_path / "trace.csv").read_text().startswith("k,err\n0,")
+    assert peak < 20001 * 200 * 8
+
+
 def test_inspect_and_table3_call_no_eigh(monkeypatch):
     path = DATA / "graph_weighted24.json"
     values = graphs.spectrum(parse_graph_spec(f"file:{path}"), vectors=False).eigenvalues
@@ -809,10 +836,11 @@ def test_graph_inspect_reports_malformed_file(tmp_path, content):
 
 # Graphs out of numpy's range: too many nodes for an addressable n x n
 # Laplacian (refused before the 2**32 uniform states are drawn), or finite
-# weights whose degree, or twice it, overflows (refused before the solver,
-# without a numpy warning).
+# weights whose degree or ||L||_F^2, or twice either, overflows (refused
+# before the solver, without a numpy warning).
 TOO_MANY_NODES = "n={} nodes is too many: numpy cannot address an n x n Laplacian"
 TOO_HEAVY = "edge weights are too large: twice the largest degree is not a finite float"
+TOO_HEAVY_SQUARES = "edge weights are too large: twice ||L||_F^2 is not a finite float"
 
 
 @pytest.mark.parametrize("command", [
@@ -824,7 +852,10 @@ TOO_HEAVY = "edge weights are too large: twice the largest degree is not a finit
     ({"n": 2 ** 32, "edges": [[0, 1, 1.0]]}, TOO_MANY_NODES.format(2 ** 32)),
     ({"n": 3, "edges": [[0, 1, 1e308], [0, 2, 1e308], [1, 2, 1e308]]}, TOO_HEAVY),
     ({"n": 2, "edges": [[0, 1, 1e308]]}, TOO_HEAVY),
-], ids=["n-2**63", "n-2**32", "triangle-1e308", "edge-1e308"])
+    # finite degrees whose squares, and so ||L||_F^2, overflow
+    ({"n": 3, "edges": [[0, 1, 1e160], [0, 2, 1e160], [1, 2, 1e160]]}, TOO_HEAVY_SQUARES),
+    ({"n": 2, "edges": [[0, 1, 8e307]]}, TOO_HEAVY_SQUARES),
+], ids=["n-2**63", "n-2**32", "triangle-1e308", "edge-1e308", "triangle-1e160", "edge-8e307"])
 def test_graph_file_out_of_range_is_one_error(tmp_path, command, doc, message):
     path = tmp_path / "g.json"
     path.write_text(json.dumps(doc))
@@ -833,6 +864,23 @@ def test_graph_file_out_of_range_is_one_error(tmp_path, command, doc, message):
     assert isinstance(result.exception, SystemExit)
     assert result.stdout == ""
     assert result.stderr == f"Error: {message}\n"
+
+
+def test_simulate_refuses_a_huge_graph_before_drawing_its_states(tmp_path, monkeypatch):
+    # the uniform states, 80 MB here, are drawn only after the decomposition,
+    # which refuses the Laplacian first
+    def draw(*args):
+        raise AssertionError("uniform states drawn before the decomposition")
+
+    monkeypatch.setattr(cli.sim, "uniform_initial_states", draw)
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"n": 10 ** 7, "edges": [[0, 1, 1.0]]}))
+    result = RUN.invoke(main, ["simulate", "--method", "constant", "--band", "0.2,12.8",
+                               "--steps", "3", "--graph", f"file:{path}"])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr == ("Error: a dense Laplacian on n=10000000 nodes does not fit in "
+                             "memory\n")
 
 
 def test_simulate_rejects_one_node_graph(tmp_path):

@@ -355,14 +355,35 @@ def test_mean_of_finite_states_does_not_overflow():
 
 
 def test_trace_serialization():
+    # the state columns are there exactly when the trace holds the states
     g = build_graph("path", n=3)
-    trace = simulate(g, ControlSequence((0.25,)), np.array([1.0, 2.0, 6.0]), 2)
-    lines = trace_csv_lines(trace)
+    args = (g, ControlSequence((0.25,)), np.array([1.0, 2.0, 6.0]), 2)
+    lines = trace_csv_lines(simulate(*args, states=False))
     assert lines[0] == "k,err"
     assert len(lines) == 4
-    with_states = trace_csv_lines(trace, include_states=True)
+    with_states = trace_csv_lines(simulate(*args))
     assert with_states[0] == "k,err,x_0,x_1,x_2"
     assert with_states[1].startswith("0,")
+
+
+def test_simulate_without_states_keeps_the_errors_and_n():
+    g = build_graph("watts_strogatz", n=30, k=4, p=0.3, seed=2)
+    args = (g, design_chebyshev(BAND, 3), uniform_initial_states(g.n, 2), 40)
+    full, lean = simulate(*args), simulate(*args, states=False)
+    assert lean.states.shape == (0, 30) and not lean.states.flags.writeable
+    assert lean.errors.tobytes() == full.errors.tobytes() and lean.average == full.average
+    assert measured_period_ratios(lean, 3) == measured_period_ratios(full, 3)
+    assert consensus_time(lean, 1e-6) == consensus_time(full, 1e-6)
+    assert [line.split(",", 2)[:2] for line in trace_csv_lines(full)] == [
+        line.split(",") for line in trace_csv_lines(lean)]
+
+
+@pytest.mark.parametrize("states", [np.zeros(3), np.zeros((2, 1)), np.zeros((4, 1)),
+                                    np.zeros((3, 1, 1))], ids=["1-D", "2-rows", "4-rows", "3-D"])
+def test_trace_refuses_states_that_do_not_match_the_errors(states):
+    # no state row at all, or one per error; a (0, n) array still carries n
+    with pytest.raises(ParameterError, match="states"):
+        SimulationTrace(states, np.ones(3), 0.0)
 
 
 def test_simulate_validates_inputs():
@@ -452,6 +473,20 @@ def test_simulate_peak_memory_is_the_states_array():
     finally:
         tracemalloc.stop()
     assert peak <= 1.1 * trace.states.nbytes
+
+
+def test_simulate_without_states_allocates_no_state_rows():
+    g = build_graph("watts_strogatz", n=400, k=6, p=0.3, seed=1)
+    seq = design_chebyshev(SpectralBand(0.2, 20), 5)
+    x0 = uniform_initial_states(g.n, 1)
+    tracemalloc.start()
+    try:
+        trace = simulate(g, seq, x0, 3000, states=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert trace.states.shape == (0, g.n)
+    assert peak < 0.01 * 3001 * g.n * 8  # a hundredth of the states array
 
 
 def test_trace_arrays_are_read_only_and_owned():
