@@ -385,7 +385,8 @@ def response(band, names, period, samples, out):
 @click.option("--steps", type=click.IntRange(min=0), required=True)
 @click.option("--tol", type=float, callback=_parse_tol, default=1e-9, show_default=True,
               help="Consensus tolerance relative to the first error, at least n*2**-53.")
-@click.option("--states", "with_states", is_flag=True, help="Include state columns in the trace CSV.")
+@click.option("--states", "with_states", is_flag=True,
+              help="Include state columns in the trace CSV; needs --out.")
 @seed_option
 @out_option
 def simulate_cmd(graph_spec, band, method, period, beta_bar, sequence_file, x0, steps,
@@ -394,12 +395,13 @@ def simulate_cmd(graph_spec, band, method, period, beta_bar, sequence_file, x0, 
 
     Every error that needs no spectrum, from a missing --band or --beta-bar,
     or a --method, --band, --beta-bar or -M that --sequence or the method
-    would leave unread, to initial states of the wrong length or out of the
-    float range, is reported before the graph is decomposed, the costly
-    step. On a spectrum inside the band, the predicted rate is checked
-    against the band's worst case, as sweep checks its in-band rows. A
-    divergent run, one whose consensus error is not finite at some step,
-    prints its non-finite summary numbers as null and exits with status 1.
+    would leave unread, or --states without --out, to initial states of the
+    wrong length or out of the float range, is reported before the graph is
+    decomposed, the costly step. On a spectrum inside the band, the predicted
+    rate is checked against the band's worst case, as sweep checks its
+    in-band rows. A divergent run, one whose consensus error is not finite at
+    some step, prints its non-finite summary numbers as null and exits with
+    status 1.
     """
     if sequence_file is None and method is None:
         raise click.BadParameter("provide --method or --sequence")
@@ -412,6 +414,8 @@ def simulate_cmd(graph_spec, band, method, period, beta_bar, sequence_file, x0, 
         _refuse_unread(f"--method {method}", _READS[method], given)
     if x0 not in ("uniform", "worst_eigenvector") and not x0.startswith("file:"):
         raise click.BadParameter(f"unknown x0 mode {x0!r}")
+    if with_states and out is None:
+        raise click.BadParameter("--states needs --out: the states go only to trace.csv")
     seq = None  # finite_time is designed from the spectrum
     if sequence_file is not None:
         seq = filters.sequence_from_dict(_read_json(sequence_file, "sequence"))

@@ -60,14 +60,16 @@ class ControlSequence:
 def eval_filter(seq: ControlSequence, lam, steps: int):
     """Evaluate h(lam, steps) in product form, term by term.
 
-    ``lam`` may be a scalar or an ndarray; h(0, T) is exactly 1.
+    ``lam`` may be a scalar or an ndarray; h(0, T) is exactly 1. An |h| past
+    the float range is inf, without a warning.
     """
     if steps < 0:
         raise ParameterError("steps must be non-negative")
     lam_arr = np.asarray(lam, dtype=float)
     out = np.ones_like(lam_arr)
-    for k in range(steps):
-        out = out * (1.0 - seq.gain_at(k) * lam_arr)
+    with np.errstate(over="ignore"):
+        for k in range(steps):
+            out = out * (1.0 - seq.gain_at(k) * lam_arr)
     if np.isscalar(lam) or lam_arr.ndim == 0:
         return float(out)
     return out

@@ -360,30 +360,32 @@ def spectrum(g: Graph, vectors: bool = True) -> LaplacianSpectrum:
     """Eigendecomposition of the Laplacian, eigenvalues ascending.
 
     With ``vectors=False`` only the eigenvalues are computed and the result
-    carries ``eigenvectors=None``. Both modes raise NumericalError if the
-    eigensolver fails or a check fails; NaN fails every check. Each tolerance
-    is ``_eig_error`` of n and a scale, here scale = max(1, lambda_N):
+    carries ``eigenvectors=None``. The moments trace(L) = sum deg and
+    ||L||_F^2 = sum deg^2 + 2·sum w^2 come from the degrees and edge weights,
+    before the solver; weights so large that twice ||L||_F^2 is not a finite
+    float are a ParameterError, as in ``laplacian`` for the degree (the factor
+    2 keeps the eigenvalues' squares, which sum to ||L||_F^2, finite too). A
+    failed solver or check is a NumericalError; NaN fails every check. Each
+    tolerance is ``_eig_error`` of n and a scale, here scale = max(1, lambda_N).
+    With ``vectors``, first the decomposition reconstructs L to within
+    _eig_error(n, scale) in every entry, with eigenvectors orthonormal to
+    within _eig_error(n, 1). Then, in both modes:
       - the smallest eigenvalue is zero to within _eig_error(n, scale);
       - the largest is at most 2·max_degree, which holds exactly, to within
         2·_eig_error(n, scale): the eigenvalue's error, and twice that of the
         degree, a sum of up to n weights;
-      - the full decomposition reconstructs L to within _eig_error(n, scale)
-        in every entry, with eigenvectors orthonormal to within _eig_error(n, 1);
-      - the eigenvalues alone sum to trace(L) within _eig_error(n, trace(L)),
-        as they are nonnegative, and their squares to ||L||_F^2 within
+      - the eigenvalues sum to trace(L) within _eig_error(n, trace(L)), as
+        they are nonnegative, and their squares to ||L||_F^2 within
         2·_eig_error(n, ||L||_F^2), since that of L + dL moves by at most
         2·||L||_F·||dL||_F.
-    In both modes, edge weights so large that twice ||L||_F^2 = sum deg^2 +
-    2·sum w^2 is not a finite float are a ParameterError, as in ``laplacian``
-    for the degree: the factor 2 keeps the squares of the eigenvalues, which
-    sum to ||L||_F^2 up to round-off, finite too.
     """
     lap = laplacian(g)
     degrees, w = lap.diagonal(), edge_arrays(g)[2]
-    max_degree = float(degrees.max())
+    max_degree, trace = float(degrees.max()), degrees.sum()
     with np.errstate(over="ignore"):
-        if not degrees @ degrees + 2.0 * (w @ w) <= np.finfo(np.float64).max / 2:
-            raise ParameterError("edge weights are too large: twice ||L||_F^2 is not a finite float")
+        frob = degrees @ degrees + 2.0 * (w @ w)
+    if not frob <= np.finfo(np.float64).max / 2:
+        raise ParameterError("edge weights are too large: twice ||L||_F^2 is not a finite float")
     try:
         if vectors:
             vals, vecs = np.linalg.eigh(lap)
@@ -404,19 +406,16 @@ def spectrum(g: Graph, vectors: bool = True) -> LaplacianSpectrum:
         ortho = np.abs(resid, out=resid).max()
         if not (ortho <= _eig_error(g.n, 1.0)):
             raise NumericalError(f"eigenvector matrix not orthonormal ({ortho:.3e})")
-    else:
-        trace = np.trace(lap)
-        trace_err = abs(vals.sum() - trace)
-        if not (trace_err <= _eig_error(g.n, trace)):
-            raise NumericalError(f"eigenvalue sum misses trace(L) by {trace_err:.3e}")
-        frob = np.vdot(lap, lap)
-        frob_err = abs(vals @ vals - frob)
-        if not (frob_err <= 2.0 * _eig_error(g.n, frob)):
-            raise NumericalError(f"eigenvalue sum of squares misses ||L||_F^2 by {frob_err:.3e}")
     if not (abs(vals[0]) <= err):
         raise NumericalError(f"smallest eigenvalue {vals[0]:.3e} not zero")
     if not (vals[-1] <= 2.0 * (max_degree + err)):
         raise NumericalError("largest eigenvalue exceeds twice the maximum degree")
+    trace_err = abs(vals.sum() - trace)
+    if not (trace_err <= _eig_error(g.n, trace)):
+        raise NumericalError(f"eigenvalue sum misses trace(L) by {trace_err:.3e}")
+    frob_err = abs(vals @ vals - frob)
+    if not (frob_err <= 2.0 * _eig_error(g.n, frob)):
+        raise NumericalError(f"eigenvalue sum of squares misses ||L||_F^2 by {frob_err:.3e}")
     vals.flags.writeable = False
     if vecs is not None:
         vecs.flags.writeable = False

@@ -454,6 +454,21 @@ def test_simulate_divergent_run_is_reported_as_failure(tmp_path):
     assert json.loads(oob.stdout, parse_constant=_reject_constant)["predicted_rate"] == 39.0
 
 
+@pytest.mark.parametrize("x0", ["uniform", "worst_eigenvector"])
+def test_simulate_overflowing_rate_is_null_without_a_warning(tmp_path, x0):
+    # |h| at lambda_N = 2e150 overflows within one period of three gains: the
+    # predicted rate is inf, printed as null, and the run diverges
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"n": 2, "edges": [[0, 1, 1e150]]}))
+    result = RUN.invoke(main, ["simulate", "--graph", f"file:{path}", "--method", "chebyshev",
+                               "--band", "0.2,20", "-M", "3", "--steps", "6", "--seed", "1",
+                               "--x0", x0])
+    assert isinstance(result.exception, SystemExit) and result.exit_code == 1
+    assert json.loads(result.stdout)["predicted_rate"] is None
+    assert result.stderr == ("Error: the run diverged: the consensus error is first non-finite "
+                             "at step 3\n")
+
+
 def test_simulate_finite_states_with_overflowing_squares_converge(tmp_path):
     # deviations near 1e200 square past the float range, but every state is finite
     path = tmp_path / "big.json"
@@ -630,12 +645,14 @@ def test_simulate_with_x0_file(tmp_path):
      "--method chebyshev cannot be given with --beta-bar"),
     (("--method", "finite_time", "--beta-bar", "99", "--steps", "4"),
      "--method finite_time cannot be given with --beta-bar"),
+    # without --out no trace is written, so the states would go unread
+    (("--method", "finite_time", "--steps", "4", "--states"), "--states needs --out"),
 ], ids=["no-method", "x0-mode", "steps-negative", "tol-zero", "tol-negative", "tol-nan",
         "tol-inf", "no-band", "no-beta-bar", "sequence-with-method-and-band",
         "sequence-with-method", "sequence-with-band", "sequence-with-beta-bar",
         "sequence-with-period", "finite-time-with-period", "constant-with-period",
         "finite-time-with-band-and-period", "uniform-unknown-with-band",
-        "band-method-with-beta-bar", "finite-time-with-beta-bar"])
+        "band-method-with-beta-bar", "finite-time-with-beta-bar", "states-without-out"])
 def test_simulate_usage_errors_come_before_the_spectrum(monkeypatch, tmp_path, args, message):
     def no_spectrum(*_args, **_kwargs):
         raise AssertionError("spectrum computed before the arguments were checked")

@@ -82,6 +82,13 @@ def test_eval_filter_vectorized_matches_scalar():
     assert np.array_equal(vec, np.array([eval_filter(seq, x, 4) for x in grid]))
 
 
+def test_eval_filter_overflows_to_inf_without_a_warning():
+    # three factors of about -1e150 each: |h| is past the float range
+    cheb = design_chebyshev(SpectralBand(0.2, 20.0), 3)
+    assert abs(eval_filter(cheb, 2e150, 3)) == math.inf
+    assert np.isinf(eval_filter(cheb, np.array([1.0, 2e150]), 3)).tolist() == [False, True]
+
+
 def test_design_finite_time():
     seq = design_finite_time([1.0, 12.0])
     assert seq.period == 2

@@ -37,6 +37,7 @@ from speccon.cli import main
 from speccon.graphs import _eig_error, edge_arrays, is_connected
 
 SRC = Path(__file__).parents[1] / "src"
+WEIGHTED = Path(__file__).parent / "data" / "graph_weighted24.json"
 
 # Connected 12-node Watts-Strogatz instance (n=12, k=4, p=0.3, seed=7), frozen
 # from a run whose connectivity was verified by an independent breadth-first
@@ -518,6 +519,40 @@ def _move_mass_to_null_value(vals):
     return vals
 
 
+def test_values_only_checks_read_no_laplacian_entry_after_the_solver(monkeypatch):
+    # the moments come from the degrees and the edge weights, read before the
+    # solver, so what the solver leaves in its input changes no check
+    original = np.linalg.eigvalsh
+
+    def eigvalsh(a):
+        vals = original(a)
+        a[...] = np.nan
+        return vals
+
+    cases = [build_graph("random_connected", n=40, p=0.2, seed=5),
+             graph_from_dict(json.loads(WEIGHTED.read_text()))]
+    expected = [spectrum(g, vectors=False) for g in cases]
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    for g, e in zip(cases, expected):
+        s = spectrum(g, vectors=False)
+        assert s.eigenvalues.tobytes() == e.eigenvalues.tobytes()
+        assert s.max_degree == e.max_degree
+
+
+@pytest.mark.parametrize("vectors", [True, False])
+def test_both_modes_check_the_moments_from_the_edges(monkeypatch, vectors):
+    # the last two tolerances are the trace's and the Frobenius norm's, taken
+    # at the dense Laplacian's moments: exactly, as the weights are integers
+    g = build_graph("random_connected", n=40, p=0.2, seed=5)
+    lap = laplacian(g)
+    scales = []
+    tolerance = graphs._eig_error
+    monkeypatch.setattr(graphs, "_eig_error",
+                        lambda n, scale: scales.append(scale) or tolerance(n, scale))
+    spectrum(g, vectors=vectors)
+    assert scales[-2:] == [np.trace(lap), np.vdot(lap, lap)]
+
+
 def test_values_only_spectrum_rejects_nonzero_smallest_eigenvalue(monkeypatch):
     g = build_graph("random_connected", n=40, p=0.2, seed=5)
     _perturb_numpy(monkeypatch, "eigvalsh", _move_mass_to_null_value)
@@ -528,7 +563,10 @@ def test_values_only_spectrum_rejects_nonzero_smallest_eigenvalue(monkeypatch):
 # Each check of graphs.spectrum stays within a tenth of its tolerance on
 # these graphs under 1 and 2 BLAS threads, whose last bits differ: the
 # tolerances are divided by 10 in a fresh process that sets the thread count.
+# The weighted graph file, given as the argument, has non-dyadic weights, on
+# which the moments from the edges and the dense sums could round apart.
 HEADROOM = """
+import sys
 from speccon import cli, graphs
 tolerance = graphs._eig_error
 graphs._eig_error = lambda n, scale: tolerance(n, scale) / 10
@@ -536,6 +574,9 @@ graphs.spectrum(cli.parse_graph_spec("ws:2000,6,0.3", 1))
 for spec in ("er:1000,0.02", "er:100,0.08", "path:80", "complete:200", "cycle:12",
              "bipartite:6,6"):
     graphs.spectrum(cli.parse_graph_spec(spec, 1), vectors=False)
+weighted = cli.parse_graph_spec("file:" + sys.argv[1])
+for vectors in (True, False):
+    graphs.spectrum(weighted, vectors=vectors)
 """
 
 
@@ -543,8 +584,8 @@ for spec in ("er:1000,0.02", "er:100,0.08", "path:80", "complete:200", "cycle:12
 def test_spectral_checks_have_tenfold_headroom(threads):
     env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(
         p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)}
-    proc = subprocess.run([sys.executable, "-c", HEADROOM], capture_output=True, text=True,
-                          env=env)
+    proc = subprocess.run([sys.executable, "-c", HEADROOM, str(WEIGHTED)], capture_output=True,
+                          text=True, env=env)
     assert proc.returncode == 0, proc.stderr
 
 
