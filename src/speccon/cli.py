@@ -170,6 +170,12 @@ def _finite_or_null(value):
     return value
 
 
+def _strict_json(doc) -> str:
+    """``doc`` as indented JSON with every non-finite number as null, so no
+    NaN or Infinity token is printed."""
+    return json.dumps(_finite_or_null(doc), indent=2, allow_nan=False)
+
+
 def _emit(lines: list[str], out: Path | None, filename: str) -> None:
     text = "\n".join(lines) + "\n"
     click.echo(text, nl=False)
@@ -190,7 +196,7 @@ def _emit_table(name: str, labels: tuple[str, ...], rows: dict, band, periods, f
                 node = node.setdefault(label, {})
             node[key[-1]] = row
         doc = {"alpha": band.alpha, "beta": band.beta, "periods": list(periods), "rates": nested}
-        _emit([json.dumps(doc, indent=2)], out, f"{name}.json")
+        _emit([_strict_json(doc)], out, f"{name}.json")
         return
     lines = [",".join([*labels, *map(str, periods)])]
     lines += [",".join([*key, *(f"{v:.4f}" for v in row)]) for key, row in cells.items()]
@@ -219,13 +225,17 @@ def _period_option(default: int):
 
 
 class _Commands(click.Group):
-    """Reports a library error from any subcommand as ``Error: <message>``, exit 1."""
+    """Reports a library error from any subcommand as ``Error: <message>``, exit 1,
+    and so a failed allocation, such as a graph family's edge arrays for a
+    spec too large to hold."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
         except SpecconError as exc:
             raise click.ClickException(str(exc)) from exc
+        except MemoryError as exc:
+            raise click.ClickException(str(exc) or "out of memory") from exc
 
 
 @click.group(cls=_Commands)
@@ -340,7 +350,7 @@ def sweep(band, period, trials, nodes, edge_prob, seed, fmt, out):
     if fmt == "json":
         doc = {"alpha": band.alpha, "beta": band.beta, "period": period, "nodes": nodes,
                "edge_prob": edge_prob, "seed": seed, "rows": rows}
-        _emit([json.dumps(doc, indent=2)], out, "sweep.json")
+        _emit([_strict_json(doc)], out, "sweep.json")
     else:
         columns = ["lambda2", "lambda_n"] + [f"rho_{m}" for m in TABLE_METHODS]
         lines = [",".join(["graph_id"] + columns)]
@@ -458,7 +468,7 @@ def simulate_cmd(graph_spec, band, method, period, beta_bar, sequence_file, x0, 
         "measured_ratios": list(ratios.ratios),
         "omitted_periods": list(ratios.omitted),
     }
-    _emit([json.dumps(_finite_or_null(summary), indent=2, allow_nan=False)], out, "summary.json")
+    _emit([_strict_json(summary)], out, "summary.json")
     if out is not None:
         (out / "trace.csv").write_text(
             "\n".join(sim.trace_csv_lines(trace)) + "\n", encoding="utf-8")

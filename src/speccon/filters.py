@@ -61,15 +61,21 @@ def eval_filter(seq: ControlSequence, lam, steps: int):
     """Evaluate h(lam, steps) in product form, term by term.
 
     ``lam`` may be a scalar or an ndarray; h(0, T) is exactly 1. An |h| past
-    the float range is inf, without a warning.
+    the float range is inf, and h with a factor exactly zero is 0, even where
+    an overflow came before the zero (inf * 0 is NaN), both without a warning;
+    h is NaN only where the product underflowed to 0 before a factor overflowed.
     """
     if steps < 0:
         raise ParameterError("steps must be non-negative")
     lam_arr = np.asarray(lam, dtype=float)
     out = np.ones_like(lam_arr)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         for k in range(steps):
             out = out * (1.0 - seq.gain_at(k) * lam_arr)
+        nan = np.isnan(out)
+        if nan.any():
+            zero = np.any([1.0 - g * lam_arr == 0.0 for g in seq.gains[:steps]], axis=0)
+            out = np.where(nan & zero, 0.0, out)
     if np.isscalar(lam) or lam_arr.ndim == 0:
         return float(out)
     return out
@@ -139,12 +145,16 @@ def cheby_on_band_at_zero(b: SpectralBand, m: int) -> float:
     With s = sqrt(beta/alpha):
       0.5 * (-1)^m * [((s - 1)/(s + 1))^m + ((s + 1)/(s - 1))^m].
     Grows without bound as m increases; overflows to +/-inf for very large m.
+    A band whose s rounds to 1, alpha == beta among them, is a ParameterError.
+    From s = 2**54 on, s - 1 and s + 1 round to s, so both ratios are 1 and
+    the value is +/-1, its limit as beta/alpha grows; s is held there, so a
+    ratio beta/alpha past the float range gives that limit too, not NaN.
     """
     if m < 0:
         raise ParameterError("order must be non-negative")
-    if b.alpha == b.beta:
+    s = min(math.sqrt(b.beta / b.alpha), 2.0 ** 54)
+    if s == 1.0:
         raise ParameterError("closed form requires alpha < beta")
-    s = math.sqrt(b.beta / b.alpha)
     small = (s - 1.0) / (s + 1.0)
     big = (s + 1.0) / (s - 1.0)
     with np.errstate(over="ignore"):

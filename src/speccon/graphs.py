@@ -339,8 +339,11 @@ def laplacian(g: Graph) -> np.ndarray:
     of the edges, without building ``a``: the degrees are the row sums of the
     negated off-diagonal entries, summed in the same order, and
     round-to-nearest is symmetric in sign. A Laplacian too large to allocate
-    is a ParameterError, and so are edge weights so large that twice the
-    largest degree, which bounds lambda_N, is not a finite float.
+    is a ParameterError, and so are edge weights so large that twice
+    ||L||_F^2 = sum deg^2 + 2·sum w^2 is not a finite float. That one
+    weight-range rule keeps finite every moment ``spectrum`` reads:
+    2·max_degree (max_degree^2 <= ||L||_F^2), the trace (at most
+    sqrt(n·||L||_F^2)) and the eigenvalues' squares, which sum to ||L||_F^2.
     """
     i, j, w = edge_arrays(g)
     try:
@@ -350,9 +353,9 @@ def laplacian(g: Graph) -> np.ndarray:
     lap[i, j] = lap[j, i] = -w
     with np.errstate(over="ignore"):
         np.fill_diagonal(lap, 0.0 - lap.sum(axis=1))
-    if not lap.diagonal().max() <= np.finfo(np.float64).max / 2:
-        raise ParameterError("edge weights are too large: twice the largest degree is not a "
-                             "finite float")
+        frob = lap.diagonal() @ lap.diagonal() + 2.0 * (w @ w)
+    if not frob <= np.finfo(np.float64).max / 2:
+        raise ParameterError("edge weights are too large: twice ||L||_F^2 is not a finite float")
     return lap
 
 
@@ -361,10 +364,8 @@ def spectrum(g: Graph, vectors: bool = True) -> LaplacianSpectrum:
 
     With ``vectors=False`` only the eigenvalues are computed and the result
     carries ``eigenvectors=None``. The moments trace(L) = sum deg and
-    ||L||_F^2 = sum deg^2 + 2·sum w^2 come from the degrees and edge weights,
-    before the solver; weights so large that twice ||L||_F^2 is not a finite
-    float are a ParameterError, as in ``laplacian`` for the degree (the factor
-    2 keeps the eigenvalues' squares, which sum to ||L||_F^2, finite too). A
+    ||L||_F^2 = sum deg^2 + 2·sum w^2 come from the degrees and edge weights;
+    ``laplacian``'s weight-range rule has already kept them finite. A
     failed solver or check is a NumericalError; NaN fails every check. Each
     tolerance is ``_eig_error`` of n and a scale, here scale = max(1, lambda_N).
     With ``vectors``, first the decomposition reconstructs L to within
@@ -382,10 +383,7 @@ def spectrum(g: Graph, vectors: bool = True) -> LaplacianSpectrum:
     lap = laplacian(g)
     degrees, w = lap.diagonal(), edge_arrays(g)[2]
     max_degree, trace = float(degrees.max()), degrees.sum()
-    with np.errstate(over="ignore"):
-        frob = degrees @ degrees + 2.0 * (w @ w)
-    if not frob <= np.finfo(np.float64).max / 2:
-        raise ParameterError("edge weights are too large: twice ||L||_F^2 is not a finite float")
+    frob = degrees @ degrees + 2.0 * (w @ w)
     try:
         if vectors:
             vals, vecs = np.linalg.eigh(lap)

@@ -42,7 +42,9 @@ def worst_case_rate(seq: ControlSequence, b: SpectralBand, steps: int | None = N
     mult = np.array(mult.tolist(), dtype=np.float64)
     lo, hi = np.clip(roots[:-1], b.alpha, b.beta), np.clip(roots[1:], b.alpha, b.beta)
     while True:
-        mid = 0.5 * (lo + hi)
+        # halved before the sum, which then cannot overflow: bit for bit
+        # 0.5 * (lo + hi) wherever both halves are normal
+        mid = 0.5 * lo + 0.5 * hi
         # The slope is taken only at midpoints strictly inside their interval,
         # never at a root; the loop ends when each interval is two adjacent floats.
         inside = (lo < mid) & (mid < hi)

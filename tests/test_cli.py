@@ -330,13 +330,17 @@ def test_sweep_reports_generation_failures_nonzero():
     assert result.stdout.startswith("graph_id,")
 
 
-# A degenerate band fails the closed form and the chebyshev design. Each
-# command reports the library error once, as "Error: ...", with exit 1 and
-# nothing on stdout.
+# A degenerate band fails the closed form and the chebyshev design, and a band
+# whose sqrt(beta/alpha) rounds to 1 fails the closed form. Each command
+# reports the library error once, as "Error: ...", with exit 1 and nothing on
+# stdout.
 @pytest.mark.parametrize("args,message", [
     (("table2", "--band", "1,1"), "closed form requires alpha < beta"),
     (("sweep", "--band", "1,1", "--trials", "3", "--nodes", "30", "--edge-prob", "0.2",
       "--seed", "9", "-M", "5"), "chebyshev design requires alpha < beta"),
+    (("table2", "--band", "1,1.0000000000000002"), "closed form requires alpha < beta"),
+    (("design", "--method", "chebyshev", "--band", "1,1.0000000000000002", "-M", "3"),
+     "closed form requires alpha < beta"),
 ])
 def test_degenerate_band_reports_error(args, message):
     result = RUN.invoke(main, list(args))
@@ -467,6 +471,73 @@ def test_simulate_overflowing_rate_is_null_without_a_warning(tmp_path, x0):
     assert json.loads(result.stdout)["predicted_rate"] is None
     assert result.stderr == ("Error: the run diverged: the consensus error is first non-finite "
                              "at step 3\n")
+
+
+def test_simulate_zero_factor_after_an_overflow_rates_zero(tmp_path):
+    # h(2) = (1 - 2e160)^2 * 0: the first two factors overflow, the third is
+    # exactly zero, so the predicted rate is 0, not NaN; the run still diverges
+    path = tmp_path / "seq.json"
+    path.write_text(json.dumps({"gains": [1e160, 1e160, 0.5]}))
+    result = RUN.invoke(main, ["simulate", "--graph", "path:2", "--sequence", str(path),
+                               "--steps", "3", "--seed", "1"])
+    assert isinstance(result.exception, SystemExit) and result.exit_code == 1
+    summary = json.loads(result.stdout)
+    assert summary["predicted_rate"] == 0.0 and summary["argmax_lambda"] == 2.0
+    assert result.stderr == ("Error: the run diverged: the consensus error is first non-finite "
+                             "at step 2\n")
+
+
+# Bands whose beta/alpha overflows: sqrt(beta/alpha) is past 2**54 either way,
+# where the closed form's two ratios round to 1, so the Chebyshev rate is 1.
+@pytest.mark.parametrize("band", ["1e-300,1e300", "0.2,1e308", "5e-324,1"])
+def test_chebyshev_rate_on_a_band_past_the_float_range_is_one(band):
+    csv = invoke("table2", "--band", band, "--periods", "2,5")
+    assert csv.exit_code == 0
+    assert csv.stdout.splitlines()[2] == "chebyshev,1.0000,1.0000"
+    doc = json.loads(invoke("table2", "--band", band, "--periods", "2,5", "--format", "json")
+                     .stdout, parse_constant=_reject_constant)
+    assert doc["rates"]["chebyshev"] == [1.0, 1.0]
+    design = invoke("design", "--method", "chebyshev", "--band", band, "-M", "3")
+    assert design.exit_code == 0
+    assert design.stderr.splitlines()[1] == "worst-case rate (M=3): 1"
+
+
+def test_simulate_in_a_band_up_to_1e308_warns_nothing():
+    # the in-band check's worst_case_rate bisects between Chebyshev roots near
+    # 1e308, whose sum overflows
+    result = invoke("simulate", "--graph", "cycle:8", "--band", "0.2,1e308", "--method",
+                    "chebyshev", "-M", "5", "--steps", "20", "--seed", "1")
+    assert result.exit_code == 0
+    assert result.stderr == ""
+    assert json.loads(result.stdout)["predicted_rate"] == 1.0
+
+
+def test_rate_tables_print_overflowing_cells_as_null():
+    # |h| over 400 steps overflows on eigenvalues far above a band [1e-308, 1]:
+    # strict JSON prints the cell as null, CSV as inf
+    args = ("table3", "--band", "1e-308,1", "--periods", "400")
+    doc = json.loads(invoke(*args, "--format", "json").stdout, parse_constant=_reject_constant)
+    assert doc["rates"]["star12"] == {m: [None] for m in TABLE_METHODS}
+    assert invoke(*args).stdout.splitlines()[1] == "star12,lagrange,inf"
+
+
+@pytest.mark.parametrize("command", [
+    ["graph", "inspect", "--format", "json", "complete:200000"],
+    ["simulate", "--method", "constant", "--band", "0.2,12.8", "--steps", "3",
+     "--graph", "complete:200000"],
+], ids=["inspect", "simulate"])
+def test_a_failed_allocation_is_one_error(monkeypatch, command):
+    # complete:200000 asks np.triu_indices for a 37.3 GiB mask; stand in for
+    # that allocation rather than make it
+    def allocate(*args, **kwargs):
+        raise MemoryError("Unable to allocate 37.3 GiB")
+
+    monkeypatch.setattr(graphs.np, "triu_indices", allocate)
+    result = RUN.invoke(main, command)
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.stdout == ""
+    assert result.stderr == "Error: Unable to allocate 37.3 GiB\n"
 
 
 def test_simulate_finite_states_with_overflowing_squares_converge(tmp_path):
@@ -853,10 +924,9 @@ def test_graph_inspect_reports_malformed_file(tmp_path, content):
 
 # Graphs out of numpy's range: too many nodes for an addressable n x n
 # Laplacian (refused before the 2**32 uniform states are drawn), or finite
-# weights whose degree or ||L||_F^2, or twice either, overflows (refused
-# before the solver, without a numpy warning).
+# weights so large that twice ||L||_F^2 overflows (refused by ``laplacian``,
+# before any moment of the spectrum is summed, without a numpy warning).
 TOO_MANY_NODES = "n={} nodes is too many: numpy cannot address an n x n Laplacian"
-TOO_HEAVY = "edge weights are too large: twice the largest degree is not a finite float"
 TOO_HEAVY_SQUARES = "edge weights are too large: twice ||L||_F^2 is not a finite float"
 
 
@@ -867,12 +937,18 @@ TOO_HEAVY_SQUARES = "edge weights are too large: twice ||L||_F^2 is not a finite
 @pytest.mark.parametrize("doc,message", [
     ({"n": 2 ** 63, "edges": [[0, 1, 1.0]]}, TOO_MANY_NODES.format(2 ** 63)),
     ({"n": 2 ** 32, "edges": [[0, 1, 1.0]]}, TOO_MANY_NODES.format(2 ** 32)),
-    ({"n": 3, "edges": [[0, 1, 1e308], [0, 2, 1e308], [1, 2, 1e308]]}, TOO_HEAVY),
-    ({"n": 2, "edges": [[0, 1, 1e308]]}, TOO_HEAVY),
+    # degrees that overflow
+    ({"n": 3, "edges": [[0, 1, 1e308], [0, 2, 1e308], [1, 2, 1e308]]}, TOO_HEAVY_SQUARES),
+    ({"n": 2, "edges": [[0, 1, 1e308]]}, TOO_HEAVY_SQUARES),
     # finite degrees whose squares, and so ||L||_F^2, overflow
     ({"n": 3, "edges": [[0, 1, 1e160], [0, 2, 1e160], [1, 2, 1e160]]}, TOO_HEAVY_SQUARES),
     ({"n": 2, "edges": [[0, 1, 8e307]]}, TOO_HEAVY_SQUARES),
-], ids=["n-2**63", "n-2**32", "triangle-1e308", "edge-1e308", "triangle-1e160", "edge-8e307"])
+    # finite degrees whose sum, trace(L), overflows too
+    ({"n": 20, "edges": [[k, k + 1, 5e306] for k in range(19)]}, TOO_HEAVY_SQUARES),
+    ({"n": 7, "edges": [[i, j, 5e306] for i in range(7) for j in range(i + 1, 7)]},
+     TOO_HEAVY_SQUARES),
+], ids=["n-2**63", "n-2**32", "triangle-1e308", "edge-1e308", "triangle-1e160", "edge-8e307",
+        "path20-5e306", "complete7-5e306"])
 def test_graph_file_out_of_range_is_one_error(tmp_path, command, doc, message):
     path = tmp_path / "g.json"
     path.write_text(json.dumps(doc))

@@ -89,6 +89,15 @@ def test_eval_filter_overflows_to_inf_without_a_warning():
     assert np.isinf(eval_filter(cheb, np.array([1.0, 2e150]), 3)).tolist() == [False, True]
 
 
+def test_eval_filter_zero_factor_after_an_overflow_is_zero():
+    # h(2) = (1 - 2e160)^2 * (1 - 0.5 * 2): inf * 0 would be NaN
+    seq = ControlSequence((1e160, 1e160, 0.5))
+    assert eval_filter(seq, 2.0, 3) == 0.0
+    assert eval_filter(seq, np.array([2.0, 1.0]), 3).tolist() == [0.0, math.inf]
+    # a zero reached without an overflow keeps its sign
+    assert math.copysign(1.0, eval_filter(ControlSequence((0.5, 2.0)), 2.0, 2)) == -1.0
+
+
 def test_design_finite_time():
     seq = design_finite_time([1.0, 12.0])
     assert seq.period == 2
@@ -202,6 +211,9 @@ def test_cheby_on_band_at_zero_closed_form():
         assert abs(closed - rec) <= 1e-10 * abs(rec)
     with pytest.raises(ParameterError):
         cheby_on_band_at_zero(SpectralBand(1.0, 1.0), 2)
+    # alpha < beta, but sqrt(beta/alpha) rounds to 1: the same error
+    with pytest.raises(ParameterError, match="closed form requires alpha < beta"):
+        cheby_on_band_at_zero(SpectralBand(1.0, 1.0000000000000002), 3)
 
 
 def test_cheby_at_zero_magnitude_strictly_increases():
@@ -231,6 +243,16 @@ def test_closed_rate_chebyshev():
 
 def test_closed_rate_chebyshev_underflows_to_zero():
     assert closed_rate_chebyshev(SpectralBand(1.0, 1.0 + 1e-9), 40000) == 0.0
+
+
+def test_cheby_closed_form_past_the_float_range_is_its_limit():
+    # beta/alpha overflows to inf; the value is the limit +/-1 that every
+    # sqrt(beta/alpha) from 2**54 on gives (1e-150..1e150), not NaN
+    for band in (SpectralBand(1e-300, 1e300), SpectralBand(0.2, 1e308),
+                 SpectralBand(5e-324, 1.0), SpectralBand(1e-150, 1e150)):
+        for m in (1, 2, 5, 400):
+            assert cheby_on_band_at_zero(band, m) == (-1.0) ** m
+            assert closed_rate_chebyshev(band, m) == 1.0
 
 
 def test_closed_rate_constant():

@@ -601,12 +601,13 @@ def test_spectral_checks_take_every_tolerance_from_the_error_rule():
         assert names & {"_eig_error", "_widened"}, fn.__name__
 
 
-def test_laplacian_refuses_weights_whose_degree_overflows():
-    # finite weights, but twice the largest degree is not a finite float
-    for g in (Graph(2, [0], [1], [1e308]), Graph(3, [0, 0, 1], [1, 2, 2], [1e308] * 3)):
-        with pytest.raises(ParameterError, match="edge weights are too large"):
+def test_laplacian_refuses_weights_whose_frobenius_norm_squared_overflows():
+    # finite weights, but twice ||L||_F^2 is not a finite float: degrees that
+    # overflow, and finite degrees whose squares do
+    for g in (Graph(2, [0], [1], [1e308]), Graph(3, [0, 0, 1], [1, 2, 2], [1e308] * 3),
+              Graph(2, [0], [1], [8e307]), Graph(3, [0, 0, 1], [1, 2, 2], [1e160] * 3)):
+        with pytest.raises(ParameterError, match=r"twice \|\|L\|\|_F\^2 is not a finite float"):
             laplacian(g)
-    assert laplacian(Graph(2, [0], [1], [8e307]))[0, 0] == 8e307
 
 
 @pytest.mark.parametrize("vectors,solver", [(True, "eigh"), (False, "eigvalsh")])

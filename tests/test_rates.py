@@ -93,6 +93,14 @@ def test_worst_case_matches_closed_forms_random_bands():
                        - closed_rate_constant(band, m)) <= 1e-6
 
 
+def test_worst_case_rate_bisects_near_the_float_range_without_a_warning():
+    # Chebyshev roots near 1e308: two of them sum past the float range, so the
+    # bisection halves before it adds
+    band = SpectralBand(0.2, 1e308)
+    for m in (2, 5):
+        assert abs(worst_case_rate(design_chebyshev(band, m), band) - 1.0) <= 1e-14
+
+
 def test_worst_case_is_attained_in_band_and_bounds_dense_grid(monkeypatch):
     """Repeated roots, roots outside the band, steps that are not a multiple of
     the period, and two roots one ulp apart."""
