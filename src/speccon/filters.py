@@ -163,6 +163,17 @@ def cheby_on_band_at_zero(b: SpectralBand, m: int) -> float:
     return float(sign * value)
 
 
+def _unit_scaled(b: SpectralBand) -> tuple[float, float]:
+    """(alpha, beta) times the power of two that puts beta in [0.5, 1).
+
+    Exact while alpha stays a normal float, so a closed form that depends only
+    on beta/alpha keeps every bit, and alpha + beta or (M + 1)·alpha no longer
+    overflow on a band near the top of the float range.
+    """
+    shift = -math.frexp(b.beta)[1]
+    return math.ldexp(b.alpha, shift), math.ldexp(b.beta, shift)
+
+
 def closed_rate_lagrange(b: SpectralBand, period: int) -> float:
     """Worst-case per-period rate of the uniform-grid design.
 
@@ -174,7 +185,8 @@ def closed_rate_lagrange(b: SpectralBand, period: int) -> float:
         raise ParameterError("period must be >= 1")
     if b.alpha == b.beta:
         return 0.0
-    shift = (period + 1) * b.alpha / (b.beta - b.alpha)
+    alpha, beta = _unit_scaled(b)
+    shift = (period + 1) * alpha / (beta - alpha)
     out = 1.0
     for k in range(1, period + 1):
         out *= k / (k + shift)
@@ -193,7 +205,8 @@ def closed_rate_constant(b: SpectralBand, period: int) -> float:
     """Worst-case rate of the constant gain iterated ``period`` times."""
     if period < 1:
         raise ParameterError("period must be >= 1")
-    return ((b.beta - b.alpha) / (b.beta + b.alpha)) ** period
+    alpha, beta = _unit_scaled(b)
+    return ((beta - alpha) / (beta + alpha)) ** period
 
 
 # ---------------------------------------------------------------------------

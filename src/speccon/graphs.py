@@ -11,6 +11,7 @@ only for the eigensolver.
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass, field, replace
 from functools import partial
 
@@ -338,7 +339,10 @@ def laplacian(g: Graph) -> np.ndarray:
     Bit for bit ``np.diag(a.sum(axis=1)) - a`` for the dense adjacency ``a``
     of the edges, without building ``a``: the degrees are the row sums of the
     negated off-diagonal entries, summed in the same order, and
-    round-to-nearest is symmetric in sign. A Laplacian too large to allocate
+    round-to-nearest is symmetric in sign. The array is a private anonymous
+    mapping: its pages read as zeros, and only those holding a nonzero entry
+    are resident (numpy's own zeros of 4 MiB or more are advised to huge
+    pages, so one entry can make 2 MiB resident). A Laplacian too large to map
     is a ParameterError, and so are edge weights so large that twice
     ||L||_F^2 = sum deg^2 + 2·sum w^2 is not a finite float. That one
     weight-range rule keeps finite every moment ``spectrum`` reads:
@@ -347,9 +351,10 @@ def laplacian(g: Graph) -> np.ndarray:
     """
     i, j, w = edge_arrays(g)
     try:
-        lap = np.zeros((g.n, g.n))
-    except MemoryError as exc:
+        zeros = mmap.mmap(-1, g.n * g.n * 8, flags=mmap.MAP_PRIVATE)
+    except OSError as exc:
         raise ParameterError(f"a dense Laplacian on n={g.n} nodes does not fit in memory") from exc
+    lap = np.frombuffer(zeros, dtype=np.float64).reshape(g.n, g.n)
     lap[i, j] = lap[j, i] = -w
     with np.errstate(over="ignore"):
         np.fill_diagonal(lap, 0.0 - lap.sum(axis=1))

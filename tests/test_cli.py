@@ -502,6 +502,16 @@ def test_chebyshev_rate_on_a_band_past_the_float_range_is_one(band):
     assert design.stderr.splitlines()[1] == "worst-case rate (M=3): 1"
 
 
+def test_closed_forms_on_a_band_whose_sums_overflow_equal_the_unit_band():
+    # every closed form depends only on beta/alpha = 1.5; alpha + beta and
+    # (M + 1)·alpha overflow on the first band, which printed 0 cells
+    tables = [invoke("table2", "--band", band, "--periods", "1,2").stdout.splitlines()[1:]
+              for band in ("1e308,1.5e308", "1,1.5")]
+    assert tables[0] == tables[1]
+    assert tables[1] == ["lagrange,0.2000,0.0357", "chebyshev,0.2000,0.0204",
+                         "constant,0.2000,0.0400"]
+
+
 def test_simulate_in_a_band_up_to_1e308_warns_nothing():
     # the in-band check's worst_case_rate bisects between Chebyshev roots near
     # 1e308, whose sum overflows

@@ -1,6 +1,7 @@
 """The CLI's contract, fuzzed: every invocation ends with exit 0, 1 or 2,
 raises nothing but click's exit, emits no warning and prints no NaN or
-Infinity token, on weighted graph documents and on bands and periods."""
+Infinity token, on weighted graph documents, on bands and periods, and on
+graph specs."""
 
 import json
 import re
@@ -9,9 +10,10 @@ import warnings
 from pathlib import Path
 
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from speccon import cli
 from speccon.cli import main
 
 RUN = CliRunner()
@@ -43,6 +45,15 @@ BAND_COMMANDS = [
     ["simulate", "--graph", "cycle:8", "--method", "chebyshev", "--steps", "20", "--seed", "1"],
 ]
 
+# Spec parameters: sizes and counts up to 64, so no graph past 128 nodes (a
+# bipartite 64,64) is built, a count past numpy's index range, refused before
+# any allocation, probabilities in and out of [0, 1], a subnormal, non-finite
+# and non-numeric tokens, and an empty one. A spec with its family's number of
+# parameters draws each one half the time from the valid values of its type.
+SPEC_TOKENS = ["-3", "0", "2", "12", "64", "2.5", "1e3", "nan", "inf", "-0.5", "1e-320", "",
+               "9223372036854775808"]
+VALID_TOKENS = {int: ["2", "12", "64"], float: ["0", "0.3", "1", "1e-320"]}
+
 NON_FINITE = re.compile(r"NaN|Infinity")
 
 
@@ -55,7 +66,24 @@ def weighted_graphs(draw) -> dict:
     return {"n": n, "edges": [[i, j, draw(st.sampled_from(WEIGHTS))] for i, j in edges]}
 
 
-def _assert_contract(args: list[str]) -> None:
+@st.composite
+def graph_specs(draw) -> str:
+    """A spec of each family of ``cli._SPECS`` or an unknown one, with its
+    number of parameters or any from 0 to 4."""
+    kind = draw(st.sampled_from([*cli._SPECS, "lattice"]))
+    casts = list(cli._SPECS[kind][1].values()) if kind in cli._SPECS else [int]
+    count = draw(st.one_of(st.just(len(casts)), st.integers(0, 4)))
+    if count == len(casts):
+        params = [draw(st.sampled_from(SPEC_TOKENS) | st.sampled_from(VALID_TOKENS[cast]))
+                  for cast in casts]
+    else:
+        params = draw(st.lists(st.sampled_from(SPEC_TOKENS), min_size=count, max_size=count))
+    return f"{kind}:{','.join(params)}" if params or draw(st.booleans()) else kind
+
+
+def _assert_contract(args: list[str], quotes_input: bool = False) -> None:
+    """``quotes_input``: an error may quote the input, such as a 'nan' token
+    of a spec, so quoted text is not searched for a NaN."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         result = RUN.invoke(main, args)
@@ -64,7 +92,8 @@ def _assert_contract(args: list[str]) -> None:
         args, repr(result.exception))
     assert not NON_FINITE.search(result.stdout), (args, result.stdout)
     # design prints its rate on stderr, where a NaN reads "nan"
-    assert not re.search(r"\bnan\b", result.stderr), (args, result.stderr)
+    stderr = re.sub(r"'[^']*'", "", result.stderr) if quotes_input else result.stderr
+    assert not re.search(r"\bnan\b", stderr), (args, result.stderr)
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
@@ -88,3 +117,12 @@ def test_commands_keep_the_contract_on_bands_and_periods(alpha, beta, periods):
         else:
             options = ["-M", str(periods[0])]
         _assert_contract([*command, "--band", band, *options])
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@example(spec="ws:64,12,0.3")  # the random families, which few draws build
+@example(spec="er:64,0.3")
+@given(spec=graph_specs())
+def test_graph_commands_keep_the_contract_on_specs(spec):
+    _assert_contract(["graph", "inspect", "--format", "json", "--seed", "1", spec], True)
+    _assert_contract(["graph", "generate", "--seed", "1", spec], True)

@@ -261,6 +261,18 @@ def test_closed_rate_constant():
     assert closed_rate_constant(SpectralBand(1.0, 1.0), 3) == 0.0
 
 
+def test_lagrange_and_constant_closed_forms_are_scale_free():
+    # a power-of-two scale of the band keeps every bit, from alpha in the
+    # least normal binade to beta in the top one, where alpha + beta or
+    # (M + 1)·alpha overflow
+    for alpha, beta in ((0.2, 12.8), (1.0, 1.5), (1e-300, 1e-290), (3.0, 3.0000000000000004)):
+        for k in (-1021 - math.frexp(alpha)[1], -1, 1, 1024 - math.frexp(beta)[1]):
+            scaled = SpectralBand(math.ldexp(alpha, k), math.ldexp(beta, k))
+            for m in (1, 2, 5, 16):
+                for rate in (closed_rate_lagrange, closed_rate_constant):
+                    assert rate(scaled, m) == rate(SpectralBand(alpha, beta), m)
+
+
 def test_rate_ordering_dominance():
     rng = np.random.default_rng(17)
     for band in [BAND] + [_random_band(rng) for _ in range(10)]:

@@ -780,6 +780,36 @@ def test_erdos_renyi_holds_no_array_per_node_pair():
     assert peak < 4_000_000
 
 
+# The values-only spectrum of path:1500 in a fresh process, after the solver
+# is warmed on a small graph: the peak rises by the solver's input copy plus
+# the Laplacian's resident pages. The path writes one diagonal band, so few of
+# the Laplacian's pages are resident; a Laplacian backed by huge pages, one
+# entry making 2 MiB resident, raised it by about 2.0·8n². The peak is VmHWM,
+# that of this process image: ru_maxrss keeps the larger peak of the process
+# that started it, here pytest's.
+RISE = """
+from speccon import graphs
+def peak():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+g = graphs.build_graph("path", n=1500)
+graphs.spectrum(graphs.build_graph("path", n=8), vectors=False)
+before = peak()
+graphs.spectrum(g, vectors=False)
+print(peak() - before)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+def test_laplacian_keeps_only_its_written_pages_resident():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", RISE], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    rise = int(proc.stdout) * 1024  # VmHWM is in kB
+    assert rise < 1.7 * 8 * 1500 ** 2
+
+
 def test_graph_requires_two_nodes():
     with pytest.raises(ParameterError):
         Graph(1, [], [], [])
