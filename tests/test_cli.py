@@ -241,11 +241,39 @@ def test_sweep_json_rows_match_the_csv():
       "--trials", "20", "--seed", "1")),
     ("sweep_n300_M5_seed2.csv",
      ("--nodes", "300", "-M", "5", "--band", "0.2,12.8", "--trials", "3", "--seed", "2")),
+    ("sweep_n600_p004_M5_seed3.csv",
+     ("--nodes", "600", "--edge-prob", "0.04", "-M", "5", "--band", "0.2,12.8", "--trials", "3",
+      "--seed", "3")),
 ])
 def test_sweep_csv_matches_pinned_output(fixture, args):
     result = invoke("sweep", *args)
     assert result.exit_code == 0
     assert result.stdout_bytes == (DATA / fixture).read_bytes()
+
+
+@pytest.mark.parametrize("args", [
+    ("--nodes", "100", "--edge-prob", "0.08", "-M", "16", "--band", "0.2,12.8",
+     "--trials", "20", "--seed", "1"),
+    ("--nodes", "300", "-M", "5", "--band", "0.2,12.8", "--trials", "3", "--seed", "2"),
+    ("--nodes", "30", "--edge-prob", "0.2", "-M", "5", "--band", "1,12.8", "--trials", "6",
+     "--seed", "9"),
+    ("--nodes", "60", "--edge-prob", "0.2", "-M", "3", "--band", "0.5,6", "--trials", "6",
+     "--seed", "4"),
+])
+def test_sweep_rescaled_rows_are_rated_by_their_two_extreme_eigenvalues(args):
+    # A rescaled row has lambda_N = beta up to its rounding; each band design's
+    # |h| then peaks over the spectrum at lambda_2 or lambda_N, bit for bit
+    doc = json.loads(invoke("sweep", *args, "--format", "json").stdout)
+    band = graphs.SpectralBand(doc["alpha"], doc["beta"])
+    rescaled = [row for row in doc["rows"]
+                if abs(row["lambda_n"] - band.beta) <= 2 * math.ulp(band.beta)]
+    assert rescaled
+    for method in TABLE_METHODS:
+        seq = cli._sequence(method, band, doc["period"])
+        for row in rescaled:
+            extremes = [row["lambda2"], row["lambda_n"]]
+            expected = rates.rate_on_eigenvalues(seq, extremes, doc["period"]).exact_rate
+            assert row[f"rho_{method}"] == expected, (method, row)
 
 
 def test_sweep_computes_one_worst_case_rate_per_method_and_table3_none(monkeypatch):
