@@ -11,6 +11,7 @@ with a single constant gain.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,9 +92,33 @@ def design_finite_time(distinct) -> ControlSequence:
     return ControlSequence(tuple(1.0 / v for v in values), "finite_time")
 
 
+def _band_gains(b: SpectralBand, place) -> tuple[float, ...]:
+    """The gains 1/r of the roots r that ``place(alpha, beta)`` puts on the
+    band's ``_unit_scaled`` ends, with the scale undone on the root while it is
+    a normal float, and on 1/r, then normal, below that.
+
+    Undoing a power of two on a normal float is exact, so each gain keeps
+    every bit it has when the roots are placed on the band itself, and no sum
+    such as alpha + beta overflows on a band near the top of the float range.
+    """
+    shift = math.frexp(b.beta)[1]
+    unit_roots = place(*_unit_scaled(b))
+    if any(r <= 0.0 for r in unit_roots):
+        raise ParameterError("filter roots must be positive")
+    gains = []
+    for r in unit_roots:
+        root = math.ldexp(r, shift)
+        try:
+            gains.append(1.0 / root if root >= sys.float_info.min else math.ldexp(1.0 / r, -shift))
+        except OverflowError:
+            raise ParameterError("control gains must be positive and finite") from None
+    return tuple(gains)
+
+
 def design_constant(b: SpectralBand) -> ControlSequence:
-    """Best constant gain 2/(alpha + beta), as a period-1 sequence."""
-    return ControlSequence((2.0 / (b.alpha + b.beta),), "constant", b)
+    """Best constant gain 2/(alpha + beta), as a period-1 sequence: the
+    reciprocal of the root (alpha + beta)/2, which is bit for bit the same."""
+    return ControlSequence(_band_gains(b, lambda a, z: [(a + z) / 2.0]), "constant", b)
 
 
 def design_lagrange(b: SpectralBand, period: int) -> ControlSequence:
@@ -104,8 +129,9 @@ def design_lagrange(b: SpectralBand, period: int) -> ControlSequence:
     """
     if period < 1:
         raise ParameterError("period must be >= 1")
-    roots = [b.alpha + (b.beta - b.alpha) * (k + 1) / (period + 1) for k in range(period)]
-    return ControlSequence.from_roots(roots, "lagrange", b)
+    gains = _band_gains(b, lambda a, z: [a + (z - a) * (k + 1) / (period + 1)
+                                         for k in range(period)])
+    return ControlSequence(gains, "lagrange", b)
 
 
 def design_chebyshev(b: SpectralBand, period: int) -> ControlSequence:
@@ -119,11 +145,12 @@ def design_chebyshev(b: SpectralBand, period: int) -> ControlSequence:
         raise ParameterError("period must be >= 1")
     if b.alpha == b.beta:
         raise ParameterError("chebyshev design requires alpha < beta")
-    half_width = (b.beta - b.alpha) / 2.0
-    center = (b.beta + b.alpha) / 2.0
-    roots = [half_width * math.cos((2 * i - 1) * math.pi / (2 * period)) + center
-             for i in range(1, period + 1)]
-    return ControlSequence.from_roots(roots, "chebyshev", b)
+
+    def place(alpha, beta):
+        half_width, center = (beta - alpha) / 2.0, (beta + alpha) / 2.0
+        return [half_width * math.cos((2 * i - 1) * math.pi / (2 * period)) + center
+                for i in range(1, period + 1)]
+    return ControlSequence(_band_gains(b, place), "chebyshev", b)
 
 
 def design_uniform_unknown(beta_bar: float, period: int) -> ControlSequence:

@@ -540,6 +540,20 @@ def test_closed_forms_on_a_band_whose_sums_overflow_equal_the_unit_band():
                          "constant,0.2000,0.0400"]
 
 
+@pytest.mark.parametrize("method,period", [
+    ("constant", "2"), ("chebyshev", "2"), ("chebyshev", "5"), ("lagrange", "5")])
+def test_design_on_a_band_whose_sums_overflow_is_the_unit_band_scaled(method, period):
+    # alpha + beta, the Chebyshev center and (beta - alpha)·(M + 1) overflow
+    # on the first band, which was refused as having gains that are not finite
+    results = [invoke("design", "--band", band, "--method", method, "-M", period)
+               for band in ("1e308,1.5e308", "1,1.5")]
+    assert [r.exit_code for r in results] == [0, 0]
+    big, unit = ([float(v) for v in r.stderr.splitlines()[0].split()[1:]] for r in results)
+    assert [r / 1e308 for r in big] == pytest.approx(unit, rel=1e-5)
+    assert results[0].stderr.splitlines()[1:] == results[1].stderr.splitlines()[1:]
+    assert all(0.0 < g < 1e-307 for g in json.loads(results[0].stdout)["gains"])
+
+
 def test_simulate_in_a_band_up_to_1e308_warns_nothing():
     # the in-band check's worst_case_rate bisects between Chebyshev roots near
     # 1e308, whose sum overflows

@@ -273,6 +273,23 @@ def test_lagrange_and_constant_closed_forms_are_scale_free():
                     assert rate(scaled, m) == rate(SpectralBand(alpha, beta), m)
 
 
+def test_band_designs_are_scale_free():
+    # a power-of-two scale of the band scales every gain by its inverse, bit
+    # for bit while the gains stay normal floats: from alpha in the least
+    # normal binade to beta in the top but two, where alpha + beta, the
+    # Chebyshev center or (beta - alpha)·M overflow
+    for alpha, beta in ((0.2, 12.8), (1.0, 1.5), (1e-300, 1e-290), (3.0, 3.0000000000000004)):
+        band = SpectralBand(alpha, beta)
+        for k in (-1021 - math.frexp(alpha)[1], -1, 1, 1021 - math.frexp(beta)[1]):
+            scaled = SpectralBand(math.ldexp(alpha, k), math.ldexp(beta, k))
+            pairs = [(design_constant(scaled), design_constant(band))]
+            for m in (1, 2, 5, 16):
+                pairs += [(design_lagrange(scaled, m), design_lagrange(band, m)),
+                          (design_chebyshev(scaled, m), design_chebyshev(band, m))]
+            for big, unit in pairs:
+                assert big.gains == tuple(math.ldexp(g, -k) for g in unit.gains), (k, big.method)
+
+
 def test_rate_ordering_dominance():
     rng = np.random.default_rng(17)
     for band in [BAND] + [_random_band(rng) for _ in range(10)]:
