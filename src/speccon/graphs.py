@@ -166,9 +166,7 @@ class LaplacianSpectrum:
 
     def nonzero_eigenvalues(self) -> np.ndarray:
         """lambda_2..lambda_N; a ConnectivityError when lambda_2 counts as zero."""
-        if not self.is_connected():
-            raise ConnectivityError(
-                f"spectrum is effectively disconnected (lambda_2 = {self.lambda_2:.3e})")
+        _require_connected(self)
         return self.eigenvalues[1:]
 
     def scaled(self, c: float) -> LaplacianSpectrum:
@@ -182,10 +180,66 @@ class LaplacianSpectrum:
         return replace(self, eigenvalues=c * self.eigenvalues, max_degree=c * self.max_degree)
 
 
+def _require_connected(s) -> None:
+    """A ConnectivityError when the spectrum ``s`` counts its lambda_2 as zero."""
+    if not s.is_connected():
+        raise ConnectivityError(
+            f"spectrum is effectively disconnected (lambda_2 = {s.lambda_2:.3e})")
+
+
+@dataclass(frozen=True)
+class SpectralExtremes:
+    """lambda_2 and lambda_N of an n-node Laplacian, each within ``error`` of
+    its exact value, as ``extreme_eigenvalues`` certifies them.
+
+    It offers what a ``LaplacianSpectrum`` offers for its ends: band membership
+    (``band_contains`` takes the error of n eigenvalues), connectivity and
+    rescaling. Its ``nonzero_eigenvalues`` are the two ends only, so a rate
+    over them is the spectrum's rate only where |h| between them peaks at an end.
+    """
+
+    lambda_2: float
+    lambda_max: float
+    n: int
+    error: float
+
+    is_connected = LaplacianSpectrum.is_connected
+
+    def nonzero_eigenvalues(self) -> np.ndarray:
+        """[lambda_2, lambda_N]; a ConnectivityError when lambda_2 counts as zero."""
+        _require_connected(self)
+        return np.array([self.lambda_2, self.lambda_max])
+
+    def scaled(self, c: float) -> SpectralExtremes:
+        """The ends, and their error, of the graph with every edge weight
+        multiplied by ``c > 0``, as ``LaplacianSpectrum.scaled``."""
+        if not (0.0 < c < math.inf):
+            raise ParameterError(f"scale factor must be positive and finite, got {c}")
+        return replace(self, lambda_2=c * self.lambda_2, lambda_max=c * self.lambda_max,
+                       error=c * self.error)
+
+
 def edge_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The stored (i, j, w) edge arrays of ``g``, without a copy: read-only,
     sorted by (i, j), with i < j."""
     return g._edges
+
+
+def _neighbour_sums(n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray):
+    """The map x -> sum_j a_ij (x_j - x_i) per node, which is -L x, for the
+    edges (i, j, w) of an n-node graph: one ``bincount`` over the edges, in
+    which node i receives +diff for its edges as ``i`` and then -diff for its
+    edges as ``j``, each in edge order. The protocol step and the Lanczos
+    matvec of ``extreme_eigenvalues`` share it."""
+    m, src = len(i), np.concatenate([i, j])
+
+    def apply(x: np.ndarray) -> np.ndarray:
+        weights = np.empty(2 * m)
+        diff = np.subtract(x[j], x[i], out=weights[:m])
+        diff *= w
+        np.negative(diff, out=weights[m:])
+        return np.bincount(src, weights=weights, minlength=n)
+    return apply
 
 
 def is_connected(g: Graph) -> bool:
@@ -423,6 +477,94 @@ def spectrum(g: Graph, vectors: bool = True) -> LaplacianSpectrum:
     if vecs is not None:
         vecs.flags.writeable = False
     return LaplacianSpectrum(vals, vecs, max_degree)
+
+
+# The Lanczos basis of ``extreme_eigenvalues`` grows to at most this many
+# vectors; a run that needs more is left to the dense solver.
+LANCZOS_MAX_BASIS = 300
+# The seeds of its two independent start vectors.
+LANCZOS_SEEDS = (0x5EED1, 0x5EED2)
+
+
+def _lanczos_ends(minus_lap, n: int, seed: int, tol: float) -> tuple[float, float] | None:
+    """The smallest and largest Ritz values of L off the ones vector, once
+    both residuals are at most ``tol``; None when the basis reaches
+    ``LANCZOS_MAX_BASIS`` vectors first or a value is not finite.
+
+    ``minus_lap`` maps x to -L x. The basis starts with the unit ones vector,
+    which L maps to zero, and a seeded normal vector; every new vector is
+    orthogonalized twice against the whole basis, so the basis stays
+    orthonormal to round-off. The residual of a Ritz pair (theta, y) is
+    ||L y - theta y||_2 = b·|s_k|, the last Lanczos coefficient times the last
+    entry of y in the basis.
+    """
+    size = min(LANCZOS_MAX_BASIS, n - 1) + 1
+    basis = np.empty((size, n))
+    basis[0] = 1.0 / math.sqrt(n)
+    v = np.random.default_rng(seed).standard_normal(n)
+    diag, off = [], []
+    for k in range(1, size + 1):
+        for _ in range(2):
+            v -= basis[:k].T @ (basis[:k] @ v)
+        b = float(np.linalg.norm(v))
+        if not np.isfinite(b):
+            return None
+        # the end pairs are checked every 8 steps, and when the basis is full
+        # or the Krylov space invariant
+        if k > 1 and (k % 8 == 1 or k == size or b <= tol):
+            theta, s = np.linalg.eigh(np.diag(diag) + np.diag(off[1:], 1) + np.diag(off[1:], -1))
+            if b * max(abs(s[-1, 0]), abs(s[-1, -1])) <= tol:
+                return float(theta[0]), float(theta[-1])
+            if b <= tol or k == size:
+                return None
+        off.append(b)
+        basis[k] = v / b
+        v = -minus_lap(basis[k])
+        diag.append(basis[k] @ v)
+    return None
+
+
+def extreme_eigenvalues(g: Graph) -> SpectralExtremes | None:
+    """lambda_2 and lambda_N by Lanczos on the edge list, certified, or None
+    where they are not; no n x n array is made.
+
+    Two runs of ``_lanczos_ends`` from independent seeded starts each stop
+    once both end Ritz residuals are at most err = _eig_error(n, max(1,
+    2·max_degree)), the dense path's own rule for an n-node Laplacian, whose
+    norm Gershgorin bounds by 2·max_degree. A Ritz value lies within its
+    residual of an eigenvalue (Parlett, *The Symmetric Eigenvalue Problem*),
+    and the extreme Ritz values off the ones vector lie inside [lambda_2,
+    lambda_N]. A start nearly orthogonal to an end eigenvector can still make
+    its run settle on the next eigenvalue; for a random start that chance is
+    small and shrinks with the basis size (Kuczynski and Wozniakowski, SIAM
+    J. Matrix Anal. Appl., 1992), and two independent starts must both miss.
+    So the values are certified when the runs agree to within 2·err and the
+    larger lambda_N stays within Gershgorin's 2·(max_degree + err), which
+    holds exactly; then the smaller lambda_2 and the larger lambda_N are
+    returned with error err. A run that hits the basis cap, a disagreement, a
+    failed bound or a 2·max_degree past the float range gives None, and the
+    caller takes ``spectrum``.
+    """
+    i, j, w = edge_arrays(g)
+    max_degree = float(np.bincount(np.concatenate([i, j]), weights=np.concatenate([w, w]),
+                                   minlength=g.n).max())
+    err = _eig_error(g.n, max(1.0, 2.0 * max_degree))
+    if not math.isfinite(err):
+        return None
+    minus_lap = _neighbour_sums(g.n, i, j, w)
+    runs = []
+    for seed in LANCZOS_SEEDS:
+        with np.errstate(over="ignore", invalid="ignore"):
+            ends = _lanczos_ends(minus_lap, g.n, seed, err)
+        if ends is None:
+            return None
+        runs.append(ends)
+    (low_a, high_a), (low_b, high_b) = runs
+    low, high = min(low_a, low_b), max(high_a, high_b)
+    if not (abs(low_a - low_b) <= 2.0 * err and abs(high_a - high_b) <= 2.0 * err
+            and high <= 2.0 * (max_degree + err)):
+        return None
+    return SpectralExtremes(low, high, g.n, err)
 
 
 def analytic_spectrum(family: str, **params) -> list[tuple[float, int]]:

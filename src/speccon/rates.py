@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import NumericalError, ParameterError
 from .filters import ControlSequence, eval_filter
-from .graphs import _U, LaplacianSpectrum, SpectralBand, _widened
+from .graphs import _U, LaplacianSpectrum, SpectralBand, SpectralExtremes, _widened
 from .sim import _fmt6
 
 
@@ -57,6 +57,30 @@ def worst_case_rate(seq: ControlSequence, b: SpectralBand, steps: int | None = N
     return float(np.abs(eval_filter(seq, candidates, steps)).max())
 
 
+def _slack(wide: SpectralBand, steps: int) -> float:
+    """The B = 2M + 2·b/(b - a)·M^2 of ``_in_band_check``, for M = ``steps``
+    on its widened band [a, b]."""
+    return 2 * steps + 2 * wide.beta / (wide.beta - wide.alpha) * steps ** 2
+
+
+def _peaks_at_beta(seq: ControlSequence, band: SpectralBand, n: int, steps: int) -> bool:
+    """Whether |h(lambda, steps)| on [smallest root, beta] peaks at beta, to
+    within the rounding of ``_in_band_check``: its ``worst_case_rate`` there
+    is at most |h(beta)|·(1 + B·u).
+
+    Below its smallest root |h| decreases in lambda, so where this holds the
+    rate over a spectrum [lambda_2, ..., lambda_N] with lambda_N = beta is
+    max(|h(lambda_2)|, |h(lambda_N)|) up to that rounding: a rescaled sweep
+    row needs only its two ends. Chebyshev designs equioscillate, and their
+    interior maxima read a few ulps above |h(beta)|.
+    """
+    lo, hi = _widened(band, n)
+    bound = _slack(SpectralBand(max(lo, math.ulp(0.0)), hi), steps)
+    smallest = min(1.0 / seq.gain_at(k) for k in range(steps))
+    peak = worst_case_rate(seq, SpectralBand(min(smallest, band.beta), band.beta), steps)
+    return peak <= abs(eval_filter(seq, band.beta, steps)) * (1.0 + bound * _U)
+
+
 def _in_band_check(seq: ControlSequence, band: SpectralBand, n: int, steps: int):
     """The check of a rate over ``steps`` on a spectrum of n eigenvalues that
     ``band_contains`` puts inside ``band``: a function of that rate that
@@ -74,8 +98,7 @@ def _in_band_check(seq: ControlSequence, band: SpectralBand, n: int, steps: int)
     """
     lo, hi = _widened(band, n)
     wide = SpectralBand(max(lo, math.ulp(0.0)), hi)
-    bound = 2 * steps + 2 * wide.beta / (wide.beta - wide.alpha) * steps ** 2
-    limit = worst_case_rate(seq, wide, steps) * (1.0 + 2 * bound * _U)
+    limit = worst_case_rate(seq, wide, steps) * (1.0 + 2 * _slack(wide, steps) * _U)
 
     def check(rate: float) -> None:
         if not rate <= limit:
@@ -97,8 +120,10 @@ def rate_on_eigenvalues(seq: ControlSequence, eigenvalues, steps: int | None = N
     return RateReport(exact_rate=float(values[idx]), argmax_eigenvalue=float(eigs[idx]))
 
 
-def exact_rate(seq: ControlSequence, s: LaplacianSpectrum, steps: int | None = None) -> RateReport:
-    """Max of |h(lambda_i, steps)| over the nonzero eigenvalues of a connected graph."""
+def exact_rate(seq: ControlSequence, s: LaplacianSpectrum | SpectralExtremes,
+               steps: int | None = None) -> RateReport:
+    """Max of |h(lambda_i, steps)| over the nonzero eigenvalues of a connected
+    graph; of a ``SpectralExtremes``, over its two ends."""
     return rate_on_eigenvalues(seq, s.nonzero_eigenvalues(), steps)
 
 

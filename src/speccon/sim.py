@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .filters import ControlSequence
-from .graphs import _U, Graph, _read_only, edge_arrays
+from .graphs import _U, Graph, _neighbour_sums, _read_only, edge_arrays
 
 
 def round_off_floor(n: int) -> float:
@@ -110,8 +110,7 @@ def simulate(g: Graph, seq: ControlSequence, x0, steps: int, states: bool = True
     x = check_initial_states(x0, g.n)
     if steps < 0:
         raise ParameterError("steps must be non-negative")
-    iu, ju, w = edge_arrays(g)
-    src = np.concatenate([iu, ju])
+    neighbour_sums = _neighbour_sums(g.n, *edge_arrays(g))
     rows = np.empty((steps + 1 if states else 0, g.n))
     errors = np.empty(steps + 1)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -120,12 +119,7 @@ def simulate(g: Graph, seq: ControlSequence, x0, steps: int, states: bool = True
             rows[0] = x
         errors[0] = _scaled(_norm, x - average)
         for k in range(steps):
-            # sum_j a_ij (x_j - x_i) per node: node i receives +diff for its
-            # edges as ``iu`` and then -diff for its edges as ``ju``, each in
-            # edge order
-            diff = w * (x[ju] - x[iu])
-            x = x + seq.gain_at(k) * np.bincount(src, weights=np.concatenate([diff, -diff]),
-                                                 minlength=g.n)
+            x = x + seq.gain_at(k) * neighbour_sums(x)
             if states:
                 rows[k + 1] = x
             errors[k + 1] = _scaled(_norm, x - average)

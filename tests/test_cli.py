@@ -276,6 +276,111 @@ def test_sweep_rescaled_rows_are_rated_by_their_two_extreme_eigenvalues(args):
             assert row[f"rho_{method}"] == expected, (method, row)
 
 
+# A sweep above the two-eigenvalue threshold, with every row rescaled.
+SWEEP_600 = ("--nodes", "600", "--edge-prob", "0.04", "-M", "5", "--band", "0.2,12.8",
+             "--trials", "3", "--seed", "3")
+
+
+def _count_solvers(monkeypatch) -> dict:
+    """Counts of the calls to the Lanczos ends and to the dense solver."""
+    calls = {"ends": 0, "dense": 0}
+    for name, key in (("extreme_eigenvalues", "ends"), ("spectrum", "dense")):
+        def counted(*args, original=getattr(graphs, name), key=key, **kwargs):
+            calls[key] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(graphs, name, counted)
+    return calls
+
+
+def test_sweep_rates_rescaled_rows_from_two_eigenvalues_from_the_threshold(monkeypatch):
+    calls = _count_solvers(monkeypatch)
+    args = ("--edge-prob", "0.04", "-M", "5", "--trials", "2", "--seed", "3")
+    for nodes, path in ((cli.TWO_EIGENVALUE_NODES - 1, "dense"), (cli.TWO_EIGENVALUE_NODES, "ends")):
+        calls.update(ends=0, dense=0)
+        assert invoke("sweep", "--nodes", str(nodes), *args).exit_code == 0
+        assert calls == {"ends": 2 if path == "ends" else 0, "dense": 2 if path == "dense" else 0}
+
+
+def test_sweep_checks_once_per_run_that_each_method_peaks_at_beta(monkeypatch):
+    calls = _count_solvers(monkeypatch)
+    checked = []
+    original = rates._peaks_at_beta
+    monkeypatch.setattr(rates, "_peaks_at_beta",
+                        lambda *args: checked.append(args) or original(*args))
+    assert invoke("sweep", *SWEEP_600).exit_code == 0
+    assert [seq.method for seq, *_ in checked] == list(TABLE_METHODS)
+    assert all(original(*args) for args in checked)
+    assert calls == {"ends": 3, "dense": 0}
+    # one method whose |h| does not peak at beta sends the whole run dense
+    monkeypatch.setattr(rates, "_peaks_at_beta", lambda seq, *args: seq.method != "constant")
+    calls.update(ends=0, dense=0)
+    assert invoke("sweep", *SWEEP_600).exit_code == 0
+    assert calls == {"ends": 0, "dense": 3}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweep_rows_whose_ends_are_not_certified_are_the_dense_rows(monkeypatch, fmt):
+    args = (*SWEEP_600, "--format", fmt)
+    with monkeypatch.context() as m:
+        m.setattr(cli, "TWO_EIGENVALUE_NODES", 10 ** 9)
+        dense = invoke("sweep", *args).stdout_bytes
+    # a basis cap that no run reaches
+    with monkeypatch.context() as m:
+        m.setattr(graphs, "LANCZOS_MAX_BASIS", 8)
+        assert invoke("sweep", *args).stdout_bytes == dense
+    # a second start that lands on another lambda_2
+    original = graphs._lanczos_ends
+
+    def disagreeing(minus_lap, n, seed, tol):
+        low, high = original(minus_lap, n, seed, tol)
+        return (low + 3.0 * tol if seed == graphs.LANCZOS_SEEDS[1] else low), high
+    with monkeypatch.context() as m:
+        m.setattr(graphs, "_lanczos_ends", disagreeing)
+        assert invoke("sweep", *args).stdout_bytes == dense
+
+
+def test_sweep_rows_with_lambda_n_not_beyond_beta_by_the_error_are_dense(monkeypatch):
+    # Lanczos ends at beta - 1, beta + error and beta + 3·error: only the
+    # last is certainly rescaled on the dense path too
+    calls = _count_solvers(monkeypatch)
+    dense = []
+    for offset in (-1.0, 1e-11, 3e-11):
+        extremes = graphs.SpectralExtremes(2.5, 12.8 + offset, 600, 1e-11)
+        monkeypatch.setattr(graphs, "extreme_eigenvalues",
+                            lambda g, e=extremes: calls.update(ends=calls["ends"] + 1) or e)
+        calls.update(ends=0, dense=0)
+        doc = json.loads(invoke("sweep", *SWEEP_600, "--format", "json").stdout)
+        dense.append(calls["dense"])
+    assert dense == [3, 3, 0]
+    # rated at the rescaled ends
+    seq = cli._sequence("chebyshev", graphs.SpectralBand(0.2, 12.8), 5)
+    row = doc["rows"][0]
+    assert row["lambda_n"] == 12.8 and row["lambda2"] == 12.8 / (12.8 + 3e-11) * 2.5
+    assert row["rho_chebyshev"] == rates.rate_on_eigenvalues(
+        seq, [row["lambda2"], row["lambda_n"]], 5).exact_rate
+
+
+def test_sweep_on_the_two_eigenvalue_path_is_deterministic():
+    runs = [invoke("sweep", *SWEEP_600, "--format", "json").stdout_bytes for _ in range(2)]
+    assert runs[0] == runs[1]
+
+
+def test_sweep_on_a_large_graph_allocates_no_dense_array(monkeypatch):
+    # the dense Laplacian is a mapping and the solver's copy is LAPACK's, which
+    # tracemalloc does not see: neither may be reached
+    monkeypatch.setattr(graphs, "laplacian", lambda g: pytest.fail("dense Laplacian"))
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: pytest.fail("dense solver"))
+    args = ("sweep", "--nodes", "1000", "--trials", "1", "--seed", "1")
+    tracemalloc.start()
+    try:
+        result = invoke(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.exit_code == 0 and len(result.stdout.splitlines()) == 2
+    assert peak < 1000 * 1000 * 8  # less than one n x n array
+
+
 def test_sweep_computes_one_worst_case_rate_per_method_and_table3_none(monkeypatch):
     # sweep bounds its in-band rows by each method's worst case over the band
     # widened by the eigenvalue error, computed once per run, before any graph

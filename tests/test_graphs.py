@@ -844,3 +844,112 @@ def test_graph_from_dict_reads_numpy_numbers():
 def test_graph_from_dict_last_duplicate_weight_wins():
     g = graph_from_dict({"n": 3, "edges": [[0, 1, 2.0], [1, 2, 1.0], [1, 0, 0.3], [2, 1, 0.7]]})
     assert graph_to_dict(g) == {"n": 3, "edges": [[0, 1, 0.3], [1, 2, 0.7]]}
+
+
+# Lanczos ends (graphs.extreme_eigenvalues) against the dense solver on seeded
+# random graphs, and against the closed form on a bipartite graph, whose four
+# distinct eigenvalues make the Krylov space invariant after three steps.
+@pytest.mark.parametrize("family,params", [
+    ("random_connected", {"n": 500, "p": 0.04}), ("random_connected", {"n": 1000, "p": 0.02}),
+    ("random_connected", {"n": 800, "p": 0.08}), ("watts_strogatz", {"n": 600, "k": 6, "p": 0.3}),
+    ("watts_strogatz", {"n": 1000, "k": 10, "p": 0.3}),
+])
+def test_extreme_eigenvalues_agree_with_the_dense_solver(family, params):
+    g = build_graph(family, seed=7, **params)
+    ends, s = graphs.extreme_eigenvalues(g), spectrum(g, vectors=False)
+    assert ends is not None and ends.n == g.n
+    err = _eig_error(g.n, max(1.0, s.lambda_max))
+    assert abs(ends.lambda_2 - s.lambda_2) <= err
+    assert abs(ends.lambda_max - s.lambda_max) <= err
+    assert ends.error == _eig_error(g.n, 2.0 * s.max_degree)
+
+
+def test_extreme_eigenvalues_of_a_bipartite_graph_are_its_closed_form():
+    g = build_graph("complete_bipartite", m=200, n=400)
+    ends = graphs.extreme_eigenvalues(g)
+    exact = analytic_spectrum("complete_bipartite", m=200, n=400)
+    assert abs(ends.lambda_2 - exact[1][0]) <= ends.error
+    assert abs(ends.lambda_max - exact[-1][0]) <= ends.error
+
+
+def test_extreme_eigenvalues_agree_with_a_sparse_oracle():
+    # scipy, test-only: ARPACK's ends of the Laplacian off its zero eigenvalue
+    sparse = pytest.importorskip("scipy.sparse")
+    eigsh = pytest.importorskip("scipy.sparse.linalg").eigsh
+    g = build_graph("watts_strogatz", n=800, k=8, p=0.3, seed=3)
+    i, j, w = edge_arrays(g)
+    a = sparse.coo_matrix((np.r_[w, w], (np.r_[i, j], np.r_[j, i])), shape=(g.n, g.n)).tocsr()
+    lap = sparse.diags(np.asarray(a.sum(axis=1)).ravel()) - a
+    low = eigsh(lap, k=2, sigma=-1.0, which="LM", return_eigenvectors=False, tol=0.0)
+    high = eigsh(lap, k=1, which="LA", return_eigenvectors=False, tol=0.0)
+    ends = graphs.extreme_eigenvalues(g)
+    assert abs(ends.lambda_2 - max(low)) <= ends.error
+    assert abs(ends.lambda_max - high[0]) <= ends.error
+
+
+def test_extreme_eigenvalues_are_not_certified_past_the_basis_cap(monkeypatch):
+    # a path's bottom eigenvalues lie 1e-4 apart: Lanczos fills the basis first
+    assert graphs.extreme_eigenvalues(build_graph("path", n=600)) is None
+    g = build_graph("random_connected", n=600, p=0.04, seed=1)
+    assert graphs.extreme_eigenvalues(g) is not None
+    monkeypatch.setattr(graphs, "LANCZOS_MAX_BASIS", 8)
+    assert graphs.extreme_eigenvalues(g) is None
+
+
+def test_extreme_eigenvalues_need_both_starts_to_agree(monkeypatch):
+    g = build_graph("random_connected", n=600, p=0.04, seed=1)
+    ends = graphs.extreme_eigenvalues(g)
+    original = graphs._lanczos_ends
+    # the smaller lambda_2 and the larger lambda_N of the two starts
+    minus_lap = graphs._neighbour_sums(g.n, *edge_arrays(g))
+    first, second = (original(minus_lap, g.n, seed, ends.error) for seed in graphs.LANCZOS_SEEDS)
+    assert first != second
+    assert (ends.lambda_2, ends.lambda_max) == (min(first[0], second[0]), max(first[1], second[1]))
+    for shift in ((3.0, 0.0), (0.0, 3.0), (1.5, 1.5)):
+        def shifted(minus_lap, n, seed, tol, shift=shift):
+            low, high = original(minus_lap, n, seed, tol)
+            if seed == graphs.LANCZOS_SEEDS[1]:
+                return low + shift[0] * tol, high + shift[1] * tol
+            return low, high
+        monkeypatch.setattr(graphs, "_lanczos_ends", shifted)
+        agree = shift == (1.5, 1.5)
+        assert (graphs.extreme_eigenvalues(g) is not None) is agree, shift
+
+
+def test_extreme_eigenvalues_respect_the_gershgorin_bound(monkeypatch):
+    g = build_graph("random_connected", n=600, p=0.04, seed=1)
+    max_degree = spectrum(g, vectors=False).max_degree
+    monkeypatch.setattr(graphs, "_lanczos_ends",
+                        lambda *args: (1.0, 2.0 * max_degree * (1.0 + 1e-9)))
+    assert graphs.extreme_eigenvalues(g) is None
+    monkeypatch.setattr(graphs, "_lanczos_ends", lambda *args: (1.0, 2.0 * max_degree))
+    assert graphs.extreme_eigenvalues(g) is not None
+
+
+def test_extreme_eigenvalues_make_no_dense_array(monkeypatch):
+    monkeypatch.setattr(graphs, "laplacian", lambda g: pytest.fail("dense Laplacian"))
+    g = build_graph("random_connected", n=1000, p=0.08, seed=2)
+    tracemalloc.start()
+    try:
+        assert graphs.extreme_eigenvalues(g) is not None
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < g.n * g.n * 8  # less than one n x n array; the basis is 301 x n
+
+
+def test_spectral_extremes_act_as_their_spectrum():
+    s = spectrum(build_graph("random_connected", n=40, p=0.3, seed=5), vectors=False)
+    ends = graphs.SpectralExtremes(s.lambda_2, s.lambda_max, s.n, 1e-12)
+    assert ends.nonzero_eigenvalues().tolist() == [s.lambda_2, s.lambda_max]
+    c = 12.8 / s.lambda_max
+    assert (ends.scaled(c).lambda_2, ends.scaled(c).lambda_max) == (
+        s.scaled(c).lambda_2, s.scaled(c).lambda_max)
+    assert ends.scaled(c).error == c * 1e-12
+    # band membership takes the error of n eigenvalues, not of two
+    band = SpectralBand(s.lambda_2 + 0.5 * _eig_error(s.n, max(1.0, s.lambda_max)), s.lambda_max)
+    assert band_contains(ends, band) and band_contains(s, band)
+    with pytest.raises(ParameterError):
+        ends.scaled(0.0)
+    with pytest.raises(ConnectivityError):
+        graphs.SpectralExtremes(1e-12, 5.0, 10, 1e-15).nonzero_eigenvalues()
