@@ -258,6 +258,6 @@ def sequence_from_dict(d: dict) -> ControlSequence:
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParameterError(f"malformed sequence document: {exc}") from exc
     if "period" in d and _number(d["period"], "period") != len(gains):
-        raise ParameterError(f"period {d['period']!r} is not the number of gains, {len(gains)}")
+        raise ParameterError(f"the period is not the number of gains, {len(gains)}")
     return ControlSequence(gains, method, band)
 

@@ -100,10 +100,11 @@ class SpectralBand:
     beta: float
 
     def __post_init__(self):
+        # a NaN or infinite end is not echoed, so no error prints a NaN token
+        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
+            raise ParameterError("band requires finite endpoints")
         if not (0.0 < self.alpha <= self.beta):
             raise ParameterError(f"band requires 0 < alpha <= beta, got [{self.alpha}, {self.beta}]")
-        if not math.isfinite(self.beta):
-            raise ParameterError(f"band requires finite endpoints, got [{self.alpha}, {self.beta}]")
 
 
 def _read_only(a, dtype=np.float64) -> np.ndarray:

@@ -1,9 +1,10 @@
 """The CLI's contract, fuzzed: every invocation ends with exit 0, 1 or 2,
 raises nothing but click's exit, emits no warning and prints no NaN or
-Infinity token, on weighted graph documents, on bands and periods, and on
-graph specs."""
+Infinity token, on weighted graph documents, on bands and periods, on graph
+specs and on sequence documents."""
 
 import json
+import math
 import re
 import tempfile
 import warnings
@@ -54,6 +55,25 @@ SPEC_TOKENS = ["-3", "0", "2", "12", "64", "2.5", "1e3", "nan", "inf", "-0.5", "
                "9223372036854775808"]
 VALID_TOKENS = {int: ["2", "12", "64"], float: ["0", "0.3", "1", "1e-320"]}
 
+# Sequence document values: gains from the least subnormal to 1e308, ones
+# that are not positive or not finite, and ones that are not numbers; periods
+# that are the gain count or not; bands that are valid, reversed, of the wrong
+# length, not numbers, non-finite or not a list. A key drawn as ABSENT is left out.
+ABSENT = object()
+GAINS = [5e-324, 1e-300, 0.05, 0.25, 1.0, 1e308, -0.1, 0.0, math.nan, math.inf, True, "0.1",
+         None, [0.1]]
+SEQUENCE_PERIODS = [ABSENT, "count", 0, 1, 2.0, 2.5, -1, 10 ** 20, math.nan, True, "2", None]
+SEQUENCE_BANDS = [ABSENT, None, [0.2, 20], [5, 1], [0, 1], [1], [1, 2, 3], ["a", 1], [True, 2],
+                  [5e-324, 1e308], [1e308, 1.5e308], [math.nan, 1], [1, math.inf], "0.2,20", 7]
+METHOD_TAGS = [ABSENT, "custom", "chebyshev", "finite_time", "bogus", 3]
+
+# Each command takes the sequence file last.
+SEQUENCE_COMMANDS = [
+    ["simulate", "--graph", "cycle:8", "--steps", "12", "--seed", "1", "--sequence"],
+    ["simulate", "--graph", "star:6", "--steps", "6", "--seed", "1", "--x0", "worst_eigenvector",
+     "--sequence"],
+]
+
 NON_FINITE = re.compile(r"NaN|Infinity")
 
 
@@ -79,6 +99,26 @@ def graph_specs(draw) -> str:
     else:
         params = draw(st.lists(st.sampled_from(SPEC_TOKENS), min_size=count, max_size=count))
     return f"{kind}:{','.join(params)}" if params or draw(st.booleans()) else kind
+
+
+@st.composite
+def sequence_documents(draw):
+    """A --sequence document: a dict with each key present or not, or
+    another JSON value; ``json.dumps`` writes NaN and Infinity tokens, which
+    the document reader accepts."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.sampled_from([[], [0.1], "gains", 3, None, {}]))
+    doc = {}
+    if draw(st.integers(0, 7)):
+        doc["gains"] = draw(st.lists(st.sampled_from(GAINS), max_size=4))
+    for key, values in (("period", SEQUENCE_PERIODS), ("method", METHOD_TAGS),
+                        ("band", SEQUENCE_BANDS)):
+        value = draw(st.sampled_from(values))
+        if value == "count":
+            value = len(doc.get("gains", []))
+        if value is not ABSENT:
+            doc[key] = value
+    return doc
 
 
 def _assert_contract(args: list[str], quotes_input: bool = False) -> None:
@@ -126,3 +166,13 @@ def test_commands_keep_the_contract_on_bands_and_periods(alpha, beta, periods):
 def test_graph_commands_keep_the_contract_on_specs(spec):
     _assert_contract(["graph", "inspect", "--format", "json", "--seed", "1", spec], True)
     _assert_contract(["graph", "generate", "--seed", "1", spec], True)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(doc=sequence_documents())
+def test_simulate_keeps_the_contract_on_sequence_documents(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "s.json"
+        path.write_text(json.dumps(doc))
+        for command in SEQUENCE_COMMANDS:
+            _assert_contract([*command, str(path)])

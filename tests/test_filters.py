@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -358,3 +359,17 @@ def test_sequence_from_dict_reads_numpy_numbers():
     seq = sequence_from_dict(doc)
     assert seq.gains == (0.5, 0.25)
     assert seq.band == SpectralBand(0.2, 13)
+
+
+@pytest.mark.parametrize("doc,message", [
+    ({"gains": [0.5], "band": [math.nan, 1.0]}, "band requires finite endpoints"),
+    ({"gains": [0.5], "band": [1.0, math.inf]}, "band requires finite endpoints"),
+    ({"gains": [0.5], "period": math.nan}, "the period is not the number of gains, 1"),
+    ({"gains": [0.5], "period": math.inf}, "the period is not the number of gains, 1"),
+])
+def test_sequence_document_errors_echo_no_non_finite_value(doc, message):
+    # the error names the rule, not the NaN or inf it was given
+    with pytest.raises(ParameterError) as info:
+        sequence_from_dict(doc)
+    assert str(info.value).endswith(message)
+    assert not re.search(r"nan|inf\b", str(info.value))
