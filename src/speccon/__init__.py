@@ -26,12 +26,10 @@ from .graphs import (
     Graph,
     LaplacianSpectrum,
     SpectralBand,
-    SpectralExtremes,
     analytic_spectrum,
     band_contains,
     build_graph,
     distinct_nonzero_eigenvalues,
-    extreme_eigenvalues,
     graph_from_dict,
     graph_to_dict,
     laplacian,

@@ -302,9 +302,12 @@ def table3(band, periods, fmt, out):
 
 
 # Sweeps on graphs of at least this many nodes rate their rescaled rows from
-# lambda_2 and lambda_N alone (see sweep). Per graph, dense against two-start
-# Lanczos, on connected Erdos-Renyi graphs of mean degree 20: 8.9 against
-# 18.1 ms at n = 400, 13.8 against 11.5 ms at n = 500.
+# lambda_2 and lambda_N alone (see sweep), with no n x n array. Medians per
+# graph, dense against two-start Lanczos, on connected Erdos-Renyi graphs
+# (2 shared vCPUs, numpy 2.4.6, OpenBLAS 0.3.31): at mean degree 20, 8.7
+# against 17.8 ms at n = 400, 15.4 against 14.2 at n = 500 and 27.9 against
+# 17.1 at n = 700; at mean degree 80, whose matvecs cost four times as much,
+# 63.5 against 73.4 ms at n = 1000.
 TWO_EIGENVALUE_NODES = 512
 
 
@@ -355,9 +358,9 @@ def sweep(band, period, trials, nodes, edge_prob, seed, fmt, out):
     (``rates._peaks_at_beta``). ``graphs.extreme_eigenvalues`` then finds the
     two by Lanczos on the edge list, with no n x n array, and certifies them
     by their residuals, two independent starts and Gershgorin's bound. A row
-    whose values are not certified, whose lambda_N is not beyond beta by more
-    than the eigenvalue error, or a run whose check fails, takes the dense
-    solver, so no row is printed from uncertified values.
+    whose values are not certified or whose lambda_N is not beyond beta by
+    twice their error, and every row of a run whose check fails, takes the
+    dense solver, so no row is printed from uncertified values.
     """
     seed = 0 if seed is None else seed
     seqs = {m: _sequence(m, band, period) for m in TABLE_METHODS}

@@ -232,14 +232,11 @@ def _neighbour_sums(n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray):
     which node i receives +diff for its edges as ``i`` and then -diff for its
     edges as ``j``, each in edge order. The protocol step and the Lanczos
     matvec of ``extreme_eigenvalues`` share it."""
-    m, src = len(i), np.concatenate([i, j])
+    src = np.concatenate([i, j])
 
     def apply(x: np.ndarray) -> np.ndarray:
-        weights = np.empty(2 * m)
-        diff = np.subtract(x[j], x[i], out=weights[:m])
-        diff *= w
-        np.negative(diff, out=weights[m:])
-        return np.bincount(src, weights=weights, minlength=n)
+        diff = w * (x[j] - x[i])
+        return np.bincount(src, weights=np.concatenate([diff, -diff]), minlength=n)
     return apply
 
 
