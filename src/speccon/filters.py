@@ -11,7 +11,6 @@ with a single constant gain.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,7 +108,8 @@ def _band_gains(b: SpectralBand, place) -> tuple[float, ...]:
     for r in unit_roots:
         root = math.ldexp(r, shift)
         try:
-            gains.append(1.0 / root if root >= sys.float_info.min else math.ldexp(1.0 / r, -shift))
+            gains.append(1.0 / root if root >= np.finfo(np.float64).tiny
+                         else math.ldexp(1.0 / r, -shift))
         except OverflowError:
             raise ParameterError("control gains must be positive and finite") from None
     return tuple(gains)
@@ -117,7 +117,8 @@ def _band_gains(b: SpectralBand, place) -> tuple[float, ...]:
 
 def design_constant(b: SpectralBand) -> ControlSequence:
     """Best constant gain 2/(alpha + beta), as a period-1 sequence: the
-    reciprocal of the root (alpha + beta)/2, which is bit for bit the same."""
+    reciprocal of the root (alpha + beta)/2, bit for bit wherever that root
+    is a normal float."""
     return ControlSequence(_band_gains(b, lambda a, z: [(a + z) / 2.0]), "constant", b)
 
 
