@@ -302,12 +302,12 @@ def table3(band, periods, fmt, out):
 
 
 # Sweeps on graphs of at least this many nodes rate their rescaled rows from
-# lambda_2 and lambda_N alone (see sweep), with no n x n array. Medians per
-# graph, dense against two-start Lanczos, on connected Erdos-Renyi graphs
-# (2 shared vCPUs, numpy 2.4.6, OpenBLAS 0.3.31): at mean degree 20, 8.7
-# against 17.8 ms at n = 400, 15.4 against 14.2 at n = 500 and 27.9 against
-# 17.1 at n = 700; at mean degree 80, whose matvecs cost four times as much,
-# 63.5 against 73.4 ms at n = 1000.
+# lambda_2 and lambda_N alone (see sweep), with no n x n array. Medians over
+# 12 graphs, dense against two-start Lanczos, on connected Erdos-Renyi graphs
+# (2 shared vCPUs, numpy 2.4.6, OpenBLAS 0.3.31): at mean degree 20, 5.5
+# against 8.6 ms at n = 400, 8.5 against 8.6 at n = 500 and 17.9 against
+# 11.1 at n = 700; at mean degree 80, whose matvecs cost four times as much,
+# 42.4 against 41.9 ms at n = 1000.
 TWO_EIGENVALUE_NODES = 512
 
 

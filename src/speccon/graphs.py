@@ -228,15 +228,20 @@ def edge_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _neighbour_sums(n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray):
     """The map x -> sum_j a_ij (x_j - x_i) per node, which is -L x, for the
-    edges (i, j, w) of an n-node graph: one ``bincount`` over the edges, in
-    which node i receives +diff for its edges as ``i`` and then -diff for its
-    edges as ``j``, each in edge order. The protocol step and the Lanczos
-    matvec of ``extreme_eigenvalues`` share it."""
-    src = np.concatenate([i, j])
-
+    edges (i, j, w) of an n-node graph: the protocol step and the Lanczos
+    matvec of ``extreme_eigenvalues``. ``np.add.at`` adds +diff at each edge's
+    ``i``, then -diff at its ``j``, in edge order, as one ``bincount`` over
+    both ends would, so the sums are bincount's bit for bit; NaN signs too,
+    since -diff is added rather than diff subtracted. A call allocates at
+    most 2m + n floats."""
     def apply(x: np.ndarray) -> np.ndarray:
-        diff = w * (x[j] - x[i])
-        return np.bincount(src, weights=np.concatenate([diff, -diff]), minlength=n)
+        diff = x[j]
+        diff -= x[i]
+        diff *= w
+        out = np.zeros(n)
+        np.add.at(out, i, diff)
+        np.add.at(out, j, np.negative(diff, out=diff))
+        return out
     return apply
 
 
@@ -281,37 +286,38 @@ def _require_int(params: dict, key: str, minimum: int) -> int:
     return _addressable(v)
 
 
-def _unit_graph(n: int, i, j) -> Graph:
-    """Unit weights on the edges (i[k], j[k]), given in the stored order."""
-    return Graph(n, i, j, np.ones(len(i)))
+def _unit_graph(n: int, i: np.ndarray, j: np.ndarray) -> Graph:
+    """Unit weights on the edges (i[k], j[k]), given in the stored order. The
+    caller's fresh arrays are handed over read-only, so ``Graph`` keeps them."""
+    w = np.ones(len(i))
+    for a in (i, j, w):
+        a.flags.writeable = False
+    return Graph(n, i, j, w)
 
 
 def _watts_strogatz_once(n: int, k: int, p: float, rng: np.random.Generator) -> Graph:
-    # Neighbor sets in place of a dense matrix. The random draws must stay
-    # those of the dense version, call for call, so that every seed keeps its
-    # graph; the tests compare the two.
-    nbrs = [set() for _ in range(n)]
+    # One set of edge keys min·n + max, which sort as the stored (i, j), and
+    # the degrees. The random draws must stay those of the dense version, call
+    # for call, so that every seed keeps its graph; the tests compare the two.
+    def key(u, v):
+        return min(u, v) * n + max(u, v)
+    edges = {key(i, (i + j) % n) for j in range(1, k // 2 + 1) for i in range(n)}
+    degree = [k] * n
+    # rewire the right-hand ring edges, ring-lattice order; no other turn removes one
     for j in range(1, k // 2 + 1):
         for i in range(n):
-            nbrs[i].add((i + j) % n)
-            nbrs[(i + j) % n].add(i)
-    # rewire the right-hand ring edges, ring-lattice order
-    for j in range(1, k // 2 + 1):
-        for i in range(n):
-            if rng.random() >= p:
-                continue
-            old = (i + j) % n
-            if len(nbrs[i]) >= n - 1:
-                continue  # node already saturated, nothing to rewire to
+            if rng.random() >= p or degree[i] >= n - 1:
+                continue  # not rewired, or saturated: nothing to rewire to
             w = int(rng.integers(n))
-            while w == i or w in nbrs[i]:
+            while w == i or key(i, w) in edges:
                 w = int(rng.integers(n))
-            nbrs[i].discard(old)
-            nbrs[old].discard(i)
-            nbrs[i].add(w)
-            nbrs[w].add(i)
-    pairs = np.array([(u, v) for u in range(n) for v in sorted(nbrs[u]) if u < v], dtype=np.intp)
-    return _unit_graph(n, pairs[:, 0], pairs[:, 1])
+            old = (i + j) % n
+            edges.remove(key(i, old))
+            edges.add(key(i, w))
+            degree[old] -= 1
+            degree[w] += 1
+    keys = np.sort(np.fromiter(edges, np.intp, len(edges)))
+    return _unit_graph(n, *np.divmod(keys, n))
 
 
 def _erdos_renyi_once(n: int, p: float, rng: np.random.Generator) -> Graph:
@@ -321,13 +327,13 @@ def _erdos_renyi_once(n: int, p: float, rng: np.random.Generator) -> Graph:
     # row i, the last row whose first pair number i(2n - i - 1)/2 is <= k.
     pairs = n * (n - 1) // 2
     block = 1 << 16
-    accepted = [start + np.flatnonzero(rng.random(min(block, pairs - start)) < p)
-                for start in range(0, pairs, block)]
-    k = np.concatenate(accepted)
+    k = np.concatenate([start + np.flatnonzero(rng.random(min(block, pairs - start)) < p)
+                        for start in range(0, pairs, block)])
     rows = np.arange(n)
     first = rows * (2 * n - rows - 1) // 2
-    iu = np.searchsorted(first, k, side="right") - 1
-    return _unit_graph(n, iu, k - first[iu] + iu + 1)
+    iu = np.searchsorted(first[1:], k, side="right")
+    k -= (first - rows - 1)[iu]  # column k - first[i] + i + 1, in place
+    return _unit_graph(n, iu, k)
 
 
 def build_graph(family: str, seed: int | None = None, **params) -> Graph:
@@ -544,8 +550,10 @@ def extreme_eigenvalues(g: Graph) -> SpectralExtremes | None:
     caller takes ``spectrum``.
     """
     i, j, w = edge_arrays(g)
-    max_degree = float(np.bincount(np.concatenate([i, j]), weights=np.concatenate([w, w]),
-                                   minlength=g.n).max())
+    degrees = np.zeros(g.n)
+    np.add.at(degrees, i, w)
+    np.add.at(degrees, j, w)
+    max_degree = float(degrees.max())
     err = _eig_error(g.n, max(1.0, 2.0 * max_degree))
     if not math.isfinite(err):
         return None

@@ -780,6 +780,47 @@ def test_erdos_renyi_holds_no_array_per_node_pair():
     assert peak < 4_000_000
 
 
+def _traced(f):
+    """``f()`` and the peak of the memory that tracemalloc traces while it runs."""
+    tracemalloc.start()
+    try:
+        result = f()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_neighbour_sums_allocate_only_two_edge_arrays_and_the_result():
+    g = build_graph("random_connected", n=1000, p=0.08, seed=1)
+    m = len(edge_arrays(g)[0])
+    minus_lap, made = _traced(lambda: graphs._neighbour_sums(g.n, *edge_arrays(g)))
+    assert made < m  # nothing of length m, not even of bytes
+    x = np.random.default_rng(1).standard_normal(g.n)
+    minus_lap(x)
+    sums, peak = _traced(lambda: minus_lap(x))
+    assert sums.shape == (g.n,)
+    assert peak <= 8 * (2 * m + g.n)
+
+
+@pytest.mark.parametrize("family,params", [
+    ("watts_strogatz", dict(n=2000, k=6, p=0.3)),
+    ("random_connected", dict(n=1000, p=0.08)),
+])
+def test_graph_builders_peak_near_their_edge_arrays(family, params):
+    # m = 6000 and about 40000 edges: the stored arrays are 144 and 960 KB
+    g, peak = _traced(lambda: build_graph(family, seed=1, **params))
+    assert peak < 1_500_000
+    assert all(a.base is None and not a.flags.writeable for a in edge_arrays(g))
+
+
+def test_extreme_eigenvalues_peak_near_their_basis():
+    g = build_graph("random_connected", n=1000, p=0.08, seed=2)
+    ends, peak = _traced(lambda: graphs.extreme_eigenvalues(g))
+    assert ends is not None
+    assert peak < 3_500_000  # the basis of 301 x n floats is 2.4 MB
+
+
 # The values-only spectrum of path:1500 in a fresh process, after the solver
 # is warmed on a small graph: the peak rises by the solver's input copy plus
 # the Laplacian's resident pages. The path writes one diagonal band, so few of

@@ -1,5 +1,7 @@
+import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from speccon import (
     ControlSequence,
+    Graph,
     ParameterError,
     PeriodRatios,
     SimulationTrace,
@@ -22,6 +25,7 @@ from speccon import (
     distinct_nonzero_eigenvalues,
     eval_filter,
     exact_rate,
+    graph_from_dict,
     measured_period_ratios,
     simulate,
     spectral_state,
@@ -29,10 +33,12 @@ from speccon import (
     trace_csv_lines,
     uniform_initial_states,
 )
+from speccon import graphs
 from speccon.graphs import edge_arrays
 from speccon.sim import round_off_floor
 
 BAND = SpectralBand(0.2, 12.8)
+WEIGHTED = Path(__file__).parent / "data" / "graph_weighted24.json"
 
 # consensus step counts for the special families (distinct nonzero eigenvalues)
 FINITE_TIME_CASES = [
@@ -460,6 +466,82 @@ def test_simulate_states_equal_add_at_oracle_bitwise(family, kwargs, seq, steps)
     if family == "complete":
         assert np.flatnonzero(overflowed)[[0, -1]].tolist() == [327, 656]
         assert np.isnan(trace.states[-1]).all() and np.isnan(trace.errors[-1])
+
+
+def _bincount_sums(g, x):
+    """Reference neighbour sums: one bincount over both edge ends, +diff at
+    each edge's i and then -diff at its j, in edge order."""
+    iu, ju, w = edge_arrays(g)
+    diff = w * (x[ju] - x[iu])
+    return np.bincount(np.concatenate([iu, ju]), weights=np.concatenate([diff, -diff]),
+                       minlength=g.n)
+
+
+def _bincount_states(g, seq, x0, steps):
+    """Reference stepping through ``_bincount_sums``."""
+    x = np.asarray(x0, dtype=float)
+    states = [x]
+    for k in range(steps):
+        x = x + seq.gain_at(k) * _bincount_sums(g, x)
+        states.append(x)
+    return np.array(states)
+
+
+def _weighted_graph():
+    return graph_from_dict(json.loads(WEIGHTED.read_text()))
+
+
+@pytest.mark.parametrize("graph,seq,steps", [
+    (lambda: build_graph("random_connected", n=97, p=0.08, seed=5), design_chebyshev(BAND, 5), 80),
+    (lambda: build_graph("watts_strogatz", n=200, k=6, p=0.3, seed=6),
+     design_chebyshev(SpectralBand(0.2, 20), 5), 120),
+    (lambda: build_graph("star", n=30), design_constant(SpectralBand(0.2, 30)), 50),
+    (_weighted_graph, design_lagrange(SpectralBand(0.2, 40), 4), 100),
+    (lambda: build_graph("complete", n=20), design_chebyshev(BAND, 3), 3000),  # diverges
+], ids=["er97", "ws200", "star30", "weighted24", "complete20"])
+def test_simulate_states_equal_bincount_reference_bitwise(graph, seq, steps):
+    g = graph()
+    x0 = uniform_initial_states(g.n, 1)
+    with np.errstate(all="ignore"):
+        expected = _bincount_states(g, seq, x0, steps)
+        trace = simulate(g, seq, x0, steps)
+    assert trace.states.tobytes() == expected.tobytes()
+    nan = np.isnan(expected)
+    if nan.any():  # the diverging run: NaN of both signs, whose bits are compared too
+        assert 0 < np.signbit(expected[nan]).sum() < nan.sum()
+
+
+def test_neighbour_sums_equal_bincount_reference_on_non_finite_states():
+    g = _weighted_graph()
+    x = np.random.default_rng(2).normal(0.0, 1e300, g.n)
+    x[[0, 3, 7, 11, 16]] = [np.inf, -np.inf, np.nan, -np.nan, np.inf]
+    with np.errstate(all="ignore"):
+        expected = _bincount_sums(g, x)
+        sums = graphs._neighbour_sums(g.n, *edge_arrays(g))(x)
+    assert sums.tobytes() == expected.tobytes()
+    nan = np.isnan(expected)
+    assert 0 < np.signbit(expected[nan]).sum() < nan.sum()
+
+
+@pytest.mark.parametrize("k", [-3, 2, 7])
+def test_edge_list_core_commutes_with_power_of_two_weight_scaling(k):
+    # weights times 2**k and gains times 2**-k: every product and sum is
+    # scaled exactly, so the states are the same bit for bit and the Lanczos
+    # ends and their error are exactly 2**k times the unscaled ones
+    base = build_graph("watts_strogatz", n=300, k=6, p=0.3, seed=3)
+    i, j, _ = edge_arrays(base)
+    w = np.random.default_rng(3).uniform(0.5, 2.0, len(i))
+    g, scaled = Graph(base.n, i, j, w), Graph(base.n, i, j, w * 2.0 ** k)
+    seq = design_chebyshev(SpectralBand(0.5, 17), 5)
+    x0 = uniform_initial_states(g.n, 3)
+    expected = simulate(g, seq, x0, 150).states
+    unscaled_gains = ControlSequence(tuple(e * 2.0 ** -k for e in seq.gains))
+    assert simulate(scaled, unscaled_gains, x0, 150).states.tobytes() == expected.tobytes()
+    ends, ends_scaled = graphs.extreme_eigenvalues(g), graphs.extreme_eigenvalues(scaled)
+    # the error's max(1, 2·max_degree) scales only while 2·max_degree·2**k >= 1
+    assert 2.0 * spectrum(scaled, vectors=False).max_degree >= 1.0
+    assert (ends_scaled.lambda_2, ends_scaled.lambda_max, ends_scaled.error) == (
+        2.0 ** k * ends.lambda_2, 2.0 ** k * ends.lambda_max, 2.0 ** k * ends.error)
 
 
 def test_simulate_peak_memory_is_the_states_array():
