@@ -353,7 +353,7 @@ def build_graph(family: str, seed: int | None = None, **params) -> Graph:
         m = _require_int(params, "m", 1)
         n = _require_int(params, "n", 1)
         _addressable(m + n)
-        return _unit_graph(m + n, np.repeat(np.arange(m), n), np.tile(np.arange(m, m + n), m))
+        return _unit_graph(m + n, np.repeat(np.arange(m), n), np.arange(m * n) % n + m)
     if family == "star":
         n = _require_int(params, "n", 2)
         return _unit_graph(n, np.zeros(n - 1, dtype=np.intp), np.arange(1, n))
@@ -397,11 +397,12 @@ def laplacian(g: Graph) -> np.ndarray:
     Bit for bit ``np.diag(a.sum(axis=1)) - a`` for the dense adjacency ``a``
     of the edges, without building ``a``: the degrees are the row sums of the
     negated off-diagonal entries, summed in the same order, and
-    round-to-nearest is symmetric in sign. The array is a private anonymous
-    mapping: its pages read as zeros, and only those holding a nonzero entry
-    are resident (numpy's own zeros of 4 MiB or more are advised to huge
-    pages, so one entry can make 2 MiB resident). A Laplacian too large to map
-    is a ParameterError, and so are edge weights so large that twice
+    round-to-nearest is symmetric in sign. The array is made over a private
+    anonymous mapping, its ``base``: its pages read as zeros, and only those
+    holding a nonzero entry are resident (numpy's own zeros of 4 MiB or more
+    are advised to huge pages, so one entry can make 2 MiB resident);
+    ``spectrum`` releases those of the upper triangle. A Laplacian too large
+    to map is a ParameterError, and so are edge weights so large that twice
     ||L||_F^2 = sum deg^2 + 2·sum w^2 is not a finite float. That one
     weight-range rule keeps finite every moment ``spectrum`` reads:
     2·max_degree (max_degree^2 <= ||L||_F^2), the trace (at most
@@ -412,7 +413,7 @@ def laplacian(g: Graph) -> np.ndarray:
         zeros = mmap.mmap(-1, g.n * g.n * 8, flags=mmap.MAP_PRIVATE)
     except OSError as exc:
         raise ParameterError(f"a dense Laplacian on n={g.n} nodes does not fit in memory") from exc
-    lap = np.frombuffer(zeros, dtype=np.float64).reshape(g.n, g.n)
+    lap = np.ndarray((g.n, g.n), buffer=zeros)
     lap[i, j] = lap[j, i] = -w
     with np.errstate(over="ignore"):
         np.fill_diagonal(lap, 0.0 - lap.sum(axis=1))
@@ -422,18 +423,36 @@ def laplacian(g: Graph) -> np.ndarray:
     return lap
 
 
+def _upper_only_pages(n: int, i: np.ndarray, j: np.ndarray, page: int) -> np.ndarray:
+    """The pages, of ``page`` bytes, of the row-major n x n Laplacian of the
+    edges (i, j) that hold a strict upper nonzero but no lower or diagonal
+    one, ascending. Its nonzeros are the entries (i, j) and (j, i), and the
+    diagonal of each node with an edge: one flag per page is set from the m
+    edges, and no entry is scanned."""
+    def held(rows, cols):
+        flags = np.zeros(-(-8 * n * n // page), dtype=bool)
+        flags[(rows * n + cols) * 8 // page] = True
+        return flags
+    return np.flatnonzero(held(i, j) > (held(j, i) | held(i, i) | held(j, j)))
+
+
 def spectrum(g: Graph, vectors: bool = True) -> LaplacianSpectrum:
     """Eigendecomposition of the Laplacian, eigenvalues ascending.
 
     With ``vectors=False`` only the eigenvalues are computed and the result
-    carries ``eigenvectors=None``. The moments trace(L) = sum deg and
-    ||L||_F^2 = sum deg^2 + 2·sum w^2 come from the degrees and edge weights;
-    ``laplacian``'s weight-range rule has already kept them finite. A
-    failed solver or check is a NumericalError; NaN fails every check. Each
+    carries ``eigenvectors=None``. numpy's symmetric solvers read only the
+    lower triangle and diagonal (LAPACK's UPLO='L'), so the solver is given
+    ``laplacian``'s matrix with its strict upper triangle zeroed, and the
+    pages of the mapping that then hold no nonzero are released; the result
+    is bit for bit that of the full matrix. The moments trace(L) = sum deg
+    and ||L||_F^2 = sum deg^2 + 2·sum w^2 come from the degrees and edge
+    weights; ``laplacian``'s weight-range rule has already kept them finite.
+    A failed solver or check is a NumericalError; NaN fails every check. Each
     tolerance is ``_eig_error`` of n and a scale, here scale = max(1, lambda_N).
     With ``vectors``, first the decomposition reconstructs L to within
-    _eig_error(n, scale) in every entry, with eigenvectors orthonormal to
-    within _eig_error(n, 1). Then, in both modes:
+    _eig_error(n, scale) in every entry of the lower triangle, diagonal
+    included, which is the matrix the solver decomposed, with eigenvectors
+    orthonormal to within _eig_error(n, 1). Then, in both modes:
       - the smallest eigenvalue is zero to within _eig_error(n, scale);
       - the largest is at most 2·max_degree, which holds exactly, to within
         2·_eig_error(n, scale): the eigenvalue's error, and twice that of the
@@ -444,9 +463,15 @@ def spectrum(g: Graph, vectors: bool = True) -> LaplacianSpectrum:
         2·||L||_F·||dL||_F.
     """
     lap = laplacian(g)
-    degrees, w = lap.diagonal(), edge_arrays(g)[2]
+    i, j, w = edge_arrays(g)
+    degrees = lap.diagonal()
     max_degree, trace = float(degrees.max()), degrees.sum()
     frob = degrees @ degrees + 2.0 * (w @ w)
+    # zeroed before the release, so the solver reads the same matrix where
+    # MADV_DONTNEED keeps the pages
+    lap[i, j] = 0.0
+    for page in _upper_only_pages(g.n, i, j, mmap.PAGESIZE):
+        lap.base.madvise(mmap.MADV_DONTNEED, page * mmap.PAGESIZE, mmap.PAGESIZE)
     try:
         if vectors:
             vals, vecs = np.linalg.eigh(lap)
@@ -459,7 +484,8 @@ def spectrum(g: Graph, vectors: bool = True) -> LaplacianSpectrum:
         # one n x n scratch buffer holds both residuals in turn
         resid = (vecs * vals) @ vecs.T
         resid -= lap
-        recon = np.abs(resid, out=resid).max()
+        np.abs(resid, out=resid)
+        recon = np.max([row[:k + 1].max() for k, row in enumerate(resid)])
         if not (recon <= err):
             raise NumericalError(f"eigendecomposition reconstruction error {recon:.3e}")
         np.matmul(vecs.T, vecs, out=resid)

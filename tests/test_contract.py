@@ -1,7 +1,8 @@
 """The CLI's contract, fuzzed: every invocation ends with exit 0, 1 or 2,
 raises nothing but click's exit, emits no warning and prints no NaN or
 Infinity token, on weighted graph documents, on bands and periods, on graph
-specs and on sequence documents."""
+specs, on sequence documents and, from the worst eigenvector, on bands and
+periods."""
 
 import json
 import math
@@ -54,6 +55,12 @@ BAND_COMMANDS = [
 SPEC_TOKENS = ["-3", "0", "2", "12", "64", "2.5", "1e3", "nan", "inf", "-0.5", "1e-320", "",
                "9223372036854775808"]
 VALID_TOKENS = {int: ["2", "12", "64"], float: ["0", "0.3", "1", "1e-320"]}
+
+# Graphs for --x0 worst_eigenvector, whose run starts from the eigenvector
+# where |h| peaks: spectra with and without repeated eigenvalues, and ends in
+# and out of the drawn bands. Each band method reads what _READS names of the
+# band and the period; uniform_unknown takes the band's upper end as --beta-bar.
+WORST_EIGENVECTOR_GRAPHS = ["cycle:8", "star:6", "path:5", "bipartite:3,4", "complete:5"]
 
 # Sequence document values: gains from the least subnormal to 1e308, ones
 # that are not positive or not finite, and ones that are not numbers; periods
@@ -176,3 +183,16 @@ def test_simulate_keeps_the_contract_on_sequence_documents(doc):
         path.write_text(json.dumps(doc))
         for command in SEQUENCE_COMMANDS:
             _assert_contract([*command, str(path)])
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(graph=st.sampled_from(WORST_EIGENVECTOR_GRAPHS),
+       method=st.sampled_from([m for m in cli.METHODS if m != "finite_time"]),
+       alpha=st.sampled_from(BAND_ENDS), beta=st.sampled_from(BAND_ENDS),
+       period=st.sampled_from(PERIODS))
+def test_simulate_keeps_the_contract_from_the_worst_eigenvector_on_bands_and_periods(
+        graph, method, alpha, beta, period):
+    given = {"--band": f"{alpha!r},{beta!r}", "--beta-bar": repr(beta), "-M": str(period)}
+    options = [x for key in cli._READS[method] for x in (key, given[key])]
+    _assert_contract(["simulate", "--graph", graph, "--method", method, *options, "--steps", "12",
+                      "--seed", "1", "--x0", "worst_eigenvector"])

@@ -2,6 +2,7 @@ import ast
 import inspect
 import json
 import math
+import mmap
 import os
 import subprocess
 import sys
@@ -621,6 +622,117 @@ def test_spectrum_reports_solver_failure(monkeypatch, vectors, solver):
 
 
 # ---------------------------------------------------------------------------
+# The solver's input: the Laplacian's lower triangle, the upper one's pages released
+
+@pytest.mark.parametrize("vectors,solver", [(True, "eigh"), (False, "eigvalsh")])
+def test_solver_reads_the_lower_triangle_and_returns_the_full_matrix_result(
+        monkeypatch, vectors, solver):
+    # numpy's solvers read the lower triangle only (UPLO='L'): the upper one
+    # is zero in their input, and the result is the full Laplacian's, bit for bit
+    original = getattr(np.linalg, solver)
+    inputs = []
+    monkeypatch.setattr(np.linalg, solver, lambda a: inputs.append(a.copy()) or original(a))
+    for g in (build_graph("watts_strogatz", n=700, k=6, p=0.3, seed=1),
+              graph_from_dict(json.loads(WEIGHTED.read_text()))):
+        s = spectrum(g, vectors=vectors)
+        lap = laplacian(g)
+        assert not np.triu(inputs[-1], 1).any()
+        assert np.tril(inputs[-1]).tobytes() == np.tril(lap).tobytes()
+        vals, vecs = original(lap) if vectors else (original(lap), None)
+        assert s.eigenvalues.tobytes() == vals.tobytes()
+        if vectors:
+            assert s.eigenvectors.tobytes() == vecs.tobytes()
+
+
+def _pages_holding(nonzero, page):
+    """Whether each page, of ``page`` bytes, of a row-major float matrix holds
+    an entry that ``nonzero`` marks."""
+    per_page = page // 8
+    padded = np.zeros(-(-nonzero.size // per_page) * per_page, dtype=bool)
+    padded[:nonzero.size] = nonzero.ravel()
+    return padded.reshape(-1, per_page).any(axis=1)
+
+
+def _mapped_pages(a):
+    """Whether each page of the page-aligned array ``a`` is mapped: bit 63 of
+    its /proc/self/pagemap entry."""
+    with open("/proc/self/pagemap", "rb") as pagemap:
+        pagemap.seek(8 * (a.ctypes.data // mmap.PAGESIZE))
+        entries = np.frombuffer(pagemap.read(8 * -(-a.nbytes // mmap.PAGESIZE)), dtype="<u8")
+    return (entries >> 63).astype(bool)
+
+
+@pytest.mark.skipif(not Path("/proc/self/pagemap").exists(), reason="reads /proc/self/pagemap")
+@pytest.mark.parametrize("vectors,solver", [(True, "eigh"), (False, "eigvalsh")])
+def test_solver_input_maps_no_page_that_holds_only_upper_entries(monkeypatch, vectors, solver):
+    g = build_graph("watts_strogatz", n=700, k=6, p=0.3, seed=1)
+    lap = laplacian(g)
+    kept = _pages_holding(np.tril(lap) != 0, mmap.PAGESIZE)
+    released = _pages_holding(np.triu(lap, 1) != 0, mmap.PAGESIZE) & ~kept
+    assert released.sum() == 86  # of the 958 pages
+    original = getattr(np.linalg, solver)
+    mapped = []
+    monkeypatch.setattr(np.linalg, solver, lambda a: mapped.append(_mapped_pages(a)) or original(a))
+    spectrum(g, vectors=vectors)
+    assert mapped[0][kept].all() and not mapped[0][released].any()
+
+
+@st.composite
+def _edge_lists(draw, max_nodes):
+    """A node count and a sorted list of node pairs (a, b), a < b, over it."""
+    n = draw(st.integers(2, max_nodes))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    return n, sorted(draw(st.lists(st.sampled_from(pairs), unique=True)))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+# node 2 has no edge: page 1, entries 6 to 11, holds (1, 3) and a zero diagonal entry
+@example(graph=(4, [(1, 3)]), page=48)
+@given(graph=_edge_lists(40), page=st.sampled_from([8, 16, 48, 256, 4096]))
+def test_upper_only_pages_are_those_without_a_lower_or_diagonal_nonzero(graph, page):
+    # pages of 6 entries do not divide a row, and isolated nodes leave zeros on the diagonal
+    n, edges = graph
+    g = Graph(n, [a for a, _ in edges], [b for _, b in edges], np.ones(len(edges)))
+    lap = laplacian(g)
+    upper = _pages_holding(np.triu(lap, 1) != 0, page)
+    upper_only = upper & ~_pages_holding(np.tril(lap) != 0, page)
+    found = graphs._upper_only_pages(n, *edge_arrays(g)[:2], page)
+    assert np.array_equal(found, np.flatnonzero(upper_only))
+
+
+def _relabelled(g, perm):
+    """``g`` with node k renamed ``perm[k]``."""
+    i, j, w = edge_arrays(g)
+    low, high = np.minimum(perm[i], perm[j]), np.maximum(perm[i], perm[j])
+    order = np.lexsort((high, low))
+    return Graph(g.n, low[order], high[order], w[order])
+
+
+def _assert_relabelling_keeps_the_eigenvalues(g, perm):
+    # relabelling moves nonzeros across the triangle and its pages
+    h = _relabelled(g, np.asarray(perm))
+    for vectors in (True, False):
+        s, t = spectrum(g, vectors=vectors), spectrum(h, vectors=vectors)
+        err = _eig_error(g.n, max(1.0, s.lambda_max))
+        assert np.abs(s.eigenvalues - t.eigenvalues).max() <= err
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(graph=_edge_lists(12), data=st.data())
+def test_relabelling_the_nodes_keeps_the_eigenvalues(graph, data):
+    n, edges = graph
+    weights = data.draw(st.lists(st.floats(0.1, 10.0), min_size=len(edges), max_size=len(edges)))
+    g = graph_from_dict({"n": n, "edges": [[a, b, w] for (a, b), w in zip(edges, weights)]})
+    _assert_relabelling_keeps_the_eigenvalues(g, data.draw(st.permutations(range(n))))
+
+
+@pytest.mark.parametrize("n,seed", [(300, 3), (700, 1)])  # 700: pages are released
+def test_relabelling_a_watts_strogatz_graph_keeps_its_eigenvalues(n, seed):
+    g = build_graph("watts_strogatz", n=n, k=6, p=0.3, seed=seed)
+    _assert_relabelling_keeps_the_eigenvalues(g, np.random.default_rng(seed).permutation(n))
+
+
+# ---------------------------------------------------------------------------
 # The edge-list core against the dense implementation it replaced
 
 def _dense_watts_strogatz_once(n, k, p, rng):
@@ -806,9 +918,12 @@ def test_neighbour_sums_allocate_only_two_edge_arrays_and_the_result():
 @pytest.mark.parametrize("family,params", [
     ("watts_strogatz", dict(n=2000, k=6, p=0.3)),
     ("random_connected", dict(n=1000, p=0.08)),
+    # 48000 edges: a copy of one index array, 384 KB more, breaks the bound
+    ("complete_bipartite", dict(m=120, n=400)),
 ])
 def test_graph_builders_peak_near_their_edge_arrays(family, params):
-    # m = 6000 and about 40000 edges: the stored arrays are 144 and 960 KB
+    # m = 6000, about 40000 and 48000 edges: the stored arrays are 144, 960
+    # and 1152 KB
     g, peak = _traced(lambda: build_graph(family, seed=1, **params))
     assert peak < 1_500_000
     assert all(a.base is None and not a.flags.writeable for a in edge_arrays(g))
