@@ -76,7 +76,7 @@ def eval_filter(seq: ControlSequence, lam, steps: int):
         if nan.any():
             zero = np.any([1.0 - g * lam_arr == 0.0 for g in seq.gains[:steps]], axis=0)
             out = np.where(nan & zero, 0.0, out)
-    if np.isscalar(lam) or lam_arr.ndim == 0:
+    if lam_arr.ndim == 0:
         return float(out)
     return out
 
@@ -225,8 +225,7 @@ def closed_rate_chebyshev(b: SpectralBand, period: int) -> float:
     """Optimal worst-case per-period rate: the reciprocal filter normalization."""
     if period < 1:
         raise ParameterError("period must be >= 1")
-    denom = abs(cheby_on_band_at_zero(b, period))
-    return 0.0 if math.isinf(denom) else 1.0 / denom
+    return 1.0 / abs(cheby_on_band_at_zero(b, period))
 
 
 def closed_rate_constant(b: SpectralBand, period: int) -> float:

@@ -450,9 +450,8 @@ def spectrum(g: Graph, vectors: bool = True) -> LaplacianSpectrum:
     A failed solver or check is a NumericalError; NaN fails every check. Each
     tolerance is ``_eig_error`` of n and a scale, here scale = max(1, lambda_N).
     With ``vectors``, first the decomposition reconstructs L to within
-    _eig_error(n, scale) in every entry of the lower triangle, diagonal
-    included, which is the matrix the solver decomposed, with eigenvectors
-    orthonormal to within _eig_error(n, 1). Then, in both modes:
+    _eig_error(n, scale) in every entry, with eigenvectors orthonormal to
+    within _eig_error(n, 1). Then, in both modes:
       - the smallest eigenvalue is zero to within _eig_error(n, scale);
       - the largest is at most 2·max_degree, which holds exactly, to within
         2·_eig_error(n, scale): the eigenvalue's error, and twice that of the
@@ -481,11 +480,12 @@ def spectrum(g: Graph, vectors: bool = True) -> LaplacianSpectrum:
         raise NumericalError(f"eigendecomposition failed: {exc}") from exc
     err = _eig_error(g.n, max(1.0, float(vals[-1])))
     if vectors:
-        # one n x n scratch buffer holds both residuals in turn
+        # one n x n scratch buffer holds both residuals in turn; L's strict
+        # upper entries are -w where the solver's input holds 0.0
         resid = (vecs * vals) @ vecs.T
         resid -= lap
-        np.abs(resid, out=resid)
-        recon = np.max([row[:k + 1].max() for k, row in enumerate(resid)])
+        resid[i, j] += w
+        recon = np.abs(resid, out=resid).max()
         if not (recon <= err):
             raise NumericalError(f"eigendecomposition reconstruction error {recon:.3e}")
         np.matmul(vecs.T, vecs, out=resid)
@@ -551,7 +551,6 @@ def _lanczos_ends(minus_lap, n: int, seed: int, tol: float) -> tuple[float, floa
         basis[k] = v / b
         v = -minus_lap(basis[k])
         diag.append(basis[k] @ v)
-    return None
 
 
 def extreme_eigenvalues(g: Graph) -> SpectralExtremes | None:

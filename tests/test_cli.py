@@ -1053,6 +1053,44 @@ def test_weighted_file_graph_matches_pinned_output(args, fixture):
     assert result.stdout_bytes == (DATA / fixture).read_bytes()
 
 
+def _weighted_ws300() -> dict:
+    """ws:300,6,0.3 (seed 3) with seeded weights uniform in [0.5, 2]."""
+    base = build_graph("watts_strogatz", n=300, k=6, p=0.3, seed=3)
+    i, j, _ = graphs.edge_arrays(base)
+    w = np.random.default_rng(3).uniform(0.5, 2.0, len(i))
+    return graph_to_dict(graphs.Graph(base.n, i, j, w))
+
+
+@pytest.mark.parametrize("k", [-3, 2, 7])
+def test_commands_on_file_graphs_commute_with_power_of_two_weight_scaling(tmp_path, k):
+    # Every weight and the band times 2**k: the eigenvalues, degrees and weight
+    # sums scale exactly and the gains by 2**-k, so the filter and the states
+    # are the same bit for bit. LAPACK scales only matrices whose norm is near
+    # the ends of the float range, which these are not: a platform on which
+    # this fails breaks the relation, and the test must not be loosened.
+    scale = 2.0 ** k
+    weighted24 = json.loads((DATA / "graph_weighted24.json").read_text())
+    for doc in (weighted24, _weighted_ws300()):
+        runs = []
+        for name, factor in (("base", 1.0), ("scaled", scale)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(
+                {"n": doc["n"], "edges": [[i, j, w * factor] for i, j, w in doc["edges"]]}))
+            runs.append((f"file:{path}", factor))
+        base, scaled = (json.loads(invoke("graph", "inspect", spec, "--format", "json").stdout)
+                        for spec, _ in runs)
+        for key in ("lambda_2", "lambda_max", "max_degree", "total_weight"):
+            assert scaled[key] == scale * base[key], (doc["n"], key)
+        for x0 in ("uniform", "worst_eigenvector"):
+            base, scaled = (json.loads(invoke(
+                "simulate", "--graph", spec, "--method", "chebyshev",
+                "--band", f"{0.05 * factor!r},{40 * factor!r}", "-M", "4", "--steps", "40",
+                "--seed", "2", "--x0", x0).stdout) for spec, factor in runs)
+            for key in ("predicted_rate", "measured_ratios", "average", "consensus_time"):
+                assert scaled[key] == base[key], (doc["n"], x0, key)
+            assert scaled["argmax_lambda"] == scale * base["argmax_lambda"], (doc["n"], x0)
+
+
 @pytest.mark.parametrize("content", [
     '{"n": -1, "edges": []}',
     '{"n": 3, "edges": [[0, 1, "x"]]}',

@@ -1,8 +1,8 @@
 """The CLI's contract, fuzzed: every invocation ends with exit 0, 1 or 2,
 raises nothing but click's exit, emits no warning and prints no NaN or
 Infinity token, on weighted graph documents, on bands and periods, on graph
-specs, on sequence documents and, from the worst eigenvector, on bands and
-periods."""
+specs, on sequence documents, from the worst eigenvector on bands and
+periods, and on state documents."""
 
 import json
 import math
@@ -81,6 +81,24 @@ SEQUENCE_COMMANDS = [
      "--sequence"],
 ]
 
+# State document entries, as raw JSON text: finite floats, ordinary ones, ones
+# near the ends of the float range and the least subnormal; and others, NaN
+# and Infinity tokens, integers of 400 digits and entries that are not
+# numbers. A document is a list of them, another JSON value or an empty file.
+FINITE_STATES = ["0", "1", "-2.5", "1e308", "-1e308", "8.9e307", "-8.9e307", "5e-324", "-5e-324"]
+OTHER_STATES = ["NaN", "Infinity", "-Infinity", "9" * 400, "-" + "9" * 400, "true", "false",
+                '"1"', '"nan"', "null", "[1]", "[]", "{}"]
+NON_LIST_STATES = ["", "{}", '{"x0": [1, 2]}', "3", "NaN", '"1,2"', "null", "true"]
+
+# Each command takes the state file last, after file:. Their graphs have 8
+# and 6 nodes, so a list of either length has the right length for one.
+STATE_COMMANDS = [
+    ["simulate", "--graph", "cycle:8", "--method", "chebyshev", "--band", "0.2,20", "-M", "3",
+     "--steps", "12", "--seed", "1", "--x0"],
+    ["simulate", "--graph", "star:6", "--method", "lagrange", "--band", "0.5,6", "-M", "2",
+     "--steps", "12", "--seed", "1", "--x0"],
+]
+
 NON_FINITE = re.compile(r"NaN|Infinity")
 
 
@@ -126,6 +144,20 @@ def sequence_documents(draw):
         if value is not ABSENT:
             doc[key] = value
     return doc
+
+
+@st.composite
+def state_documents(draw) -> str:
+    """The text of an --x0 file: a list, mostly of one of the graphs' lengths,
+    of finite entries half the time, ordinary ones in most places, and of any
+    entry otherwise; or one of NON_LIST_STATES."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.sampled_from(NON_LIST_STATES))
+    length = draw(st.sampled_from([6, 8]) | st.integers(0, 10))
+    entries = FINITE_STATES if draw(st.booleans()) else FINITE_STATES + OTHER_STATES
+    tokens = draw(st.lists(st.sampled_from(FINITE_STATES[:3]) | st.sampled_from(entries),
+                           min_size=length, max_size=length))
+    return f"[{', '.join(tokens)}]"
 
 
 def _assert_contract(args: list[str], quotes_input: bool = False) -> None:
@@ -196,3 +228,14 @@ def test_simulate_keeps_the_contract_from_the_worst_eigenvector_on_bands_and_per
     options = [x for key in cli._READS[method] for x in (key, given[key])]
     _assert_contract(["simulate", "--graph", graph, "--method", method, *options, "--steps", "12",
                       "--seed", "1", "--x0", "worst_eigenvector"])
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@example(text="[8.9e307, -8.9e307, 0, 0, 0, 0, 0, 0]")  # the states overflow: exit 1
+@given(text=state_documents())
+def test_simulate_keeps_the_contract_on_state_documents(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "x0.json"
+        path.write_text(text)
+        for command in STATE_COMMANDS:
+            _assert_contract([*command, f"file:{path}"], True)

@@ -228,3 +228,13 @@ def test_spectral_state_validates_shape():
     values_only = spectrum(build_graph("star", n=12), vectors=False)
     with pytest.raises(ParameterError):
         spectral_state(values_only, design_constant(BAND), np.ones(12), 3)
+
+
+@pytest.mark.parametrize("band", [SpectralBand(1e-6, 1.0), SpectralBand(0.2, 12.8)])
+def test_round_off_dominated_chebyshev_designs_do_not_peak_at_beta(band):
+    # At M = 1000 the interior maxima of |h| are round-off, far above |h(beta)|.
+    # From the two ends alone, sweep --nodes 600 --edge-prob 0.04 --trials 2
+    # --seed 1 -M 1000 prints rho_chebyshev 0.263 on [1e-6, 1], where the dense
+    # path prints 4215.5, and every row on [0.2, 12.8], where the dense path
+    # refuses one: this check is what sends such a run to the dense path.
+    assert not rates._peaks_at_beta(design_chebyshev(band, 1000), band, 600, 1000)
