@@ -305,9 +305,9 @@ def table3(band, periods, fmt, out):
 # lambda_2 and lambda_N alone (see sweep), with no n x n array. Medians over
 # 12 graphs, dense against two-start Lanczos, on connected Erdos-Renyi graphs
 # (2 shared vCPUs, numpy 2.4.6, OpenBLAS 0.3.31): at mean degree 20, 5.5
-# against 8.6 ms at n = 400, 8.5 against 8.6 at n = 500 and 17.9 against
-# 11.1 at n = 700; at mean degree 80, whose matvecs cost four times as much,
-# 42.4 against 41.9 ms at n = 1000.
+# against 7.6 ms at n = 400, 8.5 against 7.6 at n = 500 and 17.6 against
+# 9.8 at n = 700; at mean degree 80, whose matvecs cost three times as much,
+# 40.8 against 27.0 ms at n = 1000.
 TWO_EIGENVALUE_NODES = 512
 
 

@@ -228,12 +228,13 @@ def edge_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _neighbour_sums(n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray):
     """The map x -> sum_j a_ij (x_j - x_i) per node, which is -L x, for the
-    edges (i, j, w) of an n-node graph: the protocol step and the Lanczos
-    matvec of ``extreme_eigenvalues``. ``np.add.at`` adds +diff at each edge's
-    ``i``, then -diff at its ``j``, in edge order, as one ``bincount`` over
-    both ends would, so the sums are bincount's bit for bit; NaN signs too,
-    since -diff is added rather than diff subtracted. A call allocates at
-    most 2m + n floats."""
+    edges (i, j, w) of an n-node graph: the protocol step of ``sim.simulate``.
+    ``np.add.at`` adds +diff at each edge's ``i``, then -diff at its ``j``, in
+    edge order, as one ``bincount`` over both ends would, so the sums are
+    bincount's bit for bit; NaN signs too, since -diff is added rather than
+    diff subtracted. A call allocates at most 2m + n floats. The Lanczos
+    operator of ``extreme_eigenvalues`` is ``_minus_laplacian``: it sums in
+    another order, and the two share no code."""
     def apply(x: np.ndarray) -> np.ndarray:
         diff = x[j]
         diff -= x[i]
@@ -516,6 +517,43 @@ LANCZOS_MAX_BASIS = 300
 LANCZOS_SEEDS = (0x5EED1, 0x5EED2)
 
 
+def _minus_laplacian(g: Graph):
+    """The Lanczos operator x -> -L x = A x - d∘x of ``g``, and its weighted
+    degrees d.
+
+    The adjacency A is stored once, in node-ordered CSR form: one stable
+    argsort of the 2m edge ends, j's before i's, gives each node's
+    neighbours in ascending order as ``col`` and their weights as ``val``.
+    ``starts`` holds the first entry of each node that has an edge, so an
+    isolated node or an edgeless graph needs no empty row, which
+    ``np.add.reduceat`` would not sum to zero. A product is one gather, one
+    multiply and one ``reduceat``, where ``_neighbour_sums`` makes two
+    indexed scatters; it sums in another order, so its last bits differ from
+    those. The degrees are summed by ``np.add.at``, edge ends i then j. The
+    operator keeps 2m indices, 2m floats and O(n) more.
+    """
+    n = g.n
+    i, j, w = edge_arrays(g)
+    degrees = np.zeros(n)
+    np.add.at(degrees, i, w)
+    np.add.at(degrees, j, w)
+    order = np.argsort(np.concatenate((j, i)), kind="stable")
+    col = np.concatenate((i, j))[order]
+    val = np.take(w, order, mode="wrap")  # end k belongs to edge k mod m
+    counts = np.bincount(i, minlength=n) + np.bincount(j, minlength=n)
+    nodes = np.flatnonzero(counts)
+    starts = (np.cumsum(counts) - counts)[nodes]
+
+    def apply(x: np.ndarray) -> np.ndarray:
+        prod = np.take(x, col)
+        prod *= val
+        out = np.zeros(n)
+        out[nodes] = np.add.reduceat(prod, starts)
+        out -= degrees * x
+        return out
+    return apply, degrees
+
+
 def _lanczos_ends(minus_lap, n: int, seed: int, tol: float) -> tuple[float, float] | None:
     """The smallest and largest Ritz values of L off the ones vector, once
     both residuals are at most ``tol``; None when the basis reaches
@@ -526,10 +564,12 @@ def _lanczos_ends(minus_lap, n: int, seed: int, tol: float) -> tuple[float, floa
     orthogonalized twice against the whole basis, so the basis stays
     orthonormal to round-off. The residual of a Ritz pair (theta, y) is
     ||L y - theta y||_2 = b·|s_k|, the last Lanczos coefficient times the last
-    entry of y in the basis.
+    entry of y in the basis. The basis array starts at 64 rows and doubles
+    when full, up to ``LANCZOS_MAX_BASIS + 1``, so a run that settles early
+    holds only the rows it grew to.
     """
     size = min(LANCZOS_MAX_BASIS, n - 1) + 1
-    basis = np.empty((size, n))
+    basis = np.empty((min(64, size), n))
     basis[0] = 1.0 / math.sqrt(n)
     v = np.random.default_rng(seed).standard_normal(n)
     diag, off = [], []
@@ -548,14 +588,19 @@ def _lanczos_ends(minus_lap, n: int, seed: int, tol: float) -> tuple[float, floa
             if b <= tol or k == size:
                 return None
         off.append(b)
+        if k == len(basis):
+            grown = np.empty((min(2 * k, size), n))
+            grown[:k] = basis
+            basis = grown
         basis[k] = v / b
         v = -minus_lap(basis[k])
         diag.append(basis[k] @ v)
 
 
 def extreme_eigenvalues(g: Graph) -> SpectralExtremes | None:
-    """lambda_2 and lambda_N by Lanczos on the edge list, certified, or None
-    where they are not; no n x n array is made.
+    """lambda_2 and lambda_N by Lanczos through the CSR operator
+    ``_minus_laplacian``, certified, or None where they are not; no n x n
+    array is made.
 
     Two runs of ``_lanczos_ends`` from independent seeded starts each stop
     once both end Ritz residuals are at most err = _eig_error(n, max(1,
@@ -574,15 +619,11 @@ def extreme_eigenvalues(g: Graph) -> SpectralExtremes | None:
     failed bound or a 2·max_degree past the float range gives None, and the
     caller takes ``spectrum``.
     """
-    i, j, w = edge_arrays(g)
-    degrees = np.zeros(g.n)
-    np.add.at(degrees, i, w)
-    np.add.at(degrees, j, w)
+    minus_lap, degrees = _minus_laplacian(g)
     max_degree = float(degrees.max())
     err = _eig_error(g.n, max(1.0, 2.0 * max_degree))
     if not math.isfinite(err):
         return None
-    minus_lap = _neighbour_sums(g.n, i, j, w)
     runs = []
     for seed in LANCZOS_SEEDS:
         with np.errstate(over="ignore", invalid="ignore"):

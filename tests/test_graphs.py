@@ -1004,6 +1004,34 @@ def test_graph_from_dict_last_duplicate_weight_wins():
     assert graph_to_dict(g) == {"n": 3, "edges": [[0, 1, 0.3], [1, 2, 0.7]]}
 
 
+# The Lanczos operator's CSR rows on a weighted graph, a star whose one row
+# holds every edge, a graph with isolated nodes and an edgeless one, where
+# np.add.reduceat gets no rows at all.
+@pytest.mark.parametrize("g", [
+    graph_from_dict(json.loads(WEIGHTED.read_text())),
+    build_graph("star", n=30),
+    Graph(5, [0, 1], [1, 2], [1.0, 2.0]),
+    Graph(4, [], [], []),
+], ids=["weighted24", "star30", "isolated", "edgeless"])
+def test_minus_laplacian_equals_the_dense_product(g):
+    lap = laplacian(g)
+    minus_lap, degrees = graphs._minus_laplacian(g)
+    # the degrees are the diagonal of L, summed in another order
+    assert np.all(np.abs(degrees - np.diag(lap)) <= 2 * g.n * graphs._U * degrees)
+    for seed in range(3):
+        x = np.random.default_rng(seed).standard_normal(g.n)
+        got = minus_lap(x)
+        assert got.dtype == np.float64 and got.shape == (g.n,)
+        # each side sums at most n + 2 terms of |L||x|, within (n + 2)·u of it
+        bound = 2 * (g.n + 2) * graphs._U * (np.abs(lap) @ np.abs(x))
+        assert np.all(np.abs(got + lap @ x) <= bound)
+        assert np.all(got[degrees == 0.0] == 0.0)
+    ends = graphs.extreme_eigenvalues(g)
+    assert isinstance(ends, graphs.SpectralExtremes)
+    s = spectrum(g, vectors=False)
+    assert abs(ends.lambda_max - s.lambda_max) <= ends.error
+
+
 # Lanczos ends (graphs.extreme_eigenvalues) against the dense solver on seeded
 # random graphs, and against the closed form on a bipartite graph, whose four
 # distinct eigenvalues make the Krylov space invariant after three steps.
@@ -1011,6 +1039,8 @@ def test_graph_from_dict_last_duplicate_weight_wins():
     ("random_connected", {"n": 500, "p": 0.04}), ("random_connected", {"n": 1000, "p": 0.02}),
     ("random_connected", {"n": 800, "p": 0.08}), ("watts_strogatz", {"n": 600, "k": 6, "p": 0.3}),
     ("watts_strogatz", {"n": 1000, "k": 10, "p": 0.3}),
+    # the benchmark's density; its runs outgrow the basis's first 64 rows
+    ("random_connected", {"n": 1000, "p": 0.08}),
 ])
 def test_extreme_eigenvalues_agree_with_the_dense_solver(family, params):
     g = build_graph(family, seed=7, **params)
@@ -1059,7 +1089,7 @@ def test_extreme_eigenvalues_need_both_starts_to_agree(monkeypatch):
     ends = graphs.extreme_eigenvalues(g)
     original = graphs._lanczos_ends
     # the smaller lambda_2 and the larger lambda_N of the two starts
-    minus_lap = graphs._neighbour_sums(g.n, *edge_arrays(g))
+    minus_lap, _ = graphs._minus_laplacian(g)
     first, second = (original(minus_lap, g.n, seed, ends.error) for seed in graphs.LANCZOS_SEEDS)
     assert first != second
     assert (ends.lambda_2, ends.lambda_max) == (min(first[0], second[0]), max(first[1], second[1]))
