@@ -82,10 +82,9 @@ def eval_filter(seq: ControlSequence, lam, steps: int):
 
 
 def design_finite_time(distinct) -> ControlSequence:
-    """Gains 1/lambda over the K distinct nonzero eigenvalues: consensus in K steps."""
+    """Gains 1/lambda over the K distinct nonzero eigenvalues: consensus in K
+    steps. ``ControlSequence`` refuses an empty list, a design with no gain."""
     values = [float(v) for v in distinct]
-    if not values:
-        raise ParameterError("need at least one distinct nonzero eigenvalue")
     if any(v <= 0.0 for v in values):
         raise ParameterError("eigenvalues must be positive")
     return ControlSequence(tuple(1.0 / v for v in values), "finite_time")
@@ -126,10 +125,9 @@ def design_lagrange(b: SpectralBand, period: int) -> ControlSequence:
     """Roots on the uniform interior grid of [alpha, beta], ascending.
 
     r_k = alpha + (beta - alpha) * (k + 1) / (M + 1). A degenerate band
-    (alpha == beta) collapses every root onto alpha.
+    (alpha == beta) collapses every root onto alpha. A period below 1 places
+    no root, which ``ControlSequence`` refuses.
     """
-    if period < 1:
-        raise ParameterError("period must be >= 1")
     gains = _band_gains(b, lambda a, z: [a + (z - a) * (k + 1) / (period + 1)
                                          for k in range(period)])
     return ControlSequence(gains, "lagrange", b)
@@ -140,10 +138,9 @@ def design_chebyshev(b: SpectralBand, period: int) -> ControlSequence:
 
     r_i = (beta - alpha)/2 * cos((2i - 1) pi / (2M)) + (beta + alpha)/2 for
     i = 1..M. This is the minimax-optimal root placement for the worst-case
-    per-period rate over the band.
+    per-period rate over the band. A period below 1 places no root, which
+    ``ControlSequence`` refuses.
     """
-    if period < 1:
-        raise ParameterError("period must be >= 1")
     if b.alpha == b.beta:
         raise ParameterError("chebyshev design requires alpha < beta")
 
@@ -155,11 +152,10 @@ def design_chebyshev(b: SpectralBand, period: int) -> ControlSequence:
 
 
 def design_uniform_unknown(beta_bar: float, period: int) -> ControlSequence:
-    """Gains (M+1)/(beta_bar * (k+1)) for k = 0..M-1 (only an upper bound known)."""
+    """Gains (M+1)/(beta_bar * (k+1)) for k = 0..M-1 (only an upper bound
+    known); for M below 1 there are none, which ``ControlSequence`` refuses."""
     if beta_bar <= 0.0:
         raise ParameterError("beta_bar must be positive")
-    if period < 1:
-        raise ParameterError("period must be >= 1")
     return ControlSequence(
         tuple((period + 1) / (beta_bar * (k + 1)) for k in range(period)),
         "uniform_unknown",

@@ -557,7 +557,7 @@ def _minus_laplacian(g: Graph):
 def _lanczos_ends(minus_lap, n: int, seed: int, tol: float) -> tuple[float, float] | None:
     """The smallest and largest Ritz values of L off the ones vector, once
     both residuals are at most ``tol``; None when the basis reaches
-    ``LANCZOS_MAX_BASIS`` vectors first or a value is not finite.
+    ``LANCZOS_MAX_BASIS`` vectors first or a norm is not finite.
 
     ``minus_lap`` maps x to -L x. The basis starts with the unit ones vector,
     which L maps to zero, and a seeded normal vector; every new vector is
@@ -566,7 +566,10 @@ def _lanczos_ends(minus_lap, n: int, seed: int, tol: float) -> tuple[float, floa
     ||L y - theta y||_2 = b·|s_k|, the last Lanczos coefficient times the last
     entry of y in the basis. The basis array starts at 64 rows and doubles
     when full, up to ``LANCZOS_MAX_BASIS + 1``, so a run that settles early
-    holds only the rows it grew to.
+    holds only the rows it grew to. Neither the norm check nor the caller's
+    finite ``tol`` subsumes the other: ``np.linalg.norm`` squares unscaled and
+    overflows once an entry passes about 1.3e154, far below a 2·max_degree
+    past the float range, and an infinite ``tol`` passes any finite residual.
     """
     size = min(LANCZOS_MAX_BASIS, n - 1) + 1
     basis = np.empty((min(64, size), n))
@@ -615,22 +618,22 @@ def extreme_eigenvalues(g: Graph) -> SpectralExtremes | None:
     So the values are certified when the runs agree to within 2·err and the
     larger lambda_N stays within Gershgorin's 2·(max_degree + err), which
     holds exactly; then the smaller lambda_2 and the larger lambda_N are
-    returned with error err. A run that hits the basis cap, a disagreement, a
-    failed bound or a 2·max_degree past the float range gives None, and the
-    caller takes ``spectrum``.
+    returned with error err. A run that hits the basis cap or a non-finite
+    norm, a disagreement, a failed bound or a 2·max_degree past the float
+    range gives None, with no warning; the caller then takes ``spectrum``.
     """
-    minus_lap, degrees = _minus_laplacian(g)
-    max_degree = float(degrees.max())
-    err = _eig_error(g.n, max(1.0, 2.0 * max_degree))
-    if not math.isfinite(err):
-        return None
     runs = []
-    for seed in LANCZOS_SEEDS:
-        with np.errstate(over="ignore", invalid="ignore"):
-            ends = _lanczos_ends(minus_lap, g.n, seed, err)
-        if ends is None:
+    with np.errstate(over="ignore", invalid="ignore"):
+        minus_lap, degrees = _minus_laplacian(g)
+        max_degree = float(degrees.max())
+        err = _eig_error(g.n, max(1.0, 2.0 * max_degree))
+        if not math.isfinite(err):
             return None
-        runs.append(ends)
+        for seed in LANCZOS_SEEDS:
+            ends = _lanczos_ends(minus_lap, g.n, seed, err)
+            if ends is None:
+                return None
+            runs.append(ends)
     (low_a, high_a), (low_b, high_b) = runs
     low, high = min(low_a, low_b), max(high_a, high_b)
     if not (abs(low_a - low_b) <= 2.0 * err and abs(high_a - high_b) <= 2.0 * err

@@ -24,6 +24,7 @@ from speccon import (
     sequence_to_dict,
 )
 from speccon.cli import main
+from speccon.filters import _band_gains
 
 BAND = SpectralBand(0.2, 12.8)
 
@@ -53,12 +54,22 @@ def test_sequence_invariants():
     assert seq.period == 2
     assert seq.roots == (2.0, 4.0)
     assert ControlSequence.from_roots((2.0, 4.0)).gains == (0.5, 0.25)
+    # a zero root has no gain: 1/0 would be a ZeroDivisionError. Of the CLI's
+    # bands only a Chebyshev design reaches one, where the cosine of its last
+    # root rounds to -1 (M from about 1.49e8) and beta/alpha passes 2**53.
+    with pytest.raises(ParameterError, match="filter roots must be positive"):
+        ControlSequence.from_roots([0.0, 1.0])
+    with pytest.raises(ParameterError, match="filter roots must be positive"):
+        _band_gains(BAND, lambda a, z: [z, 0.0])
 
 
 def test_eval_filter_normalization_and_annihilation():
     seq = ControlSequence((0.3, 0.07, 1.1))
     for steps in (0, 1, 5, 17):
         assert eval_filter(seq, 0.0, steps) == 1.0
+    # range(-1) is empty: h would read 1
+    with pytest.raises(ParameterError, match="steps must be non-negative"):
+        eval_filter(seq, 1.0, -1)
     assert eval_filter(ControlSequence((0.5,)), 2.0, 1) == 0.0
     cheb = design_chebyshev(BAND, 3)
     assert abs(eval_filter(cheb, 6.5, 3)) <= 1e-14
@@ -111,7 +122,7 @@ def test_design_finite_time():
         assert abs(eval_filter(k34, lam, 3)) <= 1e-10
     with pytest.raises(ParameterError):
         design_finite_time([2.0, -1.0])
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="control sequence needs at least one gain"):
         design_finite_time([])
 
 
@@ -128,6 +139,9 @@ def test_design_lagrange():
     assert np.allclose(design_lagrange(BAND, 1).gains, design_constant(BAND).gains, rtol=1e-15)
     degenerate = design_lagrange(SpectralBand(3.0, 3.0), 2)
     assert degenerate.roots == (3.0, 3.0)
+    for period in (0, -1):
+        with pytest.raises(ParameterError, match="control sequence needs at least one gain"):
+            design_lagrange(BAND, period)
 
 
 def test_design_chebyshev():
@@ -139,6 +153,9 @@ def test_design_chebyshev():
                        (7.82842712474619, 2.17157287525381), atol=1e-12)
     with pytest.raises(ParameterError):
         design_chebyshev(SpectralBand(3.0, 3.0), 2)
+    for period in (0, -1):
+        with pytest.raises(ParameterError, match="control sequence needs at least one gain"):
+            design_chebyshev(BAND, period)
 
 
 def test_design_chebyshev_roots_descend_within_band():
@@ -158,8 +175,9 @@ def test_design_uniform_unknown():
     assert eval_filter(seq, 13.0 / 4.0, 3) == 0.0
     with pytest.raises(ParameterError):
         design_uniform_unknown(-1.0, 3)
-    with pytest.raises(ParameterError):
-        design_uniform_unknown(13.0, 0)
+    for period in (0, -1):
+        with pytest.raises(ParameterError, match="control sequence needs at least one gain"):
+            design_uniform_unknown(13.0, period)
 
 
 def _cheb_t(m, x):
@@ -212,6 +230,9 @@ def test_cheby_on_band_at_zero_closed_form():
         assert abs(closed - rec) <= 1e-10 * abs(rec)
     with pytest.raises(ParameterError):
         cheby_on_band_at_zero(SpectralBand(1.0, 1.0), 2)
+    # a negative power would give T_1's value at m = -1
+    with pytest.raises(ParameterError, match="order must be non-negative"):
+        cheby_on_band_at_zero(BAND, -1)
     # alpha < beta, but sqrt(beta/alpha) rounds to 1: the same error
     with pytest.raises(ParameterError, match="closed form requires alpha < beta"):
         cheby_on_band_at_zero(SpectralBand(1.0, 1.0000000000000002), 3)
@@ -230,6 +251,9 @@ def test_closed_rate_lagrange():
     assert abs(closed_rate_lagrange(BAND, 1) - 12.6 / 13.0) <= 1e-15
     assert closed_rate_lagrange(SpectralBand(2.0, 2.0), 4) == 0.0
     assert 0.0 < closed_rate_lagrange(BAND, 30) < 1.0
+    # the empty product would read 1.0, the rate of zero steps
+    with pytest.raises(ParameterError, match="period must be >= 1"):
+        closed_rate_lagrange(BAND, 0)
 
 
 def test_closed_rate_chebyshev():
@@ -240,6 +264,9 @@ def test_closed_rate_chebyshev():
     assert all(0.0 < r < 1.0 for r in rates)
     with pytest.raises(ParameterError):
         closed_rate_chebyshev(SpectralBand(1.0, 1.0), 2)
+    # 1/|T_0| would read 1.0, the rate of zero steps
+    with pytest.raises(ParameterError, match="period must be >= 1"):
+        closed_rate_chebyshev(BAND, 0)
 
 
 def test_closed_rate_chebyshev_underflows_to_zero():
@@ -260,6 +287,9 @@ def test_closed_rate_constant():
     for m, expected in CLOSED_CONSTANT.items():
         assert abs(closed_rate_constant(BAND, m) - expected) <= 1e-14
     assert closed_rate_constant(SpectralBand(1.0, 1.0), 3) == 0.0
+    # x ** 0 would read 1.0, the rate of zero steps
+    with pytest.raises(ParameterError, match="period must be >= 1"):
+        closed_rate_constant(BAND, 0)
 
 
 def test_lagrange_and_constant_closed_forms_are_scale_free():

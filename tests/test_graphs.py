@@ -1114,6 +1114,47 @@ def test_extreme_eigenvalues_respect_the_gershgorin_bound(monkeypatch):
     assert graphs.extreme_eigenvalues(g) is not None
 
 
+def _lanczos_events(monkeypatch):
+    """What ``extreme_eigenvalues`` does with its operator, in order: "finite
+    err" or "infinite err" once it is built, then "product" for each use."""
+    original, events = graphs._minus_laplacian, []
+
+    def recorded(g):
+        minus_lap, degrees = original(g)
+        finite = math.isfinite(_eig_error(g.n, 2.0 * degrees.max()))
+        events.append("finite err" if finite else "infinite err")
+        return lambda x: events.append("product") or minus_lap(x), degrees
+    monkeypatch.setattr(graphs, "_minus_laplacian", recorded)
+    return events
+
+
+# star:12 with weights whose degrees overflow: 2·max_degree, and so err, are
+# not finite. That is None before any product and without a warning, where
+# the dense path refuses the weights by its own range rule.
+@pytest.mark.parametrize("scale", [1e308, 5e307])
+def test_extreme_eigenvalues_past_the_float_range_are_none(scale, monkeypatch):
+    i, j, w = edge_arrays(build_graph("star", n=12))
+    g = Graph(12, i, j, w * scale)
+    events = _lanczos_events(monkeypatch)
+    assert graphs.extreme_eigenvalues(g) is None
+    assert events == ["infinite err"]
+    with pytest.raises(ParameterError, match="edge weights are too large"):
+        spectrum(g, vectors=False)
+
+
+def test_extreme_eigenvalues_whose_product_norm_overflows_are_none(monkeypatch):
+    # er:600,0.08 with weights times 1e160: max_degree is about 6.9e161, so err
+    # is finite, but a product's entries pass 1.3e154, past which the unscaled
+    # dot in np.linalg.norm overflows. The first start gives up after one product.
+    i, j, w = edge_arrays(build_graph("random_connected", n=600, p=0.08, seed=1))
+    g = Graph(600, i, j, w * 1e160)
+    events = _lanczos_events(monkeypatch)
+    assert graphs.extreme_eigenvalues(g) is None
+    assert events == ["finite err", "product"]
+    with pytest.raises(ParameterError, match="edge weights are too large"):
+        spectrum(g, vectors=False)
+
+
 def test_extreme_eigenvalues_make_no_dense_array(monkeypatch):
     monkeypatch.setattr(graphs, "laplacian", lambda g: pytest.fail("dense Laplacian"))
     g = build_graph("random_connected", n=1000, p=0.08, seed=2)
