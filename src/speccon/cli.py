@@ -176,12 +176,20 @@ def _strict_json(doc) -> str:
     return json.dumps(_finite_or_null(doc), indent=2, allow_nan=False)
 
 
+def _write_text(path: Path, text: str) -> None:
+    """Write ``text`` to ``path``, making its directory; an OSError is a ParameterError."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ParameterError(f"cannot write {path}: {exc}") from exc
+
+
 def _emit(lines: list[str], out: Path | None, filename: str) -> None:
     text = "\n".join(lines) + "\n"
     click.echo(text, nl=False)
     if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
-        (out / filename).write_text(text, encoding="utf-8")
+        _write_text(out / filename, text)
 
 
 def _emit_table(name: str, labels: tuple[str, ...], rows: dict, band, periods, fmt, out) -> None:
@@ -497,8 +505,7 @@ def simulate_cmd(graph_spec, band, method, period, beta_bar, sequence_file, x0, 
     }
     _emit([_strict_json(summary)], out, "summary.json")
     if out is not None:
-        (out / "trace.csv").write_text(
-            "\n".join(sim.trace_csv_lines(trace)) + "\n", encoding="utf-8")
+        _write_text(out / "trace.csv", "\n".join(sim.trace_csv_lines(trace)) + "\n")
     nonfinite = np.flatnonzero(~np.isfinite(trace.errors))
     if nonfinite.size:
         raise click.ClickException(
@@ -517,13 +524,11 @@ def graph():
               help="Write the graph JSON to this file instead of stdout.")
 def generate(spec, seed, out):
     """Generate a graph from SPEC (e.g. star:12, ws:12,4,0.3) as JSON."""
-    g = parse_graph_spec(spec, seed)
-    text = json.dumps(graphs.graph_to_dict(g), indent=2)
+    text = json.dumps(graphs.graph_to_dict(parse_graph_spec(spec, seed)), indent=2)
     if out is None:
         click.echo(text)
     else:
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(text + "\n", encoding="utf-8")
+        _write_text(out, text + "\n")
 
 
 @graph.command()

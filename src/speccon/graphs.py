@@ -233,8 +233,7 @@ def _neighbour_sums(n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray):
     edge order, as one ``bincount`` over both ends would, so the sums are
     bincount's bit for bit; NaN signs too, since -diff is added rather than
     diff subtracted. A call allocates at most 2m + n floats. The Lanczos
-    operator of ``extreme_eigenvalues`` is ``_minus_laplacian``: it sums in
-    another order, and the two share no code."""
+    product L x, ``_laplacian_product``, sums in another order."""
     def apply(x: np.ndarray) -> np.ndarray:
         diff = x[j]
         diff -= x[i]
@@ -517,20 +516,17 @@ LANCZOS_MAX_BASIS = 300
 LANCZOS_SEEDS = (0x5EED1, 0x5EED2)
 
 
-def _minus_laplacian(g: Graph):
-    """The Lanczos operator x -> -L x = A x - d∘x of ``g``, and its weighted
-    degrees d.
+def _laplacian_product(g: Graph):
+    """The Lanczos operator x -> L x = d∘x - A x of ``g``, and its weighted
+    degrees d, summed by ``np.add.at``, edge ends i then j.
 
-    The adjacency A is stored once, in node-ordered CSR form: one stable
-    argsort of the 2m edge ends, j's before i's, gives each node's
+    A is stored once, in node-ordered CSR form, 2m indices and 2m floats: a
+    stable argsort of the 2m edge ends, j's before i's, gives each node's
     neighbours in ascending order as ``col`` and their weights as ``val``.
-    ``starts`` holds the first entry of each node that has an edge, so an
-    isolated node or an edgeless graph needs no empty row, which
-    ``np.add.reduceat`` would not sum to zero. A product is one gather, one
-    multiply and one ``reduceat``, where ``_neighbour_sums`` makes two
-    indexed scatters; it sums in another order, so its last bits differ from
-    those. The degrees are summed by ``np.add.at``, edge ends i then j. The
-    operator keeps 2m indices, 2m floats and O(n) more.
+    ``starts`` holds the first entry of each node with an edge, so no row is
+    empty: ``np.add.reduceat`` would not sum an empty row to zero. A product
+    subtracts one gather, multiply and ``reduceat`` from d∘x;
+    ``_neighbour_sums`` sums in another order, by two scatters.
     """
     n = g.n
     i, j, w = edge_arrays(g)
@@ -547,29 +543,31 @@ def _minus_laplacian(g: Graph):
     def apply(x: np.ndarray) -> np.ndarray:
         prod = np.take(x, col)
         prod *= val
-        out = np.zeros(n)
-        out[nodes] = np.add.reduceat(prod, starts)
-        out -= degrees * x
+        out = degrees * x
+        out[nodes] -= np.add.reduceat(prod, starts)
         return out
     return apply, degrees
 
 
-def _lanczos_ends(minus_lap, n: int, seed: int, tol: float) -> tuple[float, float] | None:
-    """The smallest and largest Ritz values of L off the ones vector, once
-    both residuals are at most ``tol``; None when the basis reaches
+def _lanczos_ends(product, n: int, seed: int, tol: float) -> tuple[float, float] | None:
+    """The smallest and largest Ritz values off the ones vector of a symmetric
+    S, once both residuals are at most ``tol``; None when the basis reaches
     ``LANCZOS_MAX_BASIS`` vectors first or a norm is not finite.
 
-    ``minus_lap`` maps x to -L x. The basis starts with the unit ones vector,
-    which L maps to zero, and a seeded normal vector; every new vector is
-    orthogonalized twice against the whole basis, so the basis stays
-    orthonormal to round-off. The residual of a Ritz pair (theta, y) is
-    ||L y - theta y||_2 = b·|s_k|, the last Lanczos coefficient times the last
-    entry of y in the basis. The basis array starts at 64 rows and doubles
-    when full, up to ``LANCZOS_MAX_BASIS + 1``, so a run that settles early
-    holds only the rows it grew to. Neither the norm check nor the caller's
-    finite ``tol`` subsumes the other: ``np.linalg.norm`` squares unscaled and
-    overflows once an entry passes about 1.3e154, far below a 2·max_degree
-    past the float range, and an infinite ``tol`` passes any finite residual.
+    ``product`` maps x to S x. S must map the ones vector to a multiple of
+    itself, as L (to 0) and the period operator h(L, M) (to itself) do. The
+    basis starts with the unit ones vector and a seeded normal vector, and
+    each new vector is orthogonalized twice against all of it. A Ritz pair's
+    residual ||S y - theta y||_2 is b·|s_k|, the last Lanczos coefficient
+    times y's last basis entry. The basis grows in place, from 64 rows
+    doubling to at most ``LANCZOS_MAX_BASIS + 1``, by ``ndarray.resize``'s
+    realloc, with no second array. Its reference check is off: a Python
+    trace function (pdb, coverage) holds the basis in the frame's locals. No
+    view of the basis outlives a step, and ``product`` must keep none of its
+    argument. Neither the norm check nor a finite ``tol`` subsumes the other:
+    ``np.linalg.norm`` squares unscaled and overflows once an entry passes
+    about 1.3e154, far below a 2·max_degree past the float range, and an
+    infinite ``tol`` passes any finite residual.
     """
     size = min(LANCZOS_MAX_BASIS, n - 1) + 1
     basis = np.empty((min(64, size), n))
@@ -592,18 +590,15 @@ def _lanczos_ends(minus_lap, n: int, seed: int, tol: float) -> tuple[float, floa
                 return None
         off.append(b)
         if k == len(basis):
-            grown = np.empty((min(2 * k, size), n))
-            grown[:k] = basis
-            basis = grown
+            basis.resize((min(2 * k, size), n), refcheck=False)
         basis[k] = v / b
-        v = -minus_lap(basis[k])
+        v = product(basis[k])
         diag.append(basis[k] @ v)
 
 
 def extreme_eigenvalues(g: Graph) -> SpectralExtremes | None:
-    """lambda_2 and lambda_N by Lanczos through the CSR operator
-    ``_minus_laplacian``, certified, or None where they are not; no n x n
-    array is made.
+    """lambda_2 and lambda_N by Lanczos on ``_laplacian_product``, certified,
+    or None where they are not; no n x n array is made.
 
     Two runs of ``_lanczos_ends`` from independent seeded starts each stop
     once both end Ritz residuals are at most err = _eig_error(n, max(1,
@@ -624,13 +619,13 @@ def extreme_eigenvalues(g: Graph) -> SpectralExtremes | None:
     """
     runs = []
     with np.errstate(over="ignore", invalid="ignore"):
-        minus_lap, degrees = _minus_laplacian(g)
+        product, degrees = _laplacian_product(g)
         max_degree = float(degrees.max())
         err = _eig_error(g.n, max(1.0, 2.0 * max_degree))
         if not math.isfinite(err):
             return None
         for seed in LANCZOS_SEEDS:
-            ends = _lanczos_ends(minus_lap, g.n, seed, err)
+            ends = _lanczos_ends(product, g.n, seed, err)
             if ends is None:
                 return None
             runs.append(ends)

@@ -331,8 +331,8 @@ def test_sweep_rows_whose_ends_are_not_certified_are_the_dense_rows(monkeypatch,
     # a second start that lands on another lambda_2
     original = graphs._lanczos_ends
 
-    def disagreeing(minus_lap, n, seed, tol):
-        low, high = original(minus_lap, n, seed, tol)
+    def disagreeing(product, n, seed, tol):
+        low, high = original(product, n, seed, tol)
         return (low + 3.0 * tol if seed == graphs.LANCZOS_SEEDS[1] else low), high
     with monkeypatch.context() as m:
         m.setattr(graphs, "_lanczos_ends", disagreeing)
@@ -1252,3 +1252,32 @@ def test_readme_cli_commands_run(tmp_path, monkeypatch):
     for argv in commands:
         result = RUN.invoke(main, argv)
         assert result.exit_code == 0, (argv, result.output)
+
+
+# An output that cannot be written is one error after whatever was printed:
+# an --out directory that is an existing file, a graph --out that is a
+# directory, and simulate's trace.csv, written after summary.json, where a
+# directory stands.
+@pytest.mark.parametrize("command,blocked", [
+    (["table2"], "file"),
+    (["table3", "--periods", "2"], "file"),
+    (["sweep", "--nodes", "20", "--trials", "2", "--seed", "1"], "file"),
+    (["response", "--samples", "3"], "file"),
+    (["simulate", "--graph", "star:5", "--method", "constant", "--band", "0.2,12.8",
+      "--steps", "3", "--seed", "1"], "file"),
+    (["simulate", "--graph", "star:5", "--method", "constant", "--band", "0.2,12.8",
+      "--steps", "3", "--seed", "1"], "trace.csv"),
+    (["graph", "generate", "star:3"], "dir"),
+], ids=["table2", "table3", "sweep", "response", "simulate", "simulate-trace", "generate"])
+def test_an_unwritable_output_is_one_error(tmp_path, command, blocked):
+    out = tmp_path / "out"
+    if blocked == "file":
+        out.write_text("taken\n")
+    else:
+        out.mkdir()
+        if blocked == "trace.csv":
+            (out / "trace.csv").mkdir()
+    result = RUN.invoke(main, [*command, "--out", str(out)])
+    assert result.exit_code == 1
+    assert not isinstance(result.exception, OSError)
+    assert result.stderr.splitlines()[-1].startswith(f"Error: cannot write {out}")

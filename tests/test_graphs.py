@@ -33,7 +33,7 @@ from speccon import (
     laplacian,
     spectrum,
 )
-from speccon import graphs, rates
+from speccon import filters, graphs, rates
 from speccon.cli import main
 from speccon.graphs import _eig_error, edge_arrays, is_connected
 
@@ -932,10 +932,21 @@ def test_graph_builders_peak_near_their_edge_arrays(family, params):
 
 
 def test_extreme_eigenvalues_peak_near_their_basis():
+    # each start runs 72 products, so the basis grows to 128 x n floats, 1.0 MB
     g = build_graph("random_connected", n=1000, p=0.08, seed=2)
     ends, peak = _traced(lambda: graphs.extreme_eigenvalues(g))
     assert ends is not None
-    assert peak < 3_500_000  # the basis of 301 x n floats is 2.4 MB
+    assert peak < 3_500_000
+
+
+def test_extreme_eigenvalues_grow_their_basis_without_a_copy():
+    # each start runs 176 products, so the basis doubles from 128 to 256 rows
+    # of n floats: 41 MB. A basis copied into a new array at that step holds
+    # 384 rows at once, 61 MB.
+    g = build_graph("watts_strogatz", n=20000, k=6, p=0.3, seed=1)
+    ends, peak = _traced(lambda: graphs.extreme_eigenvalues(g))
+    assert ends is not None
+    assert peak < 52_000_000
 
 
 # The values-only spectrum of path:1500 in a fresh process, after the solver
@@ -1015,16 +1026,16 @@ def test_graph_from_dict_last_duplicate_weight_wins():
 ], ids=["weighted24", "star30", "isolated", "edgeless"])
 def test_minus_laplacian_equals_the_dense_product(g):
     lap = laplacian(g)
-    minus_lap, degrees = graphs._minus_laplacian(g)
+    product, degrees = graphs._laplacian_product(g)
     # the degrees are the diagonal of L, summed in another order
     assert np.all(np.abs(degrees - np.diag(lap)) <= 2 * g.n * graphs._U * degrees)
     for seed in range(3):
         x = np.random.default_rng(seed).standard_normal(g.n)
-        got = minus_lap(x)
+        got = product(x)
         assert got.dtype == np.float64 and got.shape == (g.n,)
         # each side sums at most n + 2 terms of |L||x|, within (n + 2)·u of it
         bound = 2 * (g.n + 2) * graphs._U * (np.abs(lap) @ np.abs(x))
-        assert np.all(np.abs(got + lap @ x) <= bound)
+        assert np.all(np.abs(got - lap @ x) <= bound)
         assert np.all(got[degrees == 0.0] == 0.0)
     ends = graphs.extreme_eigenvalues(g)
     assert isinstance(ends, graphs.SpectralExtremes)
@@ -1089,13 +1100,13 @@ def test_extreme_eigenvalues_need_both_starts_to_agree(monkeypatch):
     ends = graphs.extreme_eigenvalues(g)
     original = graphs._lanczos_ends
     # the smaller lambda_2 and the larger lambda_N of the two starts
-    minus_lap, _ = graphs._minus_laplacian(g)
-    first, second = (original(minus_lap, g.n, seed, ends.error) for seed in graphs.LANCZOS_SEEDS)
+    product, _ = graphs._laplacian_product(g)
+    first, second = (original(product, g.n, seed, ends.error) for seed in graphs.LANCZOS_SEEDS)
     assert first != second
     assert (ends.lambda_2, ends.lambda_max) == (min(first[0], second[0]), max(first[1], second[1]))
     for shift in ((3.0, 0.0), (0.0, 3.0), (1.5, 1.5)):
-        def shifted(minus_lap, n, seed, tol, shift=shift):
-            low, high = original(minus_lap, n, seed, tol)
+        def shifted(product, n, seed, tol, shift=shift):
+            low, high = original(product, n, seed, tol)
             if seed == graphs.LANCZOS_SEEDS[1]:
                 return low + shift[0] * tol, high + shift[1] * tol
             return low, high
@@ -1117,14 +1128,14 @@ def test_extreme_eigenvalues_respect_the_gershgorin_bound(monkeypatch):
 def _lanczos_events(monkeypatch):
     """What ``extreme_eigenvalues`` does with its operator, in order: "finite
     err" or "infinite err" once it is built, then "product" for each use."""
-    original, events = graphs._minus_laplacian, []
+    original, events = graphs._laplacian_product, []
 
     def recorded(g):
-        minus_lap, degrees = original(g)
+        product, degrees = original(g)
         finite = math.isfinite(_eig_error(g.n, 2.0 * degrees.max()))
         events.append("finite err" if finite else "infinite err")
-        return lambda x: events.append("product") or minus_lap(x), degrees
-    monkeypatch.setattr(graphs, "_minus_laplacian", recorded)
+        return lambda x: events.append("product") or product(x), degrees
+    monkeypatch.setattr(graphs, "_laplacian_product", recorded)
     return events
 
 
@@ -1164,7 +1175,95 @@ def test_extreme_eigenvalues_make_no_dense_array(monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < g.n * g.n * 8  # less than one n x n array; the basis is 301 x n
+    assert peak < g.n * g.n * 8  # less than one n x n array; the basis is 128 x n
+
+
+def test_extreme_eigenvalues_run_under_a_trace_function():
+    # a Python trace function, as pdb or a coverage tracer sets, holds each
+    # local of a traced frame in its f_locals, the basis among them: numpy's
+    # reference check would then refuse to grow the basis past its 64 rows
+    g = build_graph("random_connected", n=1000, p=0.08, seed=2)
+    ends = graphs.extreme_eigenvalues(g)
+
+    def trace(frame, event, arg):
+        return trace
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        traced = graphs.extreme_eigenvalues(g)
+    finally:
+        sys.settrace(previous)
+    assert traced == ends
+
+
+def test_lanczos_ends_of_the_period_operator_are_the_filter_ends():
+    # P = h(L, M) = prod_k (I - eps_k L) is symmetric and maps the ones vector
+    # to itself, so the routine gives the smallest and largest h(lambda_i, M)
+    # off it. Each end lies within its residual, at most tol, of an eigenvalue
+    # of P; the dense reference h(lambda_i) is off by h's change over each
+    # lambda_i's own error, _eig_error(n, lambda_N), taken at both its ends.
+    # Observed: within 4.9e-15 on all three cases.
+    tol = 1e-12
+    ws300 = build_graph("watts_strogatz", n=300, k=6, p=0.3, seed=3)
+    cases = [
+        (ws300, filters.design_chebyshev(SpectralBand(0.2, 20), 5), 5),
+        (build_graph("random_connected", n=200, p=0.08, seed=1),
+         filters.design_lagrange(SpectralBand(0.2, 40), 4), 4),
+        (ws300, filters.design_constant(SpectralBand(0.2, 20)), 3),
+    ]
+    for g, seq, steps in cases:
+        lap, _ = graphs._laplacian_product(g)
+
+        def period(x, lap=lap, seq=seq, steps=steps):
+            for k in range(steps):
+                x = x - seq.gain_at(k) * lap(x)
+            return x
+        s = spectrum(g, vectors=False)
+        lam = s.eigenvalues[1:]
+        h = filters.eval_filter(seq, lam, steps)
+        e = _eig_error(g.n, s.lambda_max)
+        slack = tol + max(np.abs(filters.eval_filter(seq, lam + d, steps) - h).max()
+                          for d in (-e, e))
+        for seed in graphs.LANCZOS_SEEDS:
+            low, high = graphs._lanczos_ends(period, g.n, seed, tol)
+            assert abs(low - h.min()) <= slack, (g.n, steps, seed)
+            assert abs(high - h.max()) <= slack, (g.n, steps, seed)
+
+
+def _weighted_lanczos_graph(family, params):
+    """A seeded graph (seed 1) with weights uniform in [0.5, 2] (seed 3)."""
+    i, j, _ = edge_arrays(build_graph(family, seed=1, **params))
+    return Graph(params["n"], i, j, np.random.default_rng(3).uniform(0.5, 2.0, len(i)))
+
+
+LANCZOS_RELATION_GRAPHS = [("random_connected", {"n": 600, "p": 0.04}),
+                           ("watts_strogatz", {"n": 1000, "k": 10, "p": 0.3})]
+
+
+@pytest.mark.parametrize("k", [-2, 3, 7, 40])
+@pytest.mark.parametrize("family,params", LANCZOS_RELATION_GRAPHS, ids=["er600", "ws1000"])
+def test_extreme_eigenvalues_commute_with_power_of_two_weight_scaling(family, params, k):
+    # relation 17(a) on the Lanczos path: every product, sum and norm of the
+    # iteration scales exactly, so the ends and their error scale by 2**k bit
+    # for bit, while the error's max(1, 2·max_degree) takes the scaled degree
+    g = _weighted_lanczos_graph(family, params)
+    i, j, w = edge_arrays(g)
+    scaled = Graph(g.n, i, j, w * 2.0 ** k)
+    ends, ends_scaled = graphs.extreme_eigenvalues(g), graphs.extreme_eigenvalues(scaled)
+    assert 2.0 * spectrum(g, vectors=False).max_degree * 2.0 ** k >= 1.0
+    assert (ends_scaled.lambda_2, ends_scaled.lambda_max, ends_scaled.error) == (
+        2.0 ** k * ends.lambda_2, 2.0 ** k * ends.lambda_max, 2.0 ** k * ends.error)
+
+
+@pytest.mark.parametrize("family,params", LANCZOS_RELATION_GRAPHS, ids=["er600", "ws1000"])
+def test_relabelling_the_nodes_keeps_the_lanczos_ends(family, params):
+    # relation 17(b) on the Lanczos path: the relabelled graph's products sum
+    # in another order, so its ends move, but within their error
+    g = _weighted_lanczos_graph(family, params)
+    h = _relabelled(g, np.random.default_rng(1).permutation(g.n))
+    ends, moved = graphs.extreme_eigenvalues(g), graphs.extreme_eigenvalues(h)
+    assert abs(moved.lambda_2 - ends.lambda_2) <= ends.error
+    assert abs(moved.lambda_max - ends.lambda_max) <= ends.error
 
 
 def test_spectral_extremes_act_as_their_spectrum():
