@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import click
@@ -176,13 +177,20 @@ def _strict_json(doc) -> str:
     return json.dumps(_finite_or_null(doc), indent=2, allow_nan=False)
 
 
-def _write_text(path: Path, text: str) -> None:
-    """Write ``text`` to ``path``, making its directory; an OSError is a ParameterError."""
+@contextmanager
+def _writing(path: Path):
+    """Report an OSError raised in the block as a ParameterError on ``path``."""
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, encoding="utf-8")
+        yield
     except OSError as exc:
         raise ParameterError(f"cannot write {path}: {exc}") from exc
+
+
+def _write_text(path: Path, text: str) -> None:
+    """Write ``text`` to ``path``, making its directory; an OSError is a ParameterError."""
+    with _writing(path):
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
 
 
 def _emit(lines: list[str], out: Path | None, filename: str) -> None:
@@ -442,11 +450,11 @@ def simulate_cmd(graph_spec, band, method, period, beta_bar, sequence_file, x0, 
     or a --method, --band, --beta-bar or -M that --sequence or the method
     would leave unread, or --states without --out, to initial states of the
     wrong length or out of the float range, is reported before the graph is
-    decomposed, the costly step. On a spectrum inside the band, the predicted
-    rate is checked against the band's worst case, as sweep checks its
-    in-band rows. A divergent run, one whose consensus error is not finite at
-    some step, prints its non-finite summary numbers as null and exits with
-    status 1.
+    decomposed, the costly step, and so is an --out that cannot be made. On
+    a spectrum inside the band, the predicted rate is checked against the
+    band's worst case, as sweep checks its in-band rows. A divergent run, one
+    whose consensus error is not finite at some step, prints its non-finite
+    summary numbers as null and exits with status 1.
     """
     if sequence_file is None and method is None:
         raise click.BadParameter("provide --method or --sequence")
@@ -467,6 +475,9 @@ def simulate_cmd(graph_spec, band, method, period, beta_bar, sequence_file, x0, 
     elif method != "finite_time":
         seq = _sequence(method, band, period, beta_bar)
     x_init = _load_states(x0[5:]) if x0.startswith("file:") else None
+    if out is not None:
+        with _writing(out):
+            out.mkdir(parents=True, exist_ok=True)
 
     g = parse_graph_spec(graph_spec, seed)
     if x_init is not None:

@@ -391,29 +391,32 @@ def build_graph(family: str, seed: int | None = None, **params) -> Graph:
         f"no connected random graph in {MAX_GENERATION_ATTEMPTS} attempts (n={n}, p={p})")
 
 
+def _mapped_zeros(n: int) -> np.ndarray:
+    """n x n float zeros over a private anonymous mapping: a page is resident
+    only once written (numpy's own zeros of 4 MiB or more are advised to huge
+    pages, so one entry makes 2 MiB resident). Too large to map, a ParameterError."""
+    try:
+        zeros = mmap.mmap(-1, n * n * 8, flags=mmap.MAP_PRIVATE)
+    except OSError as exc:
+        raise ParameterError(f"a dense Laplacian on n={n} nodes does not fit in memory") from exc
+    return np.ndarray((n, n), buffer=zeros)
+
+
 def laplacian(g: Graph) -> np.ndarray:
     """Dense Laplacian, degree diagonal minus adjacency, assembled from the edges.
 
     Bit for bit ``np.diag(a.sum(axis=1)) - a`` for the dense adjacency ``a``
-    of the edges, without building ``a``: the degrees are the row sums of the
-    negated off-diagonal entries, summed in the same order, and
-    round-to-nearest is symmetric in sign. The array is made over a private
-    anonymous mapping, its ``base``: its pages read as zeros, and only those
-    holding a nonzero entry are resident (numpy's own zeros of 4 MiB or more
-    are advised to huge pages, so one entry can make 2 MiB resident);
-    ``spectrum`` releases those of the upper triangle. A Laplacian too large
-    to map is a ParameterError, and so are edge weights so large that twice
-    ||L||_F^2 = sum deg^2 + 2·sum w^2 is not a finite float. That one
-    weight-range rule keeps finite every moment ``spectrum`` reads:
+    of the edges, without building ``a``, in a ``_mapped_zeros`` array: the
+    degrees are the row sums of the negated off-diagonal entries, summed in
+    the same order, and round-to-nearest is symmetric in sign. A Laplacian
+    too large to map is a ParameterError, and so are edge weights so large
+    that twice ||L||_F^2 = sum deg^2 + 2·sum w^2 is not a finite float. That
+    one weight-range rule keeps finite every moment ``spectrum`` reads:
     2·max_degree (max_degree^2 <= ||L||_F^2), the trace (at most
     sqrt(n·||L||_F^2)) and the eigenvalues' squares, which sum to ||L||_F^2.
     """
     i, j, w = edge_arrays(g)
-    try:
-        zeros = mmap.mmap(-1, g.n * g.n * 8, flags=mmap.MAP_PRIVATE)
-    except OSError as exc:
-        raise ParameterError(f"a dense Laplacian on n={g.n} nodes does not fit in memory") from exc
-    lap = np.ndarray((g.n, g.n), buffer=zeros)
+    lap = _mapped_zeros(g.n)
     lap[i, j] = lap[j, i] = -w
     with np.errstate(over="ignore"):
         np.fill_diagonal(lap, 0.0 - lap.sum(axis=1))
@@ -423,27 +426,14 @@ def laplacian(g: Graph) -> np.ndarray:
     return lap
 
 
-def _upper_only_pages(n: int, i: np.ndarray, j: np.ndarray, page: int) -> np.ndarray:
-    """The pages, of ``page`` bytes, of the row-major n x n Laplacian of the
-    edges (i, j) that hold a strict upper nonzero but no lower or diagonal
-    one, ascending. Its nonzeros are the entries (i, j) and (j, i), and the
-    diagonal of each node with an edge: one flag per page is set from the m
-    edges, and no entry is scanned."""
-    def held(rows, cols):
-        flags = np.zeros(-(-8 * n * n // page), dtype=bool)
-        flags[(rows * n + cols) * 8 // page] = True
-        return flags
-    return np.flatnonzero(held(i, j) > (held(j, i) | held(i, i) | held(j, j)))
-
-
 def spectrum(g: Graph, vectors: bool = True) -> LaplacianSpectrum:
     """Eigendecomposition of the Laplacian, eigenvalues ascending.
 
     With ``vectors=False`` only the eigenvalues are computed and the result
     carries ``eigenvectors=None``. numpy's symmetric solvers read only the
     lower triangle and diagonal (LAPACK's UPLO='L'), so the solver is given
-    ``laplacian``'s matrix with its strict upper triangle zeroed, and the
-    pages of the mapping that then hold no nonzero are released; the result
+    L's strict lower triangle and ``laplacian``'s degrees, written into a
+    fresh mapping whose strict upper triangle is never written; the result
     is bit for bit that of the full matrix. The moments trace(L) = sum deg
     and ||L||_F^2 = sum deg^2 + 2·sum w^2 come from the degrees and edge
     weights; ``laplacian``'s weight-range rule has already kept them finite.
@@ -461,16 +451,14 @@ def spectrum(g: Graph, vectors: bool = True) -> LaplacianSpectrum:
         2·_eig_error(n, ||L||_F^2), since that of L + dL moves by at most
         2·||L||_F·||dL||_F.
     """
-    lap = laplacian(g)
+    # a copy, so that no view keeps laplacian's mapping resident
+    degrees = laplacian(g).diagonal().copy()
     i, j, w = edge_arrays(g)
-    degrees = lap.diagonal()
     max_degree, trace = float(degrees.max()), degrees.sum()
     frob = degrees @ degrees + 2.0 * (w @ w)
-    # zeroed before the release, so the solver reads the same matrix where
-    # MADV_DONTNEED keeps the pages
-    lap[i, j] = 0.0
-    for page in _upper_only_pages(g.n, i, j, mmap.PAGESIZE):
-        lap.base.madvise(mmap.MADV_DONTNEED, page * mmap.PAGESIZE, mmap.PAGESIZE)
+    lap = _mapped_zeros(g.n)
+    lap[j, i] = -w
+    np.fill_diagonal(lap, degrees)
     try:
         if vectors:
             vals, vecs = np.linalg.eigh(lap)

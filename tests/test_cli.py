@@ -1281,3 +1281,20 @@ def test_an_unwritable_output_is_one_error(tmp_path, command, blocked):
     assert result.exit_code == 1
     assert not isinstance(result.exception, OSError)
     assert result.stderr.splitlines()[-1].startswith(f"Error: cannot write {out}")
+
+
+def test_simulate_refuses_an_unwritable_out_before_the_graph(monkeypatch, tmp_path):
+    # the --out directory is made before the graph is built, so a run that
+    # could not write its outputs does not decompose and step the graph first
+    def no_graph(*_args, **_kwargs):
+        raise AssertionError("graph built before --out was made")
+
+    monkeypatch.setattr(cli, "parse_graph_spec", no_graph)
+    out = tmp_path / "out"
+    out.write_text("taken\n")
+    result = RUN.invoke(main, ["simulate", "--graph", "ws:2000,6,0.3", "--method", "chebyshev",
+                               "--band", "0.2,20", "-M", "5", "--steps", "5000", "--seed", "1",
+                               "--out", str(out)])
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr.splitlines()[-1].startswith(f"Error: cannot write {out}")

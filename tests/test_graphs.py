@@ -622,7 +622,7 @@ def test_spectrum_reports_solver_failure(monkeypatch, vectors, solver):
 
 
 # ---------------------------------------------------------------------------
-# The solver's input: the Laplacian's lower triangle, the upper one's pages released
+# The solver's input: the Laplacian's lower triangle, the upper one's pages never written
 
 @pytest.mark.parametrize("vectors,solver", [(True, "eigh"), (False, "eigvalsh")])
 def test_solver_reads_the_lower_triangle_and_returns_the_full_matrix_result(
@@ -632,8 +632,9 @@ def test_solver_reads_the_lower_triangle_and_returns_the_full_matrix_result(
     original = getattr(np.linalg, solver)
     inputs = []
     monkeypatch.setattr(np.linalg, solver, lambda a: inputs.append(a.copy()) or original(a))
+    # in the last graph nodes 0 and 2 have no edge: their diagonal entries are zero
     for g in (build_graph("watts_strogatz", n=700, k=6, p=0.3, seed=1),
-              graph_from_dict(json.loads(WEIGHTED.read_text()))):
+              graph_from_dict(json.loads(WEIGHTED.read_text())), Graph(4, [1], [3], [1.0])):
         s = spectrum(g, vectors=vectors)
         lap = laplacian(g)
         assert not np.triu(inputs[-1], 1).any()
@@ -642,6 +643,7 @@ def test_solver_reads_the_lower_triangle_and_returns_the_full_matrix_result(
         assert s.eigenvalues.tobytes() == vals.tobytes()
         if vectors:
             assert s.eigenvectors.tobytes() == vecs.tobytes()
+    assert s.eigenvalues.tolist() == [0.0, 0.0, 0.0, 2.0]
 
 
 def _pages_holding(nonzero, page):
@@ -685,21 +687,6 @@ def _edge_lists(draw, max_nodes):
     return n, sorted(draw(st.lists(st.sampled_from(pairs), unique=True)))
 
 
-@settings(max_examples=60, derandomize=True, deadline=None)
-# node 2 has no edge: page 1, entries 6 to 11, holds (1, 3) and a zero diagonal entry
-@example(graph=(4, [(1, 3)]), page=48)
-@given(graph=_edge_lists(40), page=st.sampled_from([8, 16, 48, 256, 4096]))
-def test_upper_only_pages_are_those_without_a_lower_or_diagonal_nonzero(graph, page):
-    # pages of 6 entries do not divide a row, and isolated nodes leave zeros on the diagonal
-    n, edges = graph
-    g = Graph(n, [a for a, _ in edges], [b for _, b in edges], np.ones(len(edges)))
-    lap = laplacian(g)
-    upper = _pages_holding(np.triu(lap, 1) != 0, page)
-    upper_only = upper & ~_pages_holding(np.tril(lap) != 0, page)
-    found = graphs._upper_only_pages(n, *edge_arrays(g)[:2], page)
-    assert np.array_equal(found, np.flatnonzero(upper_only))
-
-
 def _relabelled(g, perm):
     """``g`` with node k renamed ``perm[k]``."""
     i, j, w = edge_arrays(g)
@@ -726,7 +713,7 @@ def test_relabelling_the_nodes_keeps_the_eigenvalues(graph, data):
     _assert_relabelling_keeps_the_eigenvalues(g, data.draw(st.permutations(range(n))))
 
 
-@pytest.mark.parametrize("n,seed", [(300, 3), (700, 1)])  # 700: pages are released
+@pytest.mark.parametrize("n,seed", [(300, 3), (700, 1)])  # 700: some pages hold upper entries only
 def test_relabelling_a_watts_strogatz_graph_keeps_its_eigenvalues(n, seed):
     g = build_graph("watts_strogatz", n=n, k=6, p=0.3, seed=seed)
     _assert_relabelling_keeps_the_eigenvalues(g, np.random.default_rng(seed).permutation(n))
