@@ -219,7 +219,8 @@ def _emit_table(name: str, labels: tuple[str, ...], rows: dict, band, periods, f
     _emit(lines, out, f"{name}.csv")
 
 
-seed_option = click.option("--seed", type=int, default=None, help="Seed for random draws.")
+seed_option = click.option("--seed", type=click.IntRange(min=0), default=None,
+                           help="Seed for random draws.")
 format_option = click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
                              default="csv", show_default=True, help="Output format.")
 out_option = click.option("--out", type=click.Path(path_type=Path), default=None,

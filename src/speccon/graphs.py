@@ -391,15 +391,17 @@ def build_graph(family: str, seed: int | None = None, **params) -> Graph:
         f"no connected random graph in {MAX_GENERATION_ATTEMPTS} attempts (n={n}, p={p})")
 
 
-def _mapped_zeros(n: int) -> np.ndarray:
-    """n x n float zeros over a private anonymous mapping: a page is resident
-    only once written (numpy's own zeros of 4 MiB or more are advised to huge
-    pages, so one entry makes 2 MiB resident). Too large to map, a ParameterError."""
+def _mapped_zeros(rows: int, n: int) -> np.ndarray:
+    """rows x n float zeros, rows <= n, over a private anonymous mapping: a
+    page is resident only once written (numpy's own zeros of 4 MiB or more are
+    advised to huge pages, so one entry makes 2 MiB resident). Too large to
+    map, a ParameterError that names the dense Laplacian on n nodes, which as
+    rows <= n does not fit either."""
     try:
-        zeros = mmap.mmap(-1, n * n * 8, flags=mmap.MAP_PRIVATE)
+        zeros = mmap.mmap(-1, rows * n * 8, flags=mmap.MAP_PRIVATE)
     except OSError as exc:
         raise ParameterError(f"a dense Laplacian on n={n} nodes does not fit in memory") from exc
-    return np.ndarray((n, n), buffer=zeros)
+    return np.ndarray((rows, n), buffer=zeros)
 
 
 def laplacian(g: Graph) -> np.ndarray:
@@ -416,7 +418,7 @@ def laplacian(g: Graph) -> np.ndarray:
     sqrt(n·||L||_F^2)) and the eigenvalues' squares, which sum to ||L||_F^2.
     """
     i, j, w = edge_arrays(g)
-    lap = _mapped_zeros(g.n)
+    lap = _mapped_zeros(g.n, g.n)
     lap[i, j] = lap[j, i] = -w
     with np.errstate(over="ignore"):
         np.fill_diagonal(lap, 0.0 - lap.sum(axis=1))
@@ -456,7 +458,7 @@ def spectrum(g: Graph, vectors: bool = True) -> LaplacianSpectrum:
     i, j, w = edge_arrays(g)
     max_degree, trace = float(degrees.max()), degrees.sum()
     frob = degrees @ degrees + 2.0 * (w @ w)
-    lap = _mapped_zeros(g.n)
+    lap = _mapped_zeros(g.n, g.n)
     lap[j, i] = -w
     np.fill_diagonal(lap, degrees)
     try:
@@ -547,18 +549,16 @@ def _lanczos_ends(product, n: int, seed: int, tol: float) -> tuple[float, float]
     basis starts with the unit ones vector and a seeded normal vector, and
     each new vector is orthogonalized twice against all of it. A Ritz pair's
     residual ||S y - theta y||_2 is b·|s_k|, the last Lanczos coefficient
-    times y's last basis entry. The basis grows in place, from 64 rows
-    doubling to at most ``LANCZOS_MAX_BASIS + 1``, by ``ndarray.resize``'s
-    realloc, with no second array. Its reference check is off: a Python
-    trace function (pdb, coverage) holds the basis in the frame's locals. No
-    view of the basis outlives a step, and ``product`` must keep none of its
-    argument. Neither the norm check nor a finite ``tol`` subsumes the other:
-    ``np.linalg.norm`` squares unscaled and overflows once an entry passes
-    about 1.3e154, far below a 2·max_degree past the float range, and an
-    infinite ``tol`` passes any finite residual.
+    times y's last basis entry; ``eigh`` reads only the lower band of the
+    tridiagonal matrix. The basis is one ``_mapped_zeros`` array at its cap,
+    ``LANCZOS_MAX_BASIS + 1`` rows (n at most), so only the rows a run writes
+    become resident. Neither the norm check nor a finite ``tol`` subsumes the
+    other: ``np.linalg.norm`` squares unscaled and overflows once an entry
+    passes about 1.3e154, far below a 2·max_degree past the float range, and
+    an infinite ``tol`` passes any finite residual.
     """
     size = min(LANCZOS_MAX_BASIS, n - 1) + 1
-    basis = np.empty((min(64, size), n))
+    basis = _mapped_zeros(size, n)
     basis[0] = 1.0 / math.sqrt(n)
     v = np.random.default_rng(seed).standard_normal(n)
     diag, off = [], []
@@ -571,14 +571,12 @@ def _lanczos_ends(product, n: int, seed: int, tol: float) -> tuple[float, float]
         # the end pairs are checked every 8 steps, and when the basis is full
         # or the Krylov space invariant
         if k > 1 and (k % 8 == 1 or k == size or b <= tol):
-            theta, s = np.linalg.eigh(np.diag(diag) + np.diag(off[1:], 1) + np.diag(off[1:], -1))
+            theta, s = np.linalg.eigh(np.diag(diag) + np.diag(off[1:], -1))
             if b * max(abs(s[-1, 0]), abs(s[-1, -1])) <= tol:
                 return float(theta[0]), float(theta[-1])
             if b <= tol or k == size:
                 return None
         off.append(b)
-        if k == len(basis):
-            basis.resize((min(2 * k, size), n), refcheck=False)
         basis[k] = v / b
         v = product(basis[k])
         diag.append(basis[k] @ v)

@@ -493,6 +493,23 @@ def test_bad_sweep_arguments_are_a_usage_error(args):
     assert result.stdout == ""
 
 
+# numpy's generators refuse a negative seed: each seeded command refuses it as
+# a usage error of --seed before any graph is built
+@pytest.mark.parametrize("args", [
+    ["sweep", "--trials", "1"],
+    ["simulate", "--graph", "path:4", "--method", "constant", "--band", "0.2,4", "--steps", "2"],
+    ["graph", "generate", "ws:12,4,0.3"],
+    ["graph", "inspect", "ws:12,4,0.3"],
+])
+def test_a_negative_seed_is_a_usage_error(args, monkeypatch):
+    monkeypatch.setattr(graphs, "build_graph", lambda *a, **k: pytest.fail("graph built"))
+    result = RUN.invoke(main, [*args, "--seed", "-1"])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "Invalid value for '--seed'" in result.stderr
+    assert result.stdout == ""
+
+
 def test_sweep_designs_once_per_run(monkeypatch):
     calls = []
     original = filters.design_chebyshev

@@ -2,7 +2,7 @@
 raises nothing but click's exit, emits no warning and prints no NaN or
 Infinity token, on weighted graph documents, on bands and periods, on graph
 specs, on sequence documents, from the worst eigenvector on bands and
-periods, and on state documents."""
+periods, on state documents and on seeds."""
 
 import json
 import math
@@ -11,6 +11,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -97,6 +98,16 @@ STATE_COMMANDS = [
      "--steps", "12", "--seed", "1", "--x0"],
     ["simulate", "--graph", "star:6", "--method", "lagrange", "--band", "0.5,6", "-M", "2",
      "--steps", "12", "--seed", "1", "--x0"],
+]
+
+# Seeds: a negative one, which numpy's generators refuse, zero, and one past
+# 64 bits. Each seeded command takes --seed last.
+SEEDS = ["-1", "0", str(2 ** 64)]
+SEEDED_COMMANDS = [
+    ["sweep", "--trials", "1", "--nodes", "20", "--edge-prob", "0.3"],
+    ["simulate", "--graph", "path:4", "--method", "constant", "--band", "0.2,4", "--steps", "2"],
+    ["graph", "generate", "ws:12,4,0.3"],
+    ["graph", "inspect", "--format", "json", "er:12,0.5"],
 ]
 
 NON_FINITE = re.compile(r"NaN|Infinity")
@@ -239,3 +250,9 @@ def test_simulate_keeps_the_contract_on_state_documents(text):
         path.write_text(text)
         for command in STATE_COMMANDS:
             _assert_contract([*command, f"file:{path}"], True)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("command", SEEDED_COMMANDS)
+def test_seeded_commands_keep_the_contract_on_seeds(command, seed):
+    _assert_contract([*command, "--seed", seed])

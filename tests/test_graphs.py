@@ -919,7 +919,10 @@ def test_graph_builders_peak_near_their_edge_arrays(family, params):
 
 
 def test_extreme_eigenvalues_peak_near_their_basis():
-    # each start runs 72 products, so the basis grows to 128 x n floats, 1.0 MB
+    # tracemalloc does not see the basis, a mapping (see the resident test
+    # below): it counts the CSR operator, 2m indices and 2m weights of about
+    # 40000 edges, 1.3 MB, its build's temporaries and the per-step ones.
+    # The traced peak is 2.3 MB.
     g = build_graph("random_connected", n=1000, p=0.08, seed=2)
     ends, peak = _traced(lambda: graphs.extreme_eigenvalues(g))
     assert ends is not None
@@ -927,9 +930,10 @@ def test_extreme_eigenvalues_peak_near_their_basis():
 
 
 def test_extreme_eigenvalues_grow_their_basis_without_a_copy():
-    # each start runs 176 products, so the basis doubles from 128 to 256 rows
-    # of n floats: 41 MB. A basis copied into a new array at that step holds
-    # 384 rows at once, 61 MB.
+    # tracemalloc sees the CSR operator, 2m indices and 2m weights of 60000
+    # edges, 1.9 MB, and the temporaries, not the mapped basis: the traced
+    # peak is 4.2 MB. A basis of numpy's memory would count whole, 301 rows of
+    # n floats, 48 MB, and a copy of the 177 rows a start writes breaks the bound.
     g = build_graph("watts_strogatz", n=20000, k=6, p=0.3, seed=1)
     ends, peak = _traced(lambda: graphs.extreme_eigenvalues(g))
     assert ends is not None
@@ -956,14 +960,47 @@ print(peak() - before)
 """
 
 
-@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
-def test_laplacian_keeps_only_its_written_pages_resident():
+# extreme_eigenvalues on ws:20000,6,0.3 in a fresh process, after a warm-up on
+# a small graph. The rise runs from VmRSS before the call to VmHWM after it, so
+# a higher peak while the graph was built cannot hide part of it.
+BASIS_RISE = """
+from speccon import graphs
+def status(key):
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith(key + ":"))
+g = graphs.build_graph("watts_strogatz", n=20000, k=6, p=0.3, seed=1)
+graphs.extreme_eigenvalues(graphs.build_graph("random_connected", n=600, p=0.08, seed=1))
+before = status("VmRSS")
+assert graphs.extreme_eigenvalues(g) is not None
+print(status("VmHWM") - before)
+"""
+
+
+def _resident_rise(script: str) -> int:
+    """What ``script`` prints in kB, in bytes, run in a fresh process."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)}
-    proc = subprocess.run([sys.executable, "-c", RISE], capture_output=True, text=True, env=env)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    rise = int(proc.stdout) * 1024  # VmHWM is in kB
-    assert rise < 1.7 * 8 * 1500 ** 2
+    return int(proc.stdout) * 1024
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+def test_laplacian_keeps_only_its_written_pages_resident():
+    assert _resident_rise(RISE) < 1.7 * 8 * 1500 ** 2
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+def test_extreme_eigenvalues_keep_only_their_written_basis_rows_resident():
+    # Each start runs 176 products, so it writes 177 of the basis's 301 rows
+    # of n = 20000 floats, 27.0 MiB, and frees them before the next start. The
+    # CSR operator stores 2m indices and 2m weights (m = 60000 edges); its
+    # build holds at most three more arrays of 2m entries at once, and a
+    # product one gather, which the heap may keep resident: six arrays of 2m
+    # entries, 5.5 MiB: 32.5 MiB in all. A basis that makes its unwritten
+    # rows resident, as a zero-filled one of 256 rows does, breaks the bound.
+    n, m = 20000, 60000
+    assert _resident_rise(BASIS_RISE) < 8 * n * 177 + 6 * 8 * 2 * m
 
 
 def test_graph_requires_two_nodes():
@@ -1037,7 +1074,7 @@ def test_minus_laplacian_equals_the_dense_product(g):
     ("random_connected", {"n": 500, "p": 0.04}), ("random_connected", {"n": 1000, "p": 0.02}),
     ("random_connected", {"n": 800, "p": 0.08}), ("watts_strogatz", {"n": 600, "k": 6, "p": 0.3}),
     ("watts_strogatz", {"n": 1000, "k": 10, "p": 0.3}),
-    # the benchmark's density; its runs outgrow the basis's first 64 rows
+    # the benchmark's density
     ("random_connected", {"n": 1000, "p": 0.08}),
 ])
 def test_extreme_eigenvalues_agree_with_the_dense_solver(family, params):
@@ -1162,13 +1199,13 @@ def test_extreme_eigenvalues_make_no_dense_array(monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < g.n * g.n * 8  # less than one n x n array; the basis is 128 x n
+    assert peak < g.n * g.n * 8  # less than one n x n array
 
 
 def test_extreme_eigenvalues_run_under_a_trace_function():
     # a Python trace function, as pdb or a coverage tracer sets, holds each
-    # local of a traced frame in its f_locals, the basis among them: numpy's
-    # reference check would then refuse to grow the basis past its 64 rows
+    # local of a traced frame in its f_locals, the basis among them; the ends
+    # are the same under one
     g = build_graph("random_connected", n=1000, p=0.08, seed=2)
     ends = graphs.extreme_eigenvalues(g)
 
