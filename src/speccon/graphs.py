@@ -4,8 +4,9 @@ Provides constructors for the standard graph families (complete, complete
 bipartite, star, cycle, path) plus seeded Watts-Strogatz and connected
 Erdos-Renyi generators, the numerical eigendecomposition of the Laplacian,
 and closed-form spectra for the special families as an independent oracle.
-A graph is stored as its edge list; the dense Laplacian is assembled from it
-only for the eigensolver.
+A graph is stored as its edge list. Its weighted degrees are summed from the
+edges by one rule, ``_degrees``, and the dense Laplacian is assembled from
+them only for the eigensolver and, with eigenvectors, its reconstruction check.
 """
 
 from __future__ import annotations
@@ -21,9 +22,10 @@ from .errors import ConnectivityError, GenerationError, NumericalError, Paramete
 
 MAX_GENERATION_ATTEMPTS = 1000
 
-# Relative tolerance, times max(1, lambda_N), below which lambda_2 counts as
-# zero and within which eigenvalues are grouped as equal. A modelling choice,
-# not round-off (_eig_error): which eigenvalues finite_time designs for as one.
+# Relative tolerance, times lambda_N, below which lambda_2 counts as zero and
+# within which eigenvalues are grouped as equal, so that neither verdict
+# depends on the unit of the weights. A modelling choice, not round-off
+# (_eig_error): which eigenvalues finite_time designs for as one.
 GROUP_TOL = 1e-8
 
 _U = 2.0 ** -53  # the unit round-off of a double
@@ -163,7 +165,7 @@ class LaplacianSpectrum:
         return float(self.eigenvalues[-1])
 
     def is_connected(self) -> bool:
-        return self.lambda_2 > GROUP_TOL * max(1.0, self.lambda_max)
+        return self.lambda_2 > GROUP_TOL * self.lambda_max
 
     def nonzero_eigenvalues(self) -> np.ndarray:
         """lambda_2..lambda_N; a ConnectivityError when lambda_2 counts as zero."""
@@ -404,27 +406,46 @@ def _mapped_zeros(rows: int, n: int) -> np.ndarray:
     return np.ndarray((rows, n), buffer=zeros)
 
 
-def laplacian(g: Graph) -> np.ndarray:
-    """Dense Laplacian, degree diagonal minus adjacency, assembled from the edges.
+def _degrees(n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The weighted degrees of the edges (i, j, w) of an n-node graph, the one
+    degree rule: ``np.add.at`` adds each edge's weight at its i end, then at
+    its j end, in edge order. Degrees past the float range are inf; the
+    caller sets the error state."""
+    degrees = np.zeros(n)
+    np.add.at(degrees, i, w)
+    np.add.at(degrees, j, w)
+    return degrees
 
-    Bit for bit ``np.diag(a.sum(axis=1)) - a`` for the dense adjacency ``a``
-    of the edges, without building ``a``, in a ``_mapped_zeros`` array: the
-    degrees are the row sums of the negated off-diagonal entries, summed in
-    the same order, and round-to-nearest is symmetric in sign. A Laplacian
-    too large to map is a ParameterError, and so are edge weights so large
-    that twice ||L||_F^2 = sum deg^2 + 2·sum w^2 is not a finite float. That
-    one weight-range rule keeps finite every moment ``spectrum`` reads:
-    2·max_degree (max_degree^2 <= ||L||_F^2), the trace (at most
-    sqrt(n·||L||_F^2)) and the eigenvalues' squares, which sum to ||L||_F^2.
+
+def _lower_laplacian(g: Graph) -> tuple[np.ndarray, float]:
+    """L's strict lower triangle and its diagonal, the ``_degrees``, in one
+    ``_mapped_zeros`` array whose strict upper triangle is never written, and
+    ||L||_F^2 = sum deg^2 + 2·sum w^2. A Laplacian too large to map is a
+    ParameterError, and so are edge weights so large that twice ||L||_F^2 is
+    not a finite float. That one weight-range rule keeps finite every moment
+    ``spectrum`` reads: 2·max_degree (max_degree^2 <= ||L||_F^2), the trace
+    (at most sqrt(n·||L||_F^2)) and the eigenvalues' squares, which sum to
+    ||L||_F^2.
     """
     i, j, w = edge_arrays(g)
     lap = _mapped_zeros(g.n, g.n)
-    lap[i, j] = lap[j, i] = -w
     with np.errstate(over="ignore"):
-        np.fill_diagonal(lap, 0.0 - lap.sum(axis=1))
-        frob = lap.diagonal() @ lap.diagonal() + 2.0 * (w @ w)
+        degrees = _degrees(g.n, i, j, w)
+        frob = degrees @ degrees + 2.0 * (w @ w)
     if not frob <= np.finfo(np.float64).max / 2:
         raise ParameterError("edge weights are too large: twice ||L||_F^2 is not a finite float")
+    lap[j, i] = -w
+    np.fill_diagonal(lap, degrees)
+    return lap, frob
+
+
+def laplacian(g: Graph) -> np.ndarray:
+    """Dense Laplacian, degree diagonal minus adjacency, assembled from the
+    edges: ``_lower_laplacian``'s array, under its weight-range rule, with the
+    upper entries written too."""
+    i, j, w = edge_arrays(g)
+    lap, _ = _lower_laplacian(g)
+    lap[i, j] = -w
     return lap
 
 
@@ -434,16 +455,16 @@ def spectrum(g: Graph, vectors: bool = True) -> LaplacianSpectrum:
     With ``vectors=False`` only the eigenvalues are computed and the result
     carries ``eigenvectors=None``. numpy's symmetric solvers read only the
     lower triangle and diagonal (LAPACK's UPLO='L'), so the solver is given
-    L's strict lower triangle and ``laplacian``'s degrees, written into a
-    fresh mapping whose strict upper triangle is never written; the result
-    is bit for bit that of the full matrix. The moments trace(L) = sum deg
-    and ||L||_F^2 = sum deg^2 + 2·sum w^2 come from the degrees and edge
-    weights; ``laplacian``'s weight-range rule has already kept them finite.
-    A failed solver or check is a NumericalError; NaN fails every check. Each
-    tolerance is ``_eig_error`` of n and a scale, here scale = max(1, lambda_N).
-    With ``vectors``, first the decomposition reconstructs L to within
-    _eig_error(n, scale) in every entry, with eigenvectors orthonormal to
-    within _eig_error(n, 1). Then, in both modes:
+    ``_lower_laplacian``'s array, the one n x n mapping of a values-only
+    call; the result is bit for bit that of the full matrix. max_degree and
+    trace(L) = sum deg are read from its diagonal before the solver runs, and
+    ||L||_F^2 comes with it; its weight-range rule has kept them finite. A
+    failed solver or check is a NumericalError; NaN fails every check. Each
+    tolerance is ``_eig_error`` of n and a scale, here scale = max(1,
+    lambda_N). With ``vectors``, first the decomposition reconstructs
+    ``laplacian(g)``, mapped only once the solver's input is dropped, to
+    within _eig_error(n, scale) in every entry, with eigenvectors orthonormal
+    to within _eig_error(n, 1). Then, in both modes:
       - the smallest eigenvalue is zero to within _eig_error(n, scale);
       - the largest is at most 2·max_degree, which holds exactly, to within
         2·_eig_error(n, scale): the eigenvalue's error, and twice that of the
@@ -453,28 +474,18 @@ def spectrum(g: Graph, vectors: bool = True) -> LaplacianSpectrum:
         2·_eig_error(n, ||L||_F^2), since that of L + dL moves by at most
         2·||L||_F·||dL||_F.
     """
-    # a copy, so that no view keeps laplacian's mapping resident
-    degrees = laplacian(g).diagonal().copy()
-    i, j, w = edge_arrays(g)
-    max_degree, trace = float(degrees.max()), degrees.sum()
-    frob = degrees @ degrees + 2.0 * (w @ w)
-    lap = _mapped_zeros(g.n, g.n)
-    lap[j, i] = -w
-    np.fill_diagonal(lap, degrees)
+    lap, frob = _lower_laplacian(g)
+    max_degree, trace = float(lap.diagonal().max()), lap.diagonal().sum()
     try:
-        if vectors:
-            vals, vecs = np.linalg.eigh(lap)
-        else:
-            vals, vecs = np.linalg.eigvalsh(lap), None
+        vals, vecs = np.linalg.eigh(lap) if vectors else (np.linalg.eigvalsh(lap), None)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed: {exc}") from exc
+    del lap  # the solver's input goes before laplacian(g) maps the reference
     err = _eig_error(g.n, max(1.0, float(vals[-1])))
     if vectors:
-        # one n x n scratch buffer holds both residuals in turn; L's strict
-        # upper entries are -w where the solver's input holds 0.0
+        # one n x n scratch buffer holds both residuals in turn
         resid = (vecs * vals) @ vecs.T
-        resid -= lap
-        resid[i, j] += w
+        resid -= laplacian(g)
         recon = np.abs(resid, out=resid).max()
         if not (recon <= err):
             raise NumericalError(f"eigendecomposition reconstruction error {recon:.3e}")
@@ -508,7 +519,7 @@ LANCZOS_SEEDS = (0x5EED1, 0x5EED2)
 
 def _laplacian_product(g: Graph):
     """The Lanczos operator x -> L x = d∘x - A x of ``g``, and its weighted
-    degrees d, summed by ``np.add.at``, edge ends i then j.
+    degrees d, the ``_degrees`` that ``spectrum`` reads too.
 
     A is stored once, in node-ordered CSR form, 2m indices and 2m floats: a
     stable argsort of the 2m edge ends, j's before i's, gives each node's
@@ -520,9 +531,7 @@ def _laplacian_product(g: Graph):
     """
     n = g.n
     i, j, w = edge_arrays(g)
-    degrees = np.zeros(n)
-    np.add.at(degrees, i, w)
-    np.add.at(degrees, j, w)
+    degrees = _degrees(n, i, j, w)
     order = np.argsort(np.concatenate((j, i)), kind="stable")
     col = np.concatenate((i, j))[order]
     val = np.take(w, order, mode="wrap")  # end k belongs to edge k mod m
@@ -661,12 +670,12 @@ def analytic_spectrum(family: str, **params) -> list[tuple[float, int]]:
 
 
 def distinct_nonzero_eigenvalues(s: LaplacianSpectrum) -> list[float]:
-    """Group the nonzero eigenvalues to within GROUP_TOL * max(1, lambda_N).
+    """Group the nonzero eigenvalues to within GROUP_TOL * lambda_N.
 
     Returns the ascending group means. Raises ConnectivityError when lambda_2
     falls below the grouping tolerance (effectively disconnected graph).
     """
-    tol = GROUP_TOL * max(1.0, s.lambda_max)
+    tol = GROUP_TOL * s.lambda_max
     groups: list[list[float]] = []
     for v in s.nonzero_eigenvalues():
         if groups and v - groups[-1][0] <= tol:

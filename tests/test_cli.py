@@ -370,6 +370,10 @@ def test_sweep_on_a_large_graph_allocates_no_dense_array(monkeypatch):
     # tracemalloc does not see: neither may be reached
     monkeypatch.setattr(graphs, "laplacian", lambda g: pytest.fail("dense Laplacian"))
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: pytest.fail("dense solver"))
+    # the solver's input is an n x n mapping too; the Lanczos basis has 301 rows
+    original = graphs._mapped_zeros
+    monkeypatch.setattr(graphs, "_mapped_zeros", lambda rows, n: pytest.fail(
+        "n x n mapping") if rows == n else original(rows, n))
     args = ("sweep", "--nodes", "1000", "--trials", "1", "--seed", "1")
     tracemalloc.start()
     try:
@@ -1057,8 +1061,8 @@ def test_graph_inspect_rejects_infinite_weight(tmp_path):
 
 
 # A weighted file graph with non-dyadic weights, one edge given as (j, i) and
-# one duplicate whose last weight wins: the dense row sums fix max_degree's
-# last digit (a bincount over the edges would print 28.402000000000005).
+# one duplicate whose last weight wins: the degrees summed in edge order fix
+# max_degree's last digit (dense row sums would print 28.402).
 @pytest.mark.parametrize("args,fixture", [
     (("inspect", "--format", "json"), "graph_weighted24.inspect.stdout.json"),
     (("generate",), "graph_weighted24.generate.stdout.json"),
@@ -1076,6 +1080,23 @@ def _weighted_ws300() -> dict:
     i, j, _ = graphs.edge_arrays(base)
     w = np.random.default_rng(3).uniform(0.5, 2.0, len(i))
     return graph_to_dict(graphs.Graph(base.n, i, j, w))
+
+
+def test_every_degree_is_the_one_edge_order_sum(monkeypatch):
+    # the dense Laplacian's diagonal, the Lanczos operator's degrees and the
+    # degrees behind spectrum's max_degree, on non-dyadic weights, where sums
+    # in different orders round apart
+    inputs = []
+    original = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda a: inputs.append(a.diagonal().copy()) or original(a))
+    for doc in (json.loads((DATA / "graph_weighted24.json").read_text()), _weighted_ws300()):
+        g = graphs.graph_from_dict(doc)
+        s = graphs.spectrum(g, vectors=False)
+        dense = np.diag(graphs.laplacian(g))
+        assert dense.tobytes() == graphs._laplacian_product(g)[1].tobytes()
+        assert dense.tobytes() == inputs[-1].tobytes()
+        assert s.max_degree == dense.max()
 
 
 @pytest.mark.parametrize("k", [-3, 2, 7])
@@ -1106,6 +1127,46 @@ def test_commands_on_file_graphs_commute_with_power_of_two_weight_scaling(tmp_pa
             for key in ("predicted_rate", "measured_ratios", "average", "consensus_time"):
                 assert scaled[key] == base[key], (doc["n"], x0, key)
             assert scaled["argmax_lambda"] == scale * base["argmax_lambda"], (doc["n"], x0)
+
+
+@pytest.mark.parametrize("k", [0, -20, -27, -40, -60])
+def test_verdicts_on_small_weights_commute_with_power_of_two_weight_scaling(tmp_path, k):
+    # star:12 with every weight times 2**k: connectivity and the grouping of
+    # equal eigenvalues are relative to lambda_N, so no absolute floor turns
+    # the scaled star disconnected (from k = -27 on, lambda_2 = 2**k < 1e-8)
+    scale = 2.0 ** k
+    star = graph_to_dict(build_graph("star", n=12))
+    specs = []
+    for name, factor in (("base", 1.0), ("scaled", scale)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(
+            {"n": 12, "edges": [[i, j, w * factor] for i, j, w in star["edges"]]}))
+        specs.append(f"file:{path}")
+    base, scaled = (json.loads(invoke("graph", "inspect", spec, "--format", "json").stdout)
+                    for spec in specs)
+    assert base["connected"] is scaled["connected"] is True
+    for key in ("max_degree", "lambda_2", "lambda_max"):
+        assert scaled[key] == scale * base[key], key
+    results = [invoke("simulate", "--graph", spec, "--method", "finite_time", "--steps", "4",
+                      "--seed", "1") for spec in specs]
+    assert [r.exit_code for r in results] == [0, 0], results[1].stderr
+    base, scaled = (json.loads(r.stdout) for r in results)
+    for key in ("predicted_rate", "measured_ratios", "consensus_time"):
+        assert scaled[key] == base[key], key
+
+
+def test_dense_sweep_rows_commute_with_power_of_two_band_scaling():
+    # the paper's band times 2**-27 puts every rescaled lambda_2 below 1e-8
+    scale = 2.0 ** -27
+    base, scaled = (json.loads(invoke(
+        "sweep", "--nodes", "100", "--trials", "2", "-M", "3", "--seed", "1", "--band",
+        f"{0.2 * factor!r},{12.8 * factor!r}", "--format", "json").stdout)["rows"]
+        for factor in (1.0, scale))
+    assert len(base) == len(scaled) == 2
+    for row, row_scaled in zip(base, scaled):
+        for key, value in row.items():
+            factor = scale if key in ("lambda2", "lambda_n") else 1.0
+            assert row_scaled[key] == factor * value, key
 
 
 @pytest.mark.parametrize("content", [
