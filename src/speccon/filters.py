@@ -47,12 +47,6 @@ class ControlSequence:
     def roots(self) -> tuple[float, ...]:
         return tuple(1.0 / g for g in self.gains)
 
-    @classmethod
-    def from_roots(cls, roots, method: str = "custom", band: SpectralBand | None = None) -> "ControlSequence":
-        if any(r <= 0.0 for r in roots):
-            raise ParameterError("filter roots must be positive")
-        return cls(tuple(1.0 / r for r in roots), method, band)
-
     def gain_at(self, k: int) -> float:
         return self.gains[k % self.period]
 

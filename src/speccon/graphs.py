@@ -460,11 +460,12 @@ def spectrum(g: Graph, vectors: bool = True) -> LaplacianSpectrum:
     trace(L) = sum deg are read from its diagonal before the solver runs, and
     ||L||_F^2 comes with it; its weight-range rule has kept them finite. A
     failed solver or check is a NumericalError; NaN fails every check. Each
-    tolerance is ``_eig_error`` of n and a scale, here scale = max(1,
-    lambda_N). With ``vectors``, first the decomposition reconstructs
-    ``laplacian(g)``, mapped only once the solver's input is dropped, to
-    within _eig_error(n, scale) in every entry, with eigenvectors orthonormal
-    to within _eig_error(n, 1). Then, in both modes:
+    tolerance is ``_eig_error`` of n and a scale, here scale = lambda_N, so
+    no check depends on the unit of the weights. With ``vectors``, first the
+    decomposition reconstructs ``laplacian(g)``, mapped only once the
+    solver's input is dropped, to within _eig_error(n, scale) in every entry,
+    with eigenvectors orthonormal to within _eig_error(n, 1). Then, in both
+    modes:
       - the smallest eigenvalue is zero to within _eig_error(n, scale);
       - the largest is at most 2·max_degree, which holds exactly, to within
         2·_eig_error(n, scale): the eigenvalue's error, and twice that of the
@@ -481,7 +482,7 @@ def spectrum(g: Graph, vectors: bool = True) -> LaplacianSpectrum:
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed: {exc}") from exc
     del lap  # the solver's input goes before laplacian(g) maps the reference
-    err = _eig_error(g.n, max(1.0, float(vals[-1])))
+    err = _eig_error(g.n, float(vals[-1]))
     if vectors:
         # one n x n scratch buffer holds both residuals in turn
         resid = (vecs * vals) @ vecs.T
@@ -596,8 +597,8 @@ def extreme_eigenvalues(g: Graph) -> SpectralExtremes | None:
     or None where they are not; no n x n array is made.
 
     Two runs of ``_lanczos_ends`` from independent seeded starts each stop
-    once both end Ritz residuals are at most err = _eig_error(n, max(1,
-    2·max_degree)), the dense path's own rule for an n-node Laplacian, whose
+    once both end Ritz residuals are at most err = _eig_error(n,
+    2·max_degree), the dense path's own rule for an n-node Laplacian, whose
     norm Gershgorin bounds by 2·max_degree. A Ritz value lies within its
     residual of an eigenvalue (Parlett, *The Symmetric Eigenvalue Problem*),
     and the extreme Ritz values off the ones vector lie inside [lambda_2,
@@ -616,7 +617,7 @@ def extreme_eigenvalues(g: Graph) -> SpectralExtremes | None:
     with np.errstate(over="ignore", invalid="ignore"):
         product, degrees = _laplacian_product(g)
         max_degree = float(degrees.max())
-        err = _eig_error(g.n, max(1.0, 2.0 * max_degree))
+        err = _eig_error(g.n, 2.0 * max_degree)
         if not math.isfinite(err):
             return None
         for seed in LANCZOS_SEEDS:
@@ -685,19 +686,21 @@ def distinct_nonzero_eigenvalues(s: LaplacianSpectrum) -> list[float]:
     return [float(np.mean(grp)) for grp in groups]
 
 
-def _widened(b: SpectralBand, n: int) -> tuple[float, float]:
-    """The band's ends moved out by _eig_error(n, max(1, beta)). A spectrum of n
+def _widened(b: SpectralBand, n: int) -> SpectralBand:
+    """The band's ends moved out by _eig_error(n, beta). A spectrum of n
     eigenvalues inside the band has ||L||_2 <= beta, so its computed
-    eigenvalues lie inside these ends; the lower one may be zero or less."""
-    err = _eig_error(n, max(1.0, b.beta))
-    return b.alpha - err, b.beta + err
+    eigenvalues lie inside these ends. When alpha is within that error of
+    zero, the widened band starts at the least positive float, where h = 1:
+    the spectrum is not known to stay away from zero."""
+    err = _eig_error(n, b.beta)
+    return SpectralBand(max(b.alpha - err, math.ulp(0.0)), b.beta + err)
 
 
 def band_contains(s: LaplacianSpectrum, b: SpectralBand) -> bool:
-    """True iff [lambda_2, lambda_N] lies inside the band, widened by the
+    """True iff [lambda_2, lambda_N] lies inside the band widened by the
     eigenvalue error of the spectrum's n (``_widened``)."""
-    lo, hi = _widened(b, s.n)
-    return lo <= s.lambda_2 and s.lambda_max <= hi
+    wide = _widened(b, s.n)
+    return wide.alpha <= s.lambda_2 and s.lambda_max <= wide.beta
 
 
 # ---------------------------------------------------------------------------

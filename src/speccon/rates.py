@@ -3,7 +3,6 @@ over uncertainty bands, decaying-gain envelopes and the spectral state."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,8 +73,7 @@ def _peaks_at_beta(seq: ControlSequence, band: SpectralBand, n: int, steps: int)
     row needs only its two ends. Chebyshev designs equioscillate, and their
     interior maxima read a few ulps above |h(beta)|.
     """
-    lo, hi = _widened(band, n)
-    bound = _slack(SpectralBand(max(lo, math.ulp(0.0)), hi), steps)
+    bound = _slack(_widened(band, n), steps)
     smallest = min(1.0 / seq.gain_at(k) for k in range(steps))
     peak = worst_case_rate(seq, SpectralBand(min(smallest, band.beta), band.beta), steps)
     return peak <= abs(eval_filter(seq, band.beta, steps)) * (1.0 + bound * _U)
@@ -91,13 +89,10 @@ def _in_band_check(seq: ControlSequence, band: SpectralBand, n: int, steps: int)
     band [a, b], times 1 + 2·B·u with B = 2M + 2·b/(b - a)·M^2 for M =
     ``steps``: B·u bounds worst_case_rate's shortfall from the band maximum
     (tests/test_oracle.py), and B·u again the rounding of ``eval_filter`` at
-    an eigenvalue where |h| comes that close to it. When alpha is within the
-    error of zero, the widened band starts at the least positive float, where
-    h = 1: the spectrum is not known to stay away from zero, and the limit is
-    then at least 1.
+    an eigenvalue where |h| comes that close to it. Where the widened band
+    starts at the least positive float, the limit is at least 1.
     """
-    lo, hi = _widened(band, n)
-    wide = SpectralBand(max(lo, math.ulp(0.0)), hi)
+    wide = _widened(band, n)
     limit = worst_case_rate(seq, wide, steps) * (1.0 + 2 * _slack(wide, steps) * _U)
 
     def check(rate: float) -> None:

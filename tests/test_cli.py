@@ -1099,7 +1099,7 @@ def test_every_degree_is_the_one_edge_order_sum(monkeypatch):
         assert s.max_degree == dense.max()
 
 
-@pytest.mark.parametrize("k", [-3, 2, 7])
+@pytest.mark.parametrize("k", [-60, -3, 2, 7, 60])
 def test_commands_on_file_graphs_commute_with_power_of_two_weight_scaling(tmp_path, k):
     # Every weight and the band times 2**k: the eigenvalues, degrees and weight
     # sums scale exactly and the gains by 2**-k, so the filter and the states
@@ -1153,6 +1153,41 @@ def test_verdicts_on_small_weights_commute_with_power_of_two_weight_scaling(tmp_
     base, scaled = (json.loads(r.stdout) for r in results)
     for key in ("predicted_rate", "measured_ratios", "consensus_time"):
         assert scaled[key] == base[key], key
+
+
+def test_a_graph_of_subnormal_weights_is_one_error(tmp_path):
+    # star:12 with every weight times 2**-1060: its eigenvalues' error bound
+    # underflows, so a check fails, as one error and not a traceback
+    star = graph_to_dict(build_graph("star", n=12))
+    path = tmp_path / "subnormal.json"
+    path.write_text(json.dumps(
+        {"n": 12, "edges": [[i, j, w * 2.0 ** -1060] for i, j, w in star["edges"]]}))
+    result = invoke("simulate", "--graph", f"file:{path}", "--method", "finite_time",
+                    "--steps", "4", "--seed", "1")
+    assert result.exit_code == 1
+    assert result.stderr.startswith("Error: ") and len(result.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("nodes,edge_prob", [("100", "0.08"), ("600", "0.04")],
+                         ids=["dense", "lanczos"])
+def test_sweep_rows_at_a_borderline_alpha_commute_with_power_of_two_band_scaling(
+        nodes, edge_prob):
+    # alpha a relative 1e-5 above the row's lambda2: the row is in the band
+    # only if the eigenvalue error covers that gap, and the error scales with
+    # the band. Sweep graphs have unit weights and are rescaled only down to
+    # beta, so the relation holds for k <= 0.
+    def rows(*band):
+        return json.loads(invoke(
+            "sweep", "--nodes", nodes, "--edge-prob", edge_prob, "-M", "5", "--trials", "1",
+            "--seed", "3", *band, "--format", "json").stdout)["rows"]
+    alpha = rows()[0]["lambda2"] * (1 + 1e-5)
+    (base,) = rows("--band", f"{alpha!r},12.8")
+    for k in (-27, -60):
+        scale = 2.0 ** k
+        (row,) = rows("--band", f"{alpha * scale!r},{12.8 * scale!r}")
+        for key, value in base.items():
+            factor = scale if key in ("lambda2", "lambda_n") else 1.0
+            assert row[key] == factor * value, (k, key)
 
 
 def test_dense_sweep_rows_commute_with_power_of_two_band_scaling():

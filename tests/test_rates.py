@@ -108,13 +108,13 @@ def test_worst_case_is_attained_in_band_and_bounds_dense_grid(monkeypatch):
     """Repeated roots, roots outside the band, steps that are not a multiple of
     the period, and two roots one ulp apart."""
     rng = np.random.default_rng(47)
-    cases = [(ControlSequence.from_roots([3.0, np.nextafter(3.0, 10.0), 5.0]),
+    cases = [(ControlSequence(tuple(1.0 / r for r in [3.0, np.nextafter(3.0, 10.0), 5.0])),
               SpectralBand(1.0, 6.0), 3)]
     for _ in range(40):
         band = _random_band(rng)
         roots = rng.uniform(0.5 * band.alpha, 1.3 * band.beta, int(rng.integers(2, 9)))
         roots[1] = roots[0]
-        cases.append((ControlSequence.from_roots(roots), band,
+        cases.append((ControlSequence(tuple(1.0 / r for r in roots)), band,
                       int(rng.integers(1, 3 * roots.size + 1))))
     evaluated = []
     monkeypatch.setattr(rates, "eval_filter", lambda seq, lam, steps: (
@@ -150,7 +150,7 @@ def test_perturbing_any_chebyshev_root_increases_worst_case():
             for factor in (0.99, 1.01):
                 roots = list(base.roots)
                 roots[i] *= factor
-                perturbed = ControlSequence.from_roots(roots, "custom", BAND)
+                perturbed = ControlSequence(tuple(1.0 / r for r in roots), "custom", BAND)
                 assert worst_case_rate(perturbed, BAND) > gamma
 
 

@@ -523,7 +523,7 @@ def test_neighbour_sums_equal_bincount_reference_on_non_finite_states():
     assert 0 < np.signbit(expected[nan]).sum() < nan.sum()
 
 
-@pytest.mark.parametrize("k", [-3, 2, 7])
+@pytest.mark.parametrize("k", [-60, -27, -3, 2, 7])
 def test_edge_list_core_commutes_with_power_of_two_weight_scaling(k):
     # weights times 2**k and gains times 2**-k: every product and sum is
     # scaled exactly, so the states are the same bit for bit and the Lanczos
@@ -538,8 +538,6 @@ def test_edge_list_core_commutes_with_power_of_two_weight_scaling(k):
     unscaled_gains = ControlSequence(tuple(e * 2.0 ** -k for e in seq.gains))
     assert simulate(scaled, unscaled_gains, x0, 150).states.tobytes() == expected.tobytes()
     ends, ends_scaled = graphs.extreme_eigenvalues(g), graphs.extreme_eigenvalues(scaled)
-    # the error's max(1, 2·max_degree) scales only while 2·max_degree·2**k >= 1
-    assert 2.0 * spectrum(scaled, vectors=False).max_degree >= 1.0
     assert (ends_scaled.lambda_2, ends_scaled.lambda_max, ends_scaled.error) == (
         2.0 ** k * ends.lambda_2, 2.0 ** k * ends.lambda_max, 2.0 ** k * ends.error)
 
