@@ -1,8 +1,8 @@
 """Command-line front end: protocol design, rate tables, simulations, sweeps.
 
-All commands are seeded and byte-deterministic for fixed inputs on a fixed
-numpy/BLAS build and BLAS thread count. Tables are rounded to 4 decimals;
-other CSV output carries 6 significant digits.
+All commands are byte-deterministic for fixed inputs and --seed (0 when
+omitted) on a fixed numpy/BLAS build and BLAS thread count. Tables are
+rounded to 4 decimals; other CSV output carries 6 significant digits.
 """
 
 from __future__ import annotations
@@ -91,7 +91,7 @@ _SPECS = {"complete": ("complete", {"N": int}), "star": ("star", {"N": int}),
           "er": ("random_connected", {"N": int, "P": float})}
 
 
-def parse_graph_spec(spec: str, seed: int | None = None) -> graphs.Graph:
+def parse_graph_spec(spec: str, seed: int = 0) -> graphs.Graph:
     """Build a graph from a compact spec string such as ws:12,4,0.3, or load
     one with file:PATH. ``seed`` seeds the random families."""
     kind, _, arg = spec.partition(":")
@@ -219,7 +219,7 @@ def _emit_table(name: str, labels: tuple[str, ...], rows: dict, band, periods, f
     _emit(lines, out, f"{name}.csv")
 
 
-seed_option = click.option("--seed", type=click.IntRange(min=0), default=None,
+seed_option = click.option("--seed", type=click.IntRange(min=0), default=0,
                            help="Seed for random draws.")
 format_option = click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
                              default="csv", show_default=True, help="Output format.")
@@ -379,7 +379,6 @@ def sweep(band, period, trials, nodes, edge_prob, seed, fmt, out):
     twice their error, and every row of a run whose check fails, takes the
     dense solver, so no row is printed from uncertified values.
     """
-    seed = 0 if seed is None else seed
     seqs = {m: _sequence(m, band, period) for m in TABLE_METHODS}
     methods = {m: (seq, rates._in_band_check(seq, band, nodes, period)) for m, seq in seqs.items()}
     ends_only = nodes >= TWO_EIGENVALUE_NODES and all(
@@ -415,6 +414,8 @@ def sweep(band, period, trials, nodes, edge_prob, seed, fmt, out):
 @out_option
 def response(band, names, period, samples, out):
     """Filter response h(lambda) per method on [0, beta * 1.05] as CSV."""
+    if band.beta * 1.05 == math.inf:
+        raise ParameterError(f"the grid end 1.05*beta overflows for beta = {_fmt6(band.beta)}")
     grid = np.linspace(0.0, band.beta * 1.05, samples)
     columns = {name: filters.eval_filter(_sequence(name, band, period), grid, period)
                for name in names}

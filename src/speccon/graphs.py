@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import mmap
+import sys
 from dataclasses import dataclass, field, replace
 from functools import partial
 
@@ -687,13 +688,13 @@ def distinct_nonzero_eigenvalues(s: LaplacianSpectrum) -> list[float]:
 
 
 def _widened(b: SpectralBand, n: int) -> SpectralBand:
-    """The band's ends moved out by _eig_error(n, beta). A spectrum of n
-    eigenvalues inside the band has ||L||_2 <= beta, so its computed
-    eigenvalues lie inside these ends. When alpha is within that error of
-    zero, the widened band starts at the least positive float, where h = 1:
-    the spectrum is not known to stay away from zero."""
+    """The band's ends moved out by _eig_error(n, beta), the upper one at most
+    to the float maximum. A spectrum of n eigenvalues inside the band has
+    ||L||_2 <= beta, so its computed eigenvalues lie inside these ends. When
+    alpha is within that error of zero, the widened band starts at the least
+    positive float, where h = 1: the spectrum is not known to stay away from zero."""
     err = _eig_error(n, b.beta)
-    return SpectralBand(max(b.alpha - err, math.ulp(0.0)), b.beta + err)
+    return SpectralBand(max(b.alpha - err, math.ulp(0.0)), min(b.beta + err, sys.float_info.max))
 
 
 def band_contains(s: LaplacianSpectrum, b: SpectralBand) -> bool:

@@ -36,9 +36,6 @@ def worst_case_rate(seq: ControlSequence, b: SpectralBand, steps: int | None = N
     if steps < 1:
         raise ParameterError("steps must be >= 1")
     roots, mult = np.unique([1.0 / seq.gain_at(k) for k in range(steps)], return_counts=True)
-    # exact, through Python ints: numpy's first int-to-float cast in a process
-    # (astype, or int by float division) grows the heap by 64 KiB
-    mult = np.array(mult.tolist(), dtype=np.float64)
     lo, hi = np.clip(roots[:-1], b.alpha, b.beta), np.clip(roots[1:], b.alpha, b.beta)
     while True:
         # halved before the sum, which then cannot overflow: bit for bit
@@ -58,8 +55,8 @@ def worst_case_rate(seq: ControlSequence, b: SpectralBand, steps: int | None = N
 
 def _slack(wide: SpectralBand, steps: int) -> float:
     """The B = 2M + 2·b/(b - a)·M^2 of ``_in_band_check``, for M = ``steps``
-    on its widened band [a, b]."""
-    return 2 * steps + 2 * wide.beta / (wide.beta - wide.alpha) * steps ** 2
+    on its widened band [a, b]; b/(b - a) comes first, as 2·b overflows near the float maximum."""
+    return 2 * steps + 2 * (wide.beta / (wide.beta - wide.alpha)) * steps ** 2
 
 
 def _peaks_at_beta(seq: ControlSequence, band: SpectralBand, n: int, steps: int) -> bool:

@@ -467,10 +467,11 @@ def test_sweep_reports_generation_failures_nonzero():
     assert result.stdout.startswith("graph_id,")
 
 
-# A degenerate band fails the closed form and the chebyshev design, and a band
-# whose sqrt(beta/alpha) rounds to 1 fails the closed form. Each command
-# reports the library error once, as "Error: ...", with exit 1 and nothing on
-# stdout.
+# A degenerate band fails the closed form and the chebyshev design, a band
+# whose sqrt(beta/alpha) rounds to 1 fails the closed form, and one whose
+# 1.05·beta overflows fails response's grid, which would hold NaN and inf.
+# Each command reports the library error once, as "Error: ...", with exit 1
+# and nothing on stdout.
 @pytest.mark.parametrize("args,message", [
     (("table2", "--band", "1,1"), "closed form requires alpha < beta"),
     (("sweep", "--band", "1,1", "--trials", "3", "--nodes", "30", "--edge-prob", "0.2",
@@ -478,6 +479,8 @@ def test_sweep_reports_generation_failures_nonzero():
     (("table2", "--band", "1,1.0000000000000002"), "closed form requires alpha < beta"),
     (("design", "--method", "chebyshev", "--band", "1,1.0000000000000002", "-M", "3"),
      "closed form requires alpha < beta"),
+    (("response", "--band", "1,1.75e308", "--samples", "3"),
+     "the grid end 1.05*beta overflows for beta = 1.75e+308"),
 ])
 def test_degenerate_band_reports_error(args, message):
     result = RUN.invoke(main, list(args))
@@ -688,6 +691,20 @@ def test_simulate_in_a_band_up_to_1e308_warns_nothing():
     assert result.exit_code == 0
     assert result.stderr == ""
     assert json.loads(result.stdout)["predicted_rate"] == 1.0
+
+
+# Moving the float maximum up by the eigenvalue error overflows; the widened
+# band ends at the float maximum instead, so a band that ends there is sound.
+@pytest.mark.parametrize("args", [
+    ("simulate", "--graph", "path:4", "--method", "constant", "--steps", "2", "--seed", "1"),
+    ("sweep", "--nodes", "20", "--trials", "1", "--seed", "1"),
+    ("sweep", "--nodes", "600", "--edge-prob", "0.04", "--trials", "1", "--seed", "1"),
+], ids=["simulate", "sweep-dense", "sweep-lanczos"])
+def test_a_band_ending_at_the_float_maximum_is_sound(args):
+    result = invoke(*args, "--band", f"1e300,{sys.float_info.max!r}")
+    assert result.exit_code == 0, result.stderr
+    assert result.stderr == ""
+    assert not re.search(r"nan|inf", result.stdout, re.IGNORECASE)
 
 
 def test_rate_tables_print_overflowing_cells_as_null():

@@ -34,9 +34,10 @@ COMMANDS = [
      "--seed", "1", "--x0", "worst_eigenvector", "--graph"],
 ]
 
-# Band ends: the least subnormal, ordinary values, a pair one ulp apart, and
-# ends whose ratio, or sum, is past the float range.
-BAND_ENDS = [5e-324, 1e-300, 0.2, 1.0, 1.0000000000000002, 12.8, 1e300, 1e308]
+# Band ends: the least subnormal, ordinary values, a pair one ulp apart, ends
+# whose ratio, or sum, is past the float range, and the float maximum.
+BAND_ENDS = [5e-324, 1e-300, 0.2, 1.0, 1.0000000000000002, 12.8, 1e300, 1e308,
+             1.7976931348623157e308]
 PERIODS = [1, 2, 5, 60, 400]
 
 # Each command takes the band and the periods last: a list for the tables,
@@ -46,6 +47,8 @@ BAND_COMMANDS = [
     ["table3", "--format", "json"],
     ["design", "--method", "chebyshev"],
     ["simulate", "--graph", "cycle:8", "--method", "chebyshev", "--steps", "20", "--seed", "1"],
+    ["response", "--samples", "5"],
+    ["sweep", "--nodes", "20", "--trials", "1", "--seed", "1", "--format", "json"],
 ]
 
 # Spec parameters: sizes and counts up to 64, so no graph past 128 nodes (a
@@ -256,3 +259,10 @@ def test_simulate_keeps_the_contract_on_state_documents(text):
 @pytest.mark.parametrize("command", SEEDED_COMMANDS)
 def test_seeded_commands_keep_the_contract_on_seeds(command, seed):
     _assert_contract([*command, "--seed", seed])
+
+
+@pytest.mark.parametrize("command", SEEDED_COMMANDS)
+def test_an_omitted_seed_is_seed_zero(command):
+    omitted, zero = (RUN.invoke(main, args) for args in (command, [*command, "--seed", "0"]))
+    assert omitted.exit_code == zero.exit_code == 0
+    assert omitted.stdout == zero.stdout
