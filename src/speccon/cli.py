@@ -523,6 +523,12 @@ def simulate_cmd(graph_spec, band, method, period, beta_bar, sequence_file, x0, 
     if nonfinite.size:
         raise click.ClickException(
             f"the run diverged: the consensus error is first non-finite at step {nonfinite[0]}")
+    # by the paper's condition |h(lambda_i, M)| < 1 on every nonzero eigenvalue,
+    # a run whose predicted rate is not below 1, or NaN, cannot reach consensus
+    rate = report.exact_rate
+    if not rate < 1.0:
+        why = "is not a number" if math.isnan(rate) else f"{_fmt6(rate)} is not below 1"
+        raise click.ClickException(f"the run cannot reach consensus: the predicted rate {why}")
 
 
 @main.group()
@@ -533,15 +539,11 @@ def graph():
 @graph.command()
 @click.argument("spec")
 @seed_option
-@click.option("--out", type=click.Path(path_type=Path), default=None,
-              help="Write the graph JSON to this file instead of stdout.")
+@out_option
 def generate(spec, seed, out):
     """Generate a graph from SPEC (e.g. star:12, ws:12,4,0.3) as JSON."""
-    text = json.dumps(graphs.graph_to_dict(parse_graph_spec(spec, seed)), indent=2)
-    if out is None:
-        click.echo(text)
-    else:
-        _write_text(out, text + "\n")
+    _emit([json.dumps(graphs.graph_to_dict(parse_graph_spec(spec, seed)), indent=2)], out,
+          "graph.json")
 
 
 @graph.command()

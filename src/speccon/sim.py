@@ -177,8 +177,9 @@ def consensus_time(trace: SimulationTrace, tol: float) -> int | None:
 
 
 def uniform_initial_states(n: int, seed: int | None) -> np.ndarray:
-    """Seeded uniform initial states on [0, 10]."""
-    return np.random.default_rng(seed).uniform(0.0, 10.0, n)
+    """Seeded uniform initial states on [0, 10], drawn from a child of ``seed``,
+    not from the stream ``build_graph`` draws a graph from with that seed."""
+    return np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0]).uniform(0.0, 10.0, n)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import json
 import math
 import os
@@ -446,9 +447,10 @@ def test_simulate_checks_rate_against_band_worst_case(monkeypatch):
     result = RUN.invoke(main, list(args))
     assert result.exit_code == 1
     assert "exceeds the band worst case" in result.stderr
-    # Out of band the bound does not apply, so it is not checked.
+    # Out of band the bound does not apply, so it is not checked; the run
+    # fails only because its predicted rate is not below 1.
     assert invoke("simulate", "--graph", "star:12", "--band", "1,5", "--method", "chebyshev",
-                  "-M", "3", "--steps", "6", "--seed", "1").exit_code == 0
+                  "-M", "3", "--steps", "6", "--seed", "1").exit_code == 1
     # star:12 has lambda_2 = 1 up to round-off (0.9999999999999986), which
     # band_contains counts as inside [1, 12], as sweep's in_band does.
     calls.clear()
@@ -598,21 +600,53 @@ def test_simulate_divergent_run_is_reported_as_failure(tmp_path):
     rows = (tmp_path / "trace.csv").read_text(encoding="utf-8").splitlines()[1:]
     assert len(rows) == 3001
     first = next(k for k, row in enumerate(rows) if not math.isfinite(float(row.split(",")[1])))
-    # the error turns non-finite with the first non-finite state, not when the
-    # squared deviations of finite states overflow (from step 327 on)
-    assert first == next(k for k, row in enumerate(rows)
-                         if not all(math.isfinite(float(v)) for v in row.split(",")[2:]))
+    # the error turns non-finite with the first state whose deviations' norm
+    # is past the float range, here while every state is still finite, and
+    # not when the squared deviations of finite states overflow (from step
+    # 327 on)
+    norms = [math.hypot(*(float(v) - summary["average"] for v in row.split(",")[2:]))
+             for row in rows[first - 1:first + 1]]
+    assert math.isfinite(norms[0]) and norms[1] == math.inf
+    assert all(math.isfinite(float(v)) for v in rows[first].split(",")[2:])
     assert first == 657
     # one line naming the first non-finite step, and no numpy RuntimeWarnings
     lines = proc.stderr.splitlines()
     assert len(lines) == 1
     assert f"step {first}" in lines[0] and "diverged" in lines[0]
-    # A finite out-of-band run is no failure.
+    # A finite out-of-band run does not diverge; it fails only because its
+    # predicted rate is not below 1.
     oob = invoke("simulate", "--graph", "star:12", "--band", "1,5", "--method", "chebyshev",
                  "-M", "3", "--steps", "30", "--seed", "1")
-    assert oob.exit_code == 0
-    assert oob.stderr == ""
+    assert oob.exit_code == 1
+    assert "diverged" not in oob.stderr and len(oob.stderr.splitlines()) == 1
     assert json.loads(oob.stdout, parse_constant=_reject_constant)["predicted_rate"] == 39.0
+
+
+def test_simulate_that_cannot_reach_consensus_fails(tmp_path):
+    # star:12's lambda_N = 12 lies outside [1, 5], where |h| = 39: the run
+    # writes its outputs, then fails as a divergent run does
+    result = RUN.invoke(main, ["simulate", "--graph", "star:12", "--method", "chebyshev",
+                               "--band", "1,5", "-M", "3", "--steps", "12", "--seed", "1",
+                               "--out", str(tmp_path)])
+    assert isinstance(result.exception, SystemExit) and result.exit_code == 1
+    summary = json.loads(result.stdout, parse_constant=_reject_constant)
+    assert summary["predicted_rate"] == 39.0 and summary["consensus_time"] is None
+    assert (tmp_path / "summary.json").read_text(encoding="utf-8") == result.stdout
+    assert len((tmp_path / "trace.csv").read_text(encoding="utf-8").splitlines()) == 14
+    assert result.stderr == ("Error: the run cannot reach consensus: the predicted rate 39 "
+                             "is not below 1\n")
+
+
+def test_simulate_names_a_rate_that_is_not_a_number(monkeypatch):
+    original = rates.exact_rate
+    monkeypatch.setattr(rates, "exact_rate", lambda *args: dataclasses.replace(
+        original(*args), exact_rate=math.nan))
+    result = RUN.invoke(main, ["simulate", "--graph", "path:4", "--method", "finite_time",
+                               "--steps", "3", "--seed", "1"])
+    assert result.exit_code == 1
+    assert json.loads(result.stdout)["predicted_rate"] is None
+    assert result.stderr == ("Error: the run cannot reach consensus: the predicted rate "
+                             "is not a number\n")
 
 
 @pytest.mark.parametrize("x0", ["uniform", "worst_eigenvector"])
@@ -688,22 +722,26 @@ def test_simulate_in_a_band_up_to_1e308_warns_nothing():
     # 1e308, whose sum overflows
     result = invoke("simulate", "--graph", "cycle:8", "--band", "0.2,1e308", "--method",
                     "chebyshev", "-M", "5", "--steps", "20", "--seed", "1")
-    assert result.exit_code == 0
-    assert result.stderr == ""
+    assert result.exit_code == 1
+    assert result.stderr == ("Error: the run cannot reach consensus: the predicted rate 1 "
+                             "is not below 1\n")
     assert json.loads(result.stdout)["predicted_rate"] == 1.0
 
 
 # Moving the float maximum up by the eigenvalue error overflows; the widened
 # band ends at the float maximum instead, so a band that ends there is sound.
-@pytest.mark.parametrize("args", [
-    ("simulate", "--graph", "path:4", "--method", "constant", "--steps", "2", "--seed", "1"),
-    ("sweep", "--nodes", "20", "--trials", "1", "--seed", "1"),
-    ("sweep", "--nodes", "600", "--edge-prob", "0.04", "--trials", "1", "--seed", "1"),
+# The simulated constant gain's predicted rate rounds to 1, which cannot
+# reach consensus.
+@pytest.mark.parametrize("args,status,stderr", [
+    (("simulate", "--graph", "path:4", "--method", "constant", "--steps", "2", "--seed", "1"),
+     1, "Error: the run cannot reach consensus: the predicted rate 1 is not below 1\n"),
+    (("sweep", "--nodes", "20", "--trials", "1", "--seed", "1"), 0, ""),
+    (("sweep", "--nodes", "600", "--edge-prob", "0.04", "--trials", "1", "--seed", "1"), 0, ""),
 ], ids=["simulate", "sweep-dense", "sweep-lanczos"])
-def test_a_band_ending_at_the_float_maximum_is_sound(args):
+def test_a_band_ending_at_the_float_maximum_is_sound(args, status, stderr):
     result = invoke(*args, "--band", f"1e300,{sys.float_info.max!r}")
-    assert result.exit_code == 0, result.stderr
-    assert result.stderr == ""
+    assert result.exit_code == status, result.stderr
+    assert result.stderr == stderr
     assert not re.search(r"nan|inf", result.stdout, re.IGNORECASE)
 
 
@@ -775,7 +813,7 @@ def test_simulate_finite_time_consensus_times():
 
 def test_simulate_reports_round_off_blow_up_above_the_floor():
     # The ascending finite-time gains amplify round-off on path:80: the first
-    # period's error grows by about 9.3e20 where the analysis predicts 1.8e-15.
+    # period's error grows by about 3.7e21 where the analysis predicts 1.8e-15.
     # That starting error is errors[0] itself, so the round-off floor, which
     # is relative to it, must leave the ratio in the report.
     result = invoke("simulate", "--graph", "path:80", "--method", "finite_time",
@@ -783,7 +821,7 @@ def test_simulate_reports_round_off_blow_up_above_the_floor():
     assert result.exit_code == 0
     summary = json.loads(result.stdout)
     assert summary["predicted_rate"] < 1e-14
-    assert summary["measured_ratios"][0] == pytest.approx(9.3e20, rel=0.05)
+    assert summary["measured_ratios"][0] == pytest.approx(3.7e21, rel=0.05)
     assert summary["consensus_time"] is None
 
 
@@ -994,9 +1032,10 @@ def test_simulate_designs_finite_time_after_one_spectrum(monkeypatch):
 
 
 def test_graph_generate_and_inspect(tmp_path):
-    out = tmp_path / "ws.json"
-    result = invoke("graph", "generate", "ws:12,4,0.3", "--seed", "7", "--out", str(out))
+    result = invoke("graph", "generate", "ws:12,4,0.3", "--seed", "7", "--out", str(tmp_path))
     assert result.exit_code == 0
+    out = tmp_path / "graph.json"
+    assert out.read_text() == result.stdout
     doc = json.loads(out.read_text())
     assert doc == graph_to_dict(build_graph("watts_strogatz", n=12, k=4, p=0.3, seed=7))
 
@@ -1375,7 +1414,7 @@ def _readme_cli_commands() -> list[list[str]]:
 
 
 def test_readme_cli_commands_run(tmp_path, monkeypatch):
-    # run in order: `graph inspect file:g.json` reads the file the line before writes
+    # run in order: `graph inspect file:graphs/graph.json` reads what the line before writes
     monkeypatch.chdir(tmp_path)
     commands = _readme_cli_commands()
     assert len(commands) == 9
@@ -1385,9 +1424,8 @@ def test_readme_cli_commands_run(tmp_path, monkeypatch):
 
 
 # An output that cannot be written is one error after whatever was printed:
-# an --out directory that is an existing file, a graph --out that is a
-# directory, and simulate's trace.csv, written after summary.json, where a
-# directory stands.
+# an --out directory that is an existing file, and simulate's trace.csv,
+# written after summary.json, where a directory stands.
 @pytest.mark.parametrize("command,blocked", [
     (["table2"], "file"),
     (["table3", "--periods", "2"], "file"),
@@ -1397,7 +1435,7 @@ def test_readme_cli_commands_run(tmp_path, monkeypatch):
       "--steps", "3", "--seed", "1"], "file"),
     (["simulate", "--graph", "star:5", "--method", "constant", "--band", "0.2,12.8",
       "--steps", "3", "--seed", "1"], "trace.csv"),
-    (["graph", "generate", "star:3"], "dir"),
+    (["graph", "generate", "star:3"], "file"),
 ], ids=["table2", "table3", "sweep", "response", "simulate", "simulate-trace", "generate"])
 def test_an_unwritable_output_is_one_error(tmp_path, command, blocked):
     out = tmp_path / "out"

@@ -324,11 +324,11 @@ def test_band_validation():
 
 def test_graph_json_roundtrip(tmp_path):
     g = build_graph("watts_strogatz", n=12, k=4, p=0.3, seed=7)
-    path = tmp_path / "g.json"
+    path = tmp_path / "graph.json"
     runner = CliRunner()
     written = runner.invoke(main, ["graph", "generate", "ws:12,4,0.3", "--seed", "7",
-                                   "--out", str(path)], catch_exceptions=False)
-    assert written.exit_code == 0 and written.stdout == ""
+                                   "--out", str(tmp_path)], catch_exceptions=False)
+    assert written.exit_code == 0 and written.stdout_bytes == path.read_bytes()
     doc = json.loads(path.read_text())
     _assert_same_graph(graph_from_dict(doc), g)
     assert all(i < j and w > 0 for i, j, w in doc["edges"])

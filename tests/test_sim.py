@@ -188,6 +188,17 @@ def test_measured_ratios_random_never_exceed_rate():
             assert ratio <= rho + 1e-9
 
 
+@pytest.mark.parametrize("n,p,seed", [(50, 0.3, 3), (100, 0.08, 1), (300, 0.05, 2)])
+def test_uniform_states_are_not_the_graph_draws(n, p, seed):
+    # er:N,P draws its first edge coins, node 0's, from default_rng(seed):
+    # states from that stream would fall below 10·p exactly at its neighbours
+    iu, ju, _ = edge_arrays(build_graph("random_connected", n=n, p=p, seed=seed))
+    adjacent = np.isin(np.arange(1, n), ju[iu == 0])
+    x0 = uniform_initial_states(n, seed)
+    assert not np.array_equal(x0[:n - 1] < 10.0 * p, adjacent)
+    assert x0.tobytes() == uniform_initial_states(n, seed).tobytes()
+
+
 def test_measured_ratios_omit_vanished_periods():
     g = build_graph("star", n=12)
     s = spectrum(g)
@@ -464,7 +475,7 @@ def test_simulate_states_equal_add_at_oracle_bitwise(family, kwargs, seq, steps)
     hypot = [math.hypot(*(x - trace.average)) for x in expected[overflowed]]
     assert np.allclose(trace.errors[overflowed], hypot, rtol=1e-14, atol=0.0)
     if family == "complete":
-        assert np.flatnonzero(overflowed)[[0, -1]].tolist() == [327, 656]
+        assert np.flatnonzero(overflowed)[[0, -1]].tolist() == [327, 657]
         assert np.isnan(trace.states[-1]).all() and np.isnan(trace.errors[-1])
 
 
