@@ -82,13 +82,12 @@ def _read_json(path, what: str):
 
 
 # The graph spec grammar besides file:PATH: kind -> build_graph family and its
-# parameters in order with their types, each passed as its name in lower case
-# (ws: Watts-Strogatz, er: connected Erdos-Renyi).
-_SPECS = {"complete": ("complete", {"N": int}), "star": ("star", {"N": int}),
-          "cycle": ("cycle", {"N": int}), "path": ("path", {"N": int}),
-          "bipartite": ("complete_bipartite", {"M": int, "N": int}),
-          "ws": ("watts_strogatz", {"N": int, "K": int, "P": float}),
-          "er": ("random_connected", {"N": int, "P": float})}
+# parameters in order with their types, each passed as its name in lower case,
+# as graphs._FAMILIES gives them; a kind is its family but for the short ones.
+_KINDS = {"complete_bipartite": "bipartite", "watts_strogatz": "ws", "random_connected": "er"}
+_SPECS = {_KINDS.get(family, family): (family, {key.upper(): float if least is None else int
+                                                for key, least in params.items()})
+          for family, params in graphs._FAMILIES.items()}
 
 
 def parse_graph_spec(spec: str, seed: int = 0) -> graphs.Graph:

@@ -278,15 +278,31 @@ def _number(v, what: str):
     return v
 
 
-def _require_int(params: dict, key: str, minimum: int) -> int:
-    """The integer parameter ``key`` of a graph family, at least ``minimum``.
-    Each counts nodes or is below the node count, so each is ``_addressable``."""
-    if key not in params or params[key] is None:
-        raise ParameterError(f"missing parameter '{key}'")
-    v = _integral(params[key], f"parameter '{key}'")
-    if v < minimum:
-        raise ParameterError(f"parameter '{key}' must be an integer >= {minimum}, got {v!r}")
-    return _addressable(v)
+# Each graph family's parameters in spec order: an integer parameter's least
+# value, or None for the random families' probability p, a float.
+_FAMILIES = {"complete": {"n": 2}, "star": {"n": 2}, "cycle": {"n": 3}, "path": {"n": 2},
+             "complete_bipartite": {"m": 1, "n": 1}, "watts_strogatz": {"n": 3, "k": 2, "p": None},
+             "random_connected": {"n": 2, "p": None}}
+
+
+def _parameters(family: str, params: dict) -> dict:
+    """``params`` of the ``_FAMILIES`` family ``family``, each read in place by
+    one rule: given and a number (``_number``); an integer one integral, at
+    least its least value and, as each counts nodes or is below the node count,
+    ``_addressable``; p a float. A parameter the family does not take is refused."""
+    table = _FAMILIES[family]
+    unread = [repr(key) for key in params if key not in table]
+    if unread:
+        raise ParameterError(f"graph family {family!r} takes no parameter {', '.join(unread)}")
+    for key, least in table.items():
+        what = f"parameter '{key}'"
+        if params.get(key) is None:
+            raise ParameterError(f"missing {what}")
+        v = _number(params[key], what)
+        if least is not None and _integral(v, what) < least:
+            raise ParameterError(f"{what} must be an integer >= {least}, got {int(v)!r}")
+        params[key] = float(v) if least is None else _addressable(int(v))
+    return params
 
 
 def _unit_graph(n: int, i: np.ndarray, j: np.ndarray) -> Graph:
@@ -340,51 +356,39 @@ def _erdos_renyi_once(n: int, p: float, rng: np.random.Generator) -> Graph:
 
 
 def build_graph(family: str, seed: int | None = None, **params) -> Graph:
-    """Build a graph of the given family with unit edge weights.
-
-    Supported families and parameters:
-      complete(n), complete_bipartite(m, n), star(n), cycle(n), path(n),
-      watts_strogatz(n, k, p, seed), random_connected(n, p, seed).
-
-    Random families are resampled until connected (bounded retries) and are
-    deterministic for a fixed seed.
-    """
+    """Build a graph of a ``_FAMILIES`` family with unit edge weights, its
+    parameters read by ``_parameters``. The random families, the two with a p,
+    are resampled until connected (bounded retries), deterministic for a seed."""
+    if family not in _FAMILIES:
+        raise ParameterError(f"unknown graph family {family!r}")
+    params = _parameters(family, params)
+    n = params["n"]
     if family == "complete":
-        n = _require_int(params, "n", 2)
         return _unit_graph(n, *np.triu_indices(n, k=1))
     if family == "complete_bipartite":
-        m = _require_int(params, "m", 1)
-        n = _require_int(params, "n", 1)
+        m = params["m"]
         _addressable(m + n)
         return _unit_graph(m + n, np.repeat(np.arange(m), n), np.arange(m * n) % n + m)
     if family == "star":
-        n = _require_int(params, "n", 2)
         return _unit_graph(n, np.zeros(n - 1, dtype=np.intp), np.arange(1, n))
     if family == "cycle":
-        n = _require_int(params, "n", 3)
         # (0, 1), (0, n - 1), then (k, k + 1) for k = 1..n-2
         return _unit_graph(n, np.r_[0, 0, 1:n - 1], np.r_[1, n - 1, 2:n])
     if family == "path":
-        n = _require_int(params, "n", 2)
         idx = np.arange(n - 1)
         return _unit_graph(n, idx, idx + 1)
+    p = params["p"]
     if family == "watts_strogatz":
-        n = _require_int(params, "n", 3)
-        k = _require_int(params, "k", 2)
-        p = params.get("p")
+        k = params["k"]
         if k % 2 != 0 or k >= n:
             raise ParameterError("watts_strogatz requires even k < n")
-        if p is None or not (0.0 <= p <= 1.0):
+        if not (0.0 <= p <= 1.0):
             raise ParameterError("watts_strogatz requires rewiring probability p in [0, 1]")
-        draw = partial(_watts_strogatz_once, n, k, float(p))
-    elif family == "random_connected":
-        n = _require_int(params, "n", 2)
-        p = params.get("p")
-        if p is None or not (0.0 < p <= 1.0):
-            raise ParameterError("random_connected requires edge probability p in (0, 1]")
-        draw = partial(_erdos_renyi_once, n, float(p))
+        draw = partial(_watts_strogatz_once, n, k, p)
     else:
-        raise ParameterError(f"unknown graph family {family!r}")
+        if not (0.0 < p <= 1.0):
+            raise ParameterError("random_connected requires edge probability p in (0, 1]")
+        draw = partial(_erdos_renyi_once, n, p)
     rng = np.random.default_rng(seed)
     for _ in range(MAX_GENERATION_ATTEMPTS):
         g = draw(rng)
@@ -635,40 +639,36 @@ def extreme_eigenvalues(g: Graph) -> SpectralExtremes | None:
 
 
 def analytic_spectrum(family: str, **params) -> list[tuple[float, int]]:
-    """Closed-form Laplacian spectrum as (eigenvalue, multiplicity) pairs, ascending.
-
-    Supported: complete(n), complete_bipartite(m, n), star(n), cycle(n), path(n).
-    """
+    """Closed-form Laplacian spectrum as (eigenvalue, multiplicity) pairs,
+    ascending, of a ``_FAMILIES`` family without p, its parameters read by
+    ``_parameters``."""
+    if family not in _FAMILIES or "p" in _FAMILIES[family]:
+        raise ParameterError(f"no closed-form spectrum for family {family!r}")
+    params = _parameters(family, params)
+    n = params["n"]
     if family == "complete":
-        n = _require_int(params, "n", 2)
         return [(0.0, 1), (float(n), n - 1)]
     if family == "complete_bipartite":
-        m = _require_int(params, "m", 1)
-        n = _require_int(params, "n", 1)
+        m = params["m"]
         pairs: dict[float, int] = {0.0: 1}
         for value, mult in ((float(m), n - 1), (float(n), m - 1), (float(m + n), 1)):
             if mult > 0:
                 pairs[value] = pairs.get(value, 0) + mult
         return sorted(pairs.items())
     if family == "star":
-        n = _require_int(params, "n", 2)
         out = [(0.0, 1)]
         if n > 2:
             out.append((1.0, n - 2))
         out.append((float(n), 1))
         return out
     if family == "cycle":
-        n = _require_int(params, "n", 3)
         out = [(0.0, 1)]
         for k in range(1, (n - 1) // 2 + 1):
             out.append((2.0 - 2.0 * math.cos(2.0 * math.pi * k / n), 2))
         if n % 2 == 0:
             out.append((4.0, 1))
         return out
-    if family == "path":
-        n = _require_int(params, "n", 2)
-        return [(2.0 - 2.0 * math.cos(math.pi * k / n), 1) for k in range(n)]
-    raise ParameterError(f"no closed-form spectrum for family {family!r}")
+    return [(2.0 - 2.0 * math.cos(math.pi * k / n), 1) for k in range(n)]  # path
 
 
 def distinct_nonzero_eigenvalues(s: LaplacianSpectrum) -> list[float]:

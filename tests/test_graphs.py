@@ -123,6 +123,58 @@ def test_build_graph_rejects_bad_params(kwargs):
         build_graph(family, **kwargs)
 
 
+@pytest.mark.parametrize("family,params,message", [
+    # a string p reached a comparison with a float: a raw TypeError
+    ("watts_strogatz", dict(n=12, k=4, p="0.3"), "parameter 'p' must be a number, got '0.3'"),
+    ("random_connected", dict(n=12, p="0.5"), "parameter 'p' must be a number, got '0.5'"),
+    # a bool was read as 0 or 1: K_{1,3}, and a rewiring at p = 1.0
+    ("complete_bipartite", dict(m=True, n=3), "parameter 'm' must be a number, got True"),
+    ("watts_strogatz", dict(n=12, k=4, p=True), "parameter 'p' must be a number, got True"),
+    # a parameter the family does not take was ignored
+    ("star", dict(n=5, k=3), "graph family 'star' takes no parameter 'k'"),
+    ("star", dict(n=5, p=0.3), "graph family 'star' takes no parameter 'p'"),
+])
+def test_family_parameters_outside_the_one_rule_are_refused(family, params, message):
+    with pytest.raises(ParameterError) as info:
+        build_graph(family, seed=1, **params)
+    assert str(info.value) == message
+    if family not in ("watts_strogatz", "random_connected"):
+        with pytest.raises(ParameterError) as info:
+            analytic_spectrum(family, **params)
+        assert str(info.value) == message
+
+
+# One below the least value of each integer parameter of each family, the
+# other parameters valid: (family, parameters, spec, name, least value).
+BELOW_LEAST = [
+    ("complete", dict(n=1), "complete:1", "n", 2),
+    ("star", dict(n=1), "star:1", "n", 2),
+    ("cycle", dict(n=2), "cycle:2", "n", 3),
+    ("path", dict(n=1), "path:1", "n", 2),
+    ("complete_bipartite", dict(m=0, n=3), "bipartite:0,3", "m", 1),
+    ("complete_bipartite", dict(m=3, n=0), "bipartite:3,0", "n", 1),
+    ("watts_strogatz", dict(n=2, k=2, p=0.3), "ws:2,2,0.3", "n", 3),
+    ("watts_strogatz", dict(n=12, k=1, p=0.3), "ws:12,1,0.3", "k", 2),
+    ("random_connected", dict(n=1, p=0.5), "er:1,0.5", "n", 2),
+]
+
+
+@pytest.mark.parametrize("family,params,spec,name,least", BELOW_LEAST)
+def test_parameter_below_its_least_value_is_refused_on_every_path(
+        family, params, spec, name, least):
+    message = f"parameter '{name}' must be an integer >= {least}, got {least - 1}"
+    with pytest.raises(ParameterError) as info:
+        build_graph(family, seed=1, **params)
+    assert str(info.value) == message
+    if family not in ("watts_strogatz", "random_connected"):
+        with pytest.raises(ParameterError) as info:
+            analytic_spectrum(family, **params)
+        assert str(info.value) == message
+    result = CliRunner().invoke(main, ["graph", "inspect", spec])
+    assert result.exit_code == 2
+    assert result.stderr.endswith(f"\nError: Invalid value: bad graph spec {spec!r}: {message}\n")
+
+
 def test_graph_invariants_enforced():
     with pytest.raises(ParameterError):
         Graph(2, [0], [1], [-1.0])  # negative weight

@@ -38,6 +38,12 @@ COMMANDS = [
         [], ["design"], ["table2"], ["table3"], ["sweep"], ["response"], ["simulate"],
         ["graph"], ["graph", "generate"], ["graph", "inspect"])),
     ["graph", "inspect", "--format", "json", "ws:2000,6,0.3"],
+    # one spec of each kind, then refused ones: below a least value, an odd k
+    # not below n, and a parameter missing
+    *(["graph", "inspect", "--format", "json", *spec] for spec in (
+        ["complete:5"], ["star:6"], ["cycle:7"], ["path:5"], ["bipartite:2,3"],
+        ["ws:12,4,0.3", "--seed", "7"], ["er:12,0.5", "--seed", "7"],
+        ["cycle:2"], ["ws:10,11,0.3"], ["ws:10,4"])),
     ["graph", "inspect", "--format", "json", "file:{data}/graph_weighted24.json"],
     ["graph", "generate", "ws:12,4,0.3", "--seed", "7"],
     ["graph", "generate", "ws:12,4,0.3", "--seed", "7", *OUT],
