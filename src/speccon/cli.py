@@ -277,7 +277,7 @@ def design(band, method, period, beta_bar):
                    {"--band": band, "--beta-bar": beta_bar})
     seq = _sequence(method, band, period, beta_bar)
     gamma = _closed_rate(method, band, period) if method in TABLE_METHODS else None
-    click.echo(json.dumps(filters.sequence_to_dict(seq), indent=2))
+    click.echo(_strict_json(filters.sequence_to_dict(seq)))
     click.echo("roots: " + " ".join(_fmt6(r) for r in seq.roots), err=True)
     if gamma is not None:
         click.echo(f"worst-case rate (M={period}): {_fmt6(gamma)}", err=True)
@@ -541,8 +541,7 @@ def graph():
 @out_option
 def generate(spec, seed, out):
     """Generate a graph from SPEC (e.g. star:12, ws:12,4,0.3) as JSON."""
-    _emit([json.dumps(graphs.graph_to_dict(parse_graph_spec(spec, seed)), indent=2)], out,
-          "graph.json")
+    _emit([_strict_json(graphs.graph_to_dict(parse_graph_spec(spec, seed)))], out, "graph.json")
 
 
 @graph.command()
@@ -558,7 +557,7 @@ def inspect(spec, fmt, seed):
         click.echo("\n".join(lines))
         return
     iu, _, w = graphs.edge_arrays(g)
-    click.echo(json.dumps({
+    click.echo(_strict_json({
         "n": g.n,
         "edges": int(iu.size),
         "total_weight": float(w.sum()),
@@ -566,7 +565,7 @@ def inspect(spec, fmt, seed):
         "connected": s.is_connected(),
         "lambda_2": s.lambda_2,
         "lambda_max": s.lambda_max,
-    }, indent=2))
+    }))
 
 
 if __name__ == "__main__":

@@ -55,11 +55,12 @@ def _eig_error(n: int, scale: float) -> float:
     return 16 * n * _U * scale
 
 
-def _addressable(n: int) -> int:
+def _addressable(n: int, name: str = "n") -> int:
     """``n`` if numpy can address an n x n float Laplacian; otherwise a
-    ParameterError, raised before anything of length n is allocated."""
+    ParameterError naming the count ``name``, before anything of length n is made."""
     if n * n * np.dtype(np.float64).itemsize > np.iinfo(np.intp).max:
-        raise ParameterError(f"n={n} nodes is too many: numpy cannot address an n x n Laplacian")
+        raise ParameterError(
+            f"{name}={n} nodes is too many: numpy cannot address an n x n Laplacian")
     return n
 
 
@@ -67,19 +68,17 @@ def _addressable(n: int) -> int:
 class Graph:
     """Weighted undirected graph on n >= 2 nodes, stored as its edge list.
 
-    ``Graph(n, i, j, w)`` takes the edges as arrays (i, j, w), sorted by
-    (i, j) and unique, with 0 <= i < j < n and finite w > 0; ``edge_arrays``
-    returns them. The arrays are kept read-only, without a copy when handed
-    over read-only and owning their memory. No n x n array is kept.
+    ``Graph(n, i, j, w)`` reads n by ``_integral`` and ``_addressable``, and takes the
+    edges as arrays (i, j, w), sorted by (i, j) and unique, with 0 <= i < j < n and
+    finite w > 0; ``edge_arrays`` returns them. The arrays are kept read-only, without
+    a copy when handed over read-only and owning their memory. No n x n array is kept.
     """
 
     n: int
     _edges: tuple[np.ndarray, np.ndarray, np.ndarray] = field(repr=False)
 
     def __init__(self, n: int, i, j, w) -> None:
-        if int(n) != n or n < 2:
-            raise ParameterError(f"a graph needs n >= 2 nodes, got {n!r}")
-        _addressable(int(n))
+        n = _addressable(_integral(n, "n", 2))
         i, j, w = _node_indices(i), _node_indices(j), _read_only(w)
         if not (i.ndim == 1 and i.shape == j.shape == w.shape):
             raise ParameterError("edge arrays must be 1-D and of equal length")
@@ -91,7 +90,7 @@ class Graph:
             raise ParameterError("edge weights must be finite")
         if np.any(w <= 0.0):
             raise ParameterError("edge weights must be positive")
-        object.__setattr__(self, "n", int(n))
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "_edges", (i, j, w))
 
 
@@ -262,13 +261,6 @@ def is_connected(g: Graph) -> bool:
         seen[j[leaving]] = True
 
 
-def _integral(v, what: str) -> int:
-    """``v`` as an int; a number with a fractional part is a ParameterError."""
-    if int(v) != v:
-        raise ParameterError(f"{what} must be an integer, got {v!r}")
-    return int(v)
-
-
 def _number(v, what: str):
     """``v`` if it is a number of an input document: an int or a float, as JSON
     gives them, or a numpy number; a bool, a string or anything else is a
@@ -276,6 +268,15 @@ def _number(v, what: str):
     if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)):
         raise ParameterError(f"{what} must be a number, got {v!r}")
     return v
+
+
+def _integral(v, what: str, least: int) -> int:
+    """The one rule for an integer read from outside: ``v`` as an int if it is an integral
+    ``_number`` >= ``least``, else a ParameterError naming ``what``. No int is cast to float."""
+    v = _number(v, what)
+    if not (isinstance(v, (int, np.integer)) or float(v).is_integer()) or v < least:
+        raise ParameterError(f"{what} must be an integer >= {least}, got {v}")
+    return int(v)
 
 
 # Each graph family's parameters in spec order: an integer parameter's least
@@ -286,10 +287,10 @@ _FAMILIES = {"complete": {"n": 2}, "star": {"n": 2}, "cycle": {"n": 3}, "path": 
 
 
 def _parameters(family: str, params: dict) -> dict:
-    """``params`` of the ``_FAMILIES`` family ``family``, each read in place by
-    one rule: given and a number (``_number``); an integer one integral, at
-    least its least value and, as each counts nodes or is below the node count,
-    ``_addressable``; p a float. A parameter the family does not take is refused."""
+    """``params`` of the ``_FAMILIES`` family ``family``, each given and read in
+    place: an integer one by ``_integral`` from its least value and, as each
+    counts nodes or is below the node count, ``_addressable`` under its name; p
+    as a float ``_number``. A parameter the family does not take is refused."""
     table = _FAMILIES[family]
     unread = [repr(key) for key in params if key not in table]
     if unread:
@@ -298,10 +299,8 @@ def _parameters(family: str, params: dict) -> dict:
         what = f"parameter '{key}'"
         if params.get(key) is None:
             raise ParameterError(f"missing {what}")
-        v = _number(params[key], what)
-        if least is not None and _integral(v, what) < least:
-            raise ParameterError(f"{what} must be an integer >= {least}, got {int(v)!r}")
-        params[key] = float(v) if least is None else _addressable(int(v))
+        params[key] = (float(_number(params[key], what)) if least is None
+                       else _addressable(_integral(params[key], what, least), key))
     return params
 
 
@@ -714,17 +713,17 @@ def graph_to_dict(g: Graph) -> dict:
 
 
 def graph_from_dict(d: dict) -> Graph:
-    """Graph from its edge-list document. An edge may be given as [i, j, w] or
-    [j, i, w]; the last weight given for an edge wins."""
+    """Graph from its edge-list document, n and each node index read by ``_integral``.
+    An edge may be given as [i, j, w] or [j, i, w]; the last weight given for it wins."""
     try:
-        n = _integral(_number(d["n"], "n"), "n")
+        n = _integral(d["n"], "n", 2)
         weights = {}
         for e in d["edges"]:
             if len(e) != 3:
                 raise ParameterError(f"edge entry {e!r} must be [i, j, w]")
-            i, j = (_integral(_number(v, "a node index"), "a node index") for v in e[:2])
+            i, j = (_integral(v, "a node index", 0) for v in e[:2])
             w = float(_number(e[2], "an edge weight"))
-            if not (0 <= i < n and 0 <= j < n) or i == j:
+            if max(i, j) >= n or i == j:
                 raise ParameterError(f"edge ({i}, {j}) out of range for n={n}")
             if w <= 0.0:
                 raise ParameterError(f"edge ({i}, {j}) has non-positive weight {w}")

@@ -133,6 +133,18 @@ def test_build_graph_rejects_bad_params(kwargs):
     # a parameter the family does not take was ignored
     ("star", dict(n=5, k=3), "graph family 'star' takes no parameter 'k'"),
     ("star", dict(n=5, p=0.3), "graph family 'star' takes no parameter 'p'"),
+    # a NaN or infinite count was a raw ValueError or OverflowError
+    ("complete", dict(n=math.nan), "parameter 'n' must be an integer >= 2, got nan"),
+    ("cycle", dict(n=math.inf), "parameter 'n' must be an integer >= 3, got inf"),
+    ("complete_bipartite", dict(m=-math.inf, n=3),
+     "parameter 'm' must be an integer >= 1, got -inf"),
+    ("watts_strogatz", dict(n=12, k=math.nan, p=0.3),
+     "parameter 'k' must be an integer >= 2, got nan"),
+    # a count numpy cannot address was named n, whichever parameter it was
+    ("complete_bipartite", dict(m=10 ** 20, n=1),
+     f"m={10 ** 20} nodes is too many: numpy cannot address an n x n Laplacian"),
+    ("watts_strogatz", dict(n=10, k=10 ** 20, p=0.3),
+     f"k={10 ** 20} nodes is too many: numpy cannot address an n x n Laplacian"),
 ])
 def test_family_parameters_outside_the_one_rule_are_refused(family, params, message):
     with pytest.raises(ParameterError) as info:
@@ -175,6 +187,16 @@ def test_parameter_below_its_least_value_is_refused_on_every_path(
     assert result.stderr.endswith(f"\nError: Invalid value: bad graph spec {spec!r}: {message}\n")
 
 
+@pytest.mark.parametrize("spec,name", [
+    ("ws:10,99999999999999999999,0.3", "k"), ("bipartite:99999999999999999999,1", "m")])
+def test_a_count_numpy_cannot_address_is_named(spec, name):
+    result = CliRunner().invoke(main, ["graph", "inspect", spec])
+    assert result.exit_code == 2
+    assert result.stderr.endswith(
+        f"\nError: Invalid value: bad graph spec {spec!r}: {name}=99999999999999999999 nodes "
+        "is too many: numpy cannot address an n x n Laplacian\n")
+
+
 def test_graph_invariants_enforced():
     with pytest.raises(ParameterError):
         Graph(2, [0], [1], [-1.0])  # negative weight
@@ -189,8 +211,8 @@ def test_graph_invariants_enforced():
 
 # One case per branch of the constructor's validation, each told by its message.
 @pytest.mark.parametrize("n,i,j,w,match", [
-    (1, [], [], [], "n >= 2"),
-    (2.5, [0], [1], [1.0], "n >= 2"),
+    (1, [], [], [], "n must be an integer >= 2"),
+    (2.5, [0], [1], [1.0], "n must be an integer >= 2"),
     (3, [[0, 1]], [[1, 2]], [[1.0, 1.0]], "1-D"),
     (3, [0, 1], [1, 2], [1.0], "equal length"),
     (3, [1], [0], [1.0], "i < j"),
@@ -213,6 +235,11 @@ def test_graph_invariants_enforced():
     # i * n + j overflowed int64 here; no n x n array of these fits numpy's sizes
     (2 ** 63, [0], [1], [1.0], "cannot address"),
     (2 ** 32, [0], [1], [1.0], "cannot address"),
+    # NaN was a raw ValueError, inf an OverflowError, and True a count below 2
+    (math.nan, [], [], [], "n must be an integer >= 2, got nan"),
+    (math.inf, [0], [1], [1.0], "n must be an integer >= 2, got inf"),
+    (-math.inf, [0], [1], [1.0], "n must be an integer >= 2, got -inf"),
+    (True, [0], [1], [1.0], "n must be a number, got True"),
 ])
 def test_graph_rejects_invalid_edges(n, i, j, w, match):
     with pytest.raises(ParameterError, match=match):
@@ -1122,6 +1149,21 @@ def test_graph_requires_two_nodes():
 def test_graph_from_dict_rejects_malformed_documents(doc):
     with pytest.raises(ParameterError):
         graph_from_dict(doc)
+
+
+@pytest.mark.parametrize("doc,message", [
+    # a NaN or infinite n was "malformed graph document: cannot convert ..."
+    ({"n": math.nan, "edges": []}, "n must be an integer >= 2, got nan"),
+    ({"n": math.inf, "edges": []}, "n must be an integer >= 2, got inf"),
+    ({"n": 1, "edges": []}, "n must be an integer >= 2, got 1"),
+    ({"n": 2.5, "edges": [[0, 1, 1.0]]}, "n must be an integer >= 2, got 2.5"),
+    ({"n": 3, "edges": [[-1, 1, 1.0]]}, "a node index must be an integer >= 0, got -1"),
+    ({"n": 3, "edges": [[0, math.nan, 1.0]]}, "a node index must be an integer >= 0, got nan"),
+])
+def test_graph_from_dict_names_the_number_at_fault(doc, message):
+    with pytest.raises(ParameterError) as info:
+        graph_from_dict(doc)
+    assert str(info.value) == message
 
 
 def test_graph_from_dict_reads_numpy_numbers():

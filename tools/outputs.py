@@ -4,7 +4,7 @@ CLI invocations prints and writes, one line per invocation.
 Run it as `python tools/outputs.py`, from any directory. It runs the CLI of
 the checkout it sits in (`python -m speccon.cli`, with that checkout's `src/`
 first on PYTHONPATH), each invocation in a new temporary directory that holds
-only the input `states.json`. A line gives the argv, the exit status, and the
+only the input documents of `INPUTS`. A line gives the argv, the exit status, and the
 sha256 of stdout, of stderr and of each file under `out`, the path every
 `--out` in the list names. `{data}` in an argv stands for the checkout's
 `tests/data`. The tool sets no thread variable: its first line names the
@@ -24,8 +24,16 @@ REPO = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO / "bench"))
 from workloads import WORKLOADS  # noqa: E402
 
-# Initial states for star:12, read by `--x0 file:states.json`.
-STATES = "[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 1e3]\n"
+# The input documents each invocation's directory holds: initial states for
+# star:12, read by `--x0 file:states.json`, and graph documents whose n or a
+# node index is refused.
+INPUTS = {
+    "states.json": "[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 1e3]\n",
+    "n_nan.json": '{"n": NaN, "edges": [[0, 1, 1.0]]}\n',
+    "n_1.json": '{"n": 1, "edges": []}\n',
+    "n_2.5.json": '{"n": 2.5, "edges": [[0, 1, 1.0]]}\n',
+    "index_negative.json": '{"n": 3, "edges": [[-1, 1, 1.0]]}\n',
+}
 OUT = ["--out", "out"]
 STAR = ["simulate", "--graph", "star:12", "--band", "0.2,12.8", "--method", "chebyshev", "-M",
         "3", "--steps", "30", "--seed", "1"]
@@ -44,6 +52,11 @@ COMMANDS = [
         ["complete:5"], ["star:6"], ["cycle:7"], ["path:5"], ["bipartite:2,3"],
         ["ws:12,4,0.3", "--seed", "7"], ["er:12,0.5", "--seed", "7"],
         ["cycle:2"], ["ws:10,11,0.3"], ["ws:10,4"])),
+    # refused counts: a k and an m numpy cannot address, then documents whose
+    # n is NaN, below 2 or fractional, or whose node index is negative
+    *(["graph", "inspect", "--format", "json", spec] for spec in (
+        "ws:10,99999999999999999999,0.3", "bipartite:99999999999999999999,1",
+        "file:n_nan.json", "file:n_1.json", "file:n_2.5.json", "file:index_negative.json")),
     ["graph", "inspect", "--format", "json", "file:{data}/graph_weighted24.json"],
     ["graph", "generate", "ws:12,4,0.3", "--seed", "7"],
     ["graph", "generate", "ws:12,4,0.3", "--seed", "7", *OUT],
@@ -81,7 +94,8 @@ def digests(commands, repo: Path = REPO):
     for argv in commands:
         with tempfile.TemporaryDirectory() as tmp:
             cwd = Path(tmp)
-            (cwd / "states.json").write_text(STATES, encoding="utf-8")
+            for name, text in INPUTS.items():
+                (cwd / name).write_text(text, encoding="utf-8")
             run = subprocess.run(
                 [sys.executable, "-m", "speccon.cli", *(a.replace("{data}", data) for a in argv)],
                 cwd=cwd, env=env, capture_output=True)
