@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .graphs import SpectralBand, _number
+from .graphs import SpectralBand, _integral, _number, _real
 
 METHOD_TAGS = ("finite_time", "constant", "lagrange", "chebyshev", "uniform_unknown", "custom")
 
@@ -30,7 +30,7 @@ class ControlSequence:
     band: SpectralBand | None = None
 
     def __post_init__(self):
-        gains = tuple(float(g) for g in self.gains)
+        gains = tuple(_real(g, "control gains must be positive and finite") for g in self.gains)
         if not gains:
             raise ParameterError("control sequence needs at least one gain")
         if any(g <= 0.0 or not math.isfinite(g) for g in gains):
@@ -59,8 +59,7 @@ def eval_filter(seq: ControlSequence, lam, steps: int):
     an overflow came before the zero (inf * 0 is NaN), both without a warning;
     h is NaN only where the product underflowed to 0 before a factor overflowed.
     """
-    if steps < 0:
-        raise ParameterError("steps must be non-negative")
+    steps = _integral(steps, "steps", 0)
     lam_arr = np.asarray(lam, dtype=float)
     out = np.ones_like(lam_arr)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -100,11 +99,8 @@ def _band_gains(b: SpectralBand, place) -> tuple[float, ...]:
     gains = []
     for r in unit_roots:
         root = math.ldexp(r, shift)
-        try:
-            gains.append(1.0 / root if root >= np.finfo(np.float64).tiny
-                         else math.ldexp(1.0 / r, -shift))
-        except OverflowError:
-            raise ParameterError("control gains must be positive and finite") from None
+        gains.append(1.0 / root if root >= np.finfo(np.float64).tiny else _real(
+            1.0 / r, "control gains must be positive and finite", lambda g: math.ldexp(g, -shift)))
     return tuple(gains)
 
 
@@ -119,9 +115,9 @@ def design_lagrange(b: SpectralBand, period: int) -> ControlSequence:
     """Roots on the uniform interior grid of [alpha, beta], ascending.
 
     r_k = alpha + (beta - alpha) * (k + 1) / (M + 1). A degenerate band
-    (alpha == beta) collapses every root onto alpha. A period below 1 places
-    no root, which ``ControlSequence`` refuses.
+    (alpha == beta) collapses every root onto alpha.
     """
+    period = _integral(period, "period", 1)
     gains = _band_gains(b, lambda a, z: [a + (z - a) * (k + 1) / (period + 1)
                                          for k in range(period)])
     return ControlSequence(gains, "lagrange", b)
@@ -132,11 +128,11 @@ def design_chebyshev(b: SpectralBand, period: int) -> ControlSequence:
 
     r_i = (beta - alpha)/2 * cos((2i - 1) pi / (2M)) + (beta + alpha)/2 for
     i = 1..M. This is the minimax-optimal root placement for the worst-case
-    per-period rate over the band. A period below 1 places no root, which
-    ``ControlSequence`` refuses.
+    per-period rate over the band.
     """
     if b.alpha == b.beta:
         raise ParameterError("chebyshev design requires alpha < beta")
+    period = _integral(period, "period", 1)
 
     def place(alpha, beta):
         half_width, center = (beta - alpha) / 2.0, (beta + alpha) / 2.0
@@ -146,10 +142,10 @@ def design_chebyshev(b: SpectralBand, period: int) -> ControlSequence:
 
 
 def design_uniform_unknown(beta_bar: float, period: int) -> ControlSequence:
-    """Gains (M+1)/(beta_bar * (k+1)) for k = 0..M-1 (only an upper bound
-    known); for M below 1 there are none, which ``ControlSequence`` refuses."""
+    """Gains (M+1)/(beta_bar * (k+1)) for k = 0..M-1 (only an upper bound known)."""
     if beta_bar <= 0.0:
         raise ParameterError("beta_bar must be positive")
+    period = _integral(period, "period", 1)
     return ControlSequence(
         tuple((period + 1) / (beta_bar * (k + 1)) for k in range(period)),
         "uniform_unknown",
@@ -168,8 +164,7 @@ def cheby_on_band_at_zero(b: SpectralBand, m: int) -> float:
     the value is +/-1, its limit as beta/alpha grows; s is held there, so a
     ratio beta/alpha past the float range gives that limit too, not NaN.
     """
-    if m < 0:
-        raise ParameterError("order must be non-negative")
+    m = _integral(m, "order", 0)
     s = min(math.sqrt(b.beta / b.alpha), 2.0 ** 54)
     if s == 1.0:
         raise ParameterError("closed form requires alpha < beta")
@@ -199,8 +194,7 @@ def closed_rate_lagrange(b: SpectralBand, period: int) -> float:
     for a degenerate band (all roots coincide with the only eigenvalue
     location).
     """
-    if period < 1:
-        raise ParameterError("period must be >= 1")
+    period = _integral(period, "period", 1)
     if b.alpha == b.beta:
         return 0.0
     alpha, beta = _unit_scaled(b)
@@ -213,15 +207,13 @@ def closed_rate_lagrange(b: SpectralBand, period: int) -> float:
 
 def closed_rate_chebyshev(b: SpectralBand, period: int) -> float:
     """Optimal worst-case per-period rate: the reciprocal filter normalization."""
-    if period < 1:
-        raise ParameterError("period must be >= 1")
+    period = _integral(period, "period", 1)
     return 1.0 / abs(cheby_on_band_at_zero(b, period))
 
 
 def closed_rate_constant(b: SpectralBand, period: int) -> float:
     """Worst-case rate of the constant gain iterated ``period`` times."""
-    if period < 1:
-        raise ParameterError("period must be >= 1")
+    period = _integral(period, "period", 1)
     alpha, beta = _unit_scaled(b)
     return ((beta - alpha) / (beta + alpha)) ** period
 

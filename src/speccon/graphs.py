@@ -60,7 +60,7 @@ def _addressable(n: int, name: str = "n") -> int:
     ParameterError naming the count ``name``, before anything of length n is made."""
     if n * n * np.dtype(np.float64).itemsize > np.iinfo(np.intp).max:
         raise ParameterError(
-            f"{name}={n} nodes is too many: numpy cannot address an n x n Laplacian")
+            f"{name}={_shown(n)} nodes is too many: numpy cannot address an n x n Laplacian")
     return n
 
 
@@ -79,7 +79,8 @@ class Graph:
 
     def __init__(self, n: int, i, j, w) -> None:
         n = _addressable(_integral(n, "n", 2))
-        i, j, w = _node_indices(i), _node_indices(j), _read_only(w)
+        i, j = _node_indices(i), _node_indices(j)
+        w = _real(w, "edge weights must be finite", _read_only)
         if not (i.ndim == 1 and i.shape == j.shape == w.shape):
             raise ParameterError("edge arrays must be 1-D and of equal length")
         if i.size and (i.min() < 0 or j.max() >= n or np.any(i >= j)):
@@ -102,9 +103,9 @@ class SpectralBand:
     beta: float
 
     def __post_init__(self):
-        # a NaN or infinite end is not echoed, so no error prints a NaN token
-        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
-            raise ParameterError("band requires finite endpoints")
+        message = "band requires finite endpoints"  # echoes no end, so prints no NaN token
+        if not all(_real(end, message, math.isfinite) for end in (self.alpha, self.beta)):
+            raise ParameterError(message)
         if not (0.0 < self.alpha <= self.beta):
             raise ParameterError(f"band requires 0 < alpha <= beta, got [{self.alpha}, {self.beta}]")
 
@@ -271,12 +272,29 @@ def _number(v, what: str):
 
 
 def _integral(v, what: str, least: int) -> int:
-    """The one rule for an integer read from outside: ``v`` as an int if it is an integral
+    """The one rule for every count the package reads: ``v`` as an int if it is an integral
     ``_number`` >= ``least``, else a ParameterError naming ``what``. No int is cast to float."""
     v = _number(v, what)
     if not (isinstance(v, (int, np.integer)) or float(v).is_integer()) or v < least:
-        raise ParameterError(f"{what} must be an integer >= {least}, got {v}")
+        raise ParameterError(f"{what} must be an integer >= {least}, got {_shown(v)}")
     return int(v)
+
+
+def _shown(v) -> str:
+    """``v`` for a message; an int past ``str``'s digit limit as its sign and digit count."""
+    try:
+        return str(v)
+    except ValueError:
+        d = int(abs(v).bit_length() * math.log10(2))  # the digits of abs(v), or one less
+        return f"{'-' * (v < 0)}<{d + (abs(v) >= 10 ** d)} digits>"
+
+
+def _real(v, message: str, read=float):
+    """``read(v)``, or ParameterError(``message``) where v holds an int past the float range."""
+    try:
+        return read(v)
+    except OverflowError:
+        raise ParameterError(message) from None
 
 
 # Each graph family's parameters in spec order: an integer parameter's least
@@ -299,8 +317,8 @@ def _parameters(family: str, params: dict) -> dict:
         what = f"parameter '{key}'"
         if params.get(key) is None:
             raise ParameterError(f"missing {what}")
-        params[key] = (float(_number(params[key], what)) if least is None
-                       else _addressable(_integral(params[key], what, least), key))
+        params[key] = (_real(_number(params[key], what), f"{what} is past the float range")
+                       if least is None else _addressable(_integral(params[key], what, least), key))
     return params
 
 
@@ -366,7 +384,7 @@ def build_graph(family: str, seed: int | None = None, **params) -> Graph:
         return _unit_graph(n, *np.triu_indices(n, k=1))
     if family == "complete_bipartite":
         m = params["m"]
-        _addressable(m + n)
+        _addressable(m + n, "m+n")
         return _unit_graph(m + n, np.repeat(np.arange(m), n), np.arange(m * n) % n + m)
     if family == "star":
         return _unit_graph(n, np.zeros(n - 1, dtype=np.intp), np.arange(1, n))

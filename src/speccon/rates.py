@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import NumericalError, ParameterError
 from .filters import ControlSequence, eval_filter
-from .graphs import _U, LaplacianSpectrum, SpectralBand, SpectralExtremes, _widened
+from .graphs import _U, LaplacianSpectrum, SpectralBand, SpectralExtremes, _integral, _widened
 from .sim import _fmt6
 
 
@@ -32,9 +32,7 @@ def worst_case_rate(seq: ControlSequence, b: SpectralBand, steps: int | None = N
     endpoint or at the maximizer of |h| on an interval clipped to the band,
     which bisection on the sign of that sum finds.
     """
-    steps = seq.period if steps is None else steps
-    if steps < 1:
-        raise ParameterError("steps must be >= 1")
+    steps = seq.period if steps is None else _integral(steps, "steps", 1)
     roots, mult = np.unique([1.0 / seq.gain_at(k) for k in range(steps)], return_counts=True)
     lo, hi = np.clip(roots[:-1], b.alpha, b.beta), np.clip(roots[1:], b.alpha, b.beta)
     while True:
@@ -101,9 +99,7 @@ def _in_band_check(seq: ControlSequence, band: SpectralBand, n: int, steps: int)
 
 def rate_on_eigenvalues(seq: ControlSequence, eigenvalues, steps: int | None = None) -> RateReport:
     """Rate report for an explicit list of nonzero eigenvalues."""
-    steps = seq.period if steps is None else steps
-    if steps < 1:
-        raise ParameterError("steps must be >= 1")
+    steps = seq.period if steps is None else _integral(steps, "steps", 1)
     eigs = np.sort(np.asarray(eigenvalues, dtype=float))
     if eigs.size == 0 or eigs[0] <= 0.0:
         raise ParameterError("eigenvalues must be positive")
@@ -130,8 +126,7 @@ def decaying_gain_residuals(kind: str, s: LaplacianSpectrum, horizon: int) -> np
     """
     if kind not in ("harmonic", "summable"):
         raise ParameterError(f"unknown gain schedule {kind!r}")
-    if horizon < 0:
-        raise ParameterError("horizon must be non-negative")
+    horizon = _integral(horizon, "horizon", 0)
     eigs = s.nonzero_eigenvalues()
     c = 1.0 / s.lambda_max
     residual = np.ones_like(eigs)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .filters import ControlSequence
-from .graphs import _U, Graph, _neighbour_sums, _read_only, edge_arrays
+from .graphs import _U, Graph, _integral, _neighbour_sums, _read_only, _real, edge_arrays
 
 
 def round_off_floor(n: int) -> float:
@@ -82,10 +82,7 @@ def _norm(d):
 def check_initial_states(x0, n: int) -> np.ndarray:
     """``x0`` as a float array of n finite states whose spread ``max - min``
     and consensus error are finite floats; anything else is a ParameterError."""
-    try:
-        x = np.asarray(x0, dtype=float)
-    except OverflowError:  # an integer too large for a float
-        raise ParameterError("x0 must be finite") from None
+    x = _real(x0, "x0 must be finite", lambda a: np.asarray(a, dtype=float))
     if x.shape != (n,):
         raise ParameterError(f"x0 must have length {n}")
     if not np.all(np.isfinite(x)):
@@ -108,8 +105,7 @@ def simulate(g: Graph, seq: ControlSequence, x0, steps: int, states: bool = True
     from valid ones overflows to inf and NaN without a warning.
     """
     x = check_initial_states(x0, g.n)
-    if steps < 0:
-        raise ParameterError("steps must be non-negative")
+    steps = _integral(steps, "steps", 0)
     neighbour_sums = _neighbour_sums(g.n, *edge_arrays(g))
     rows = np.empty((steps + 1 if states else 0, g.n))
     errors = np.empty(steps + 1)
@@ -141,8 +137,7 @@ class PeriodRatios:
 
 def measured_period_ratios(trace: SimulationTrace, period: int) -> PeriodRatios:
     """Ratios errors[(j+1)M] / errors[jM] for each whole period j in the trace."""
-    if period < 1:
-        raise ParameterError("period must be >= 1")
+    period = _integral(period, "period", 1)
     e = trace.errors[::period]
     start = e[:-1]
     floor = _floor(trace)

@@ -50,6 +50,9 @@ def test_sequence_invariants():
         ControlSequence((0.5, -0.1))
     with pytest.raises(ParameterError):
         ControlSequence((0.5,), method="bogus")
+    # an int past the float range was a raw OverflowError
+    with pytest.raises(ParameterError, match="^control gains must be positive and finite$"):
+        ControlSequence((0.5, 10 ** 400))
     seq = ControlSequence((0.5, 0.25))
     assert seq.period == 2
     assert seq.roots == (2.0, 4.0)
@@ -65,7 +68,7 @@ def test_eval_filter_normalization_and_annihilation():
     for steps in (0, 1, 5, 17):
         assert eval_filter(seq, 0.0, steps) == 1.0
     # range(-1) is empty: h would read 1
-    with pytest.raises(ParameterError, match="steps must be non-negative"):
+    with pytest.raises(ParameterError, match="steps must be an integer >= 0"):
         eval_filter(seq, 1.0, -1)
     assert eval_filter(ControlSequence((0.5,)), 2.0, 1) == 0.0
     cheb = design_chebyshev(BAND, 3)
@@ -137,7 +140,7 @@ def test_design_lagrange():
     degenerate = design_lagrange(SpectralBand(3.0, 3.0), 2)
     assert degenerate.roots == (3.0, 3.0)
     for period in (0, -1):
-        with pytest.raises(ParameterError, match="control sequence needs at least one gain"):
+        with pytest.raises(ParameterError, match="period must be an integer >= 1"):
             design_lagrange(BAND, period)
 
 
@@ -151,7 +154,7 @@ def test_design_chebyshev():
     with pytest.raises(ParameterError):
         design_chebyshev(SpectralBand(3.0, 3.0), 2)
     for period in (0, -1):
-        with pytest.raises(ParameterError, match="control sequence needs at least one gain"):
+        with pytest.raises(ParameterError, match="period must be an integer >= 1"):
             design_chebyshev(BAND, period)
 
 
@@ -173,7 +176,7 @@ def test_design_uniform_unknown():
     with pytest.raises(ParameterError):
         design_uniform_unknown(-1.0, 3)
     for period in (0, -1):
-        with pytest.raises(ParameterError, match="control sequence needs at least one gain"):
+        with pytest.raises(ParameterError, match="period must be an integer >= 1"):
             design_uniform_unknown(13.0, period)
 
 
@@ -228,7 +231,7 @@ def test_cheby_on_band_at_zero_closed_form():
     with pytest.raises(ParameterError):
         cheby_on_band_at_zero(SpectralBand(1.0, 1.0), 2)
     # a negative power would give T_1's value at m = -1
-    with pytest.raises(ParameterError, match="order must be non-negative"):
+    with pytest.raises(ParameterError, match="order must be an integer >= 0"):
         cheby_on_band_at_zero(BAND, -1)
     # alpha < beta, but sqrt(beta/alpha) rounds to 1: the same error
     with pytest.raises(ParameterError, match="closed form requires alpha < beta"):
@@ -249,7 +252,7 @@ def test_closed_rate_lagrange():
     assert closed_rate_lagrange(SpectralBand(2.0, 2.0), 4) == 0.0
     assert 0.0 < closed_rate_lagrange(BAND, 30) < 1.0
     # the empty product would read 1.0, the rate of zero steps
-    with pytest.raises(ParameterError, match="period must be >= 1"):
+    with pytest.raises(ParameterError, match="period must be an integer >= 1"):
         closed_rate_lagrange(BAND, 0)
 
 
@@ -262,7 +265,7 @@ def test_closed_rate_chebyshev():
     with pytest.raises(ParameterError):
         closed_rate_chebyshev(SpectralBand(1.0, 1.0), 2)
     # 1/|T_0| would read 1.0, the rate of zero steps
-    with pytest.raises(ParameterError, match="period must be >= 1"):
+    with pytest.raises(ParameterError, match="period must be an integer >= 1"):
         closed_rate_chebyshev(BAND, 0)
 
 
@@ -285,7 +288,7 @@ def test_closed_rate_constant():
         assert abs(closed_rate_constant(BAND, m) - expected) <= 1e-14
     assert closed_rate_constant(SpectralBand(1.0, 1.0), 3) == 0.0
     # x ** 0 would read 1.0, the rate of zero steps
-    with pytest.raises(ParameterError, match="period must be >= 1"):
+    with pytest.raises(ParameterError, match="period must be an integer >= 1"):
         closed_rate_constant(BAND, 0)
 
 

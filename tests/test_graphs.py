@@ -4,6 +4,7 @@ import json
 import math
 import mmap
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -145,6 +146,19 @@ def test_build_graph_rejects_bad_params(kwargs):
      f"m={10 ** 20} nodes is too many: numpy cannot address an n x n Laplacian"),
     ("watts_strogatz", dict(n=10, k=10 ** 20, p=0.3),
      f"k={10 ** 20} nodes is too many: numpy cannot address an n x n Laplacian"),
+    # past 4300 digits str() raised a raw ValueError: shown as sign and digit count
+    pytest.param("complete", dict(n=10 ** 5000),
+                 "n=<5001 digits> nodes is too many: numpy cannot address an n x n Laplacian",
+                 id="n-5001-digits"),
+    pytest.param("watts_strogatz", dict(n=12, k=1 - 10 ** 5000, p=0.3),
+                 "parameter 'k' must be an integer >= 2, got -<5000 digits>", id="k-5000-digits"),
+    pytest.param("path", dict(n=-2 ** 20000), "parameter 'n' must be an integer >= 2, got "
+                 "-<6021 digits>", id="n-6021-digits"),
+    # an int past the float range was a raw OverflowError
+    pytest.param("random_connected", dict(n=12, p=10 ** 400),
+                 "parameter 'p' is past the float range", id="p-past-the-float-range"),
+    pytest.param("watts_strogatz", dict(n=12, k=4, p=-10 ** 400),
+                 "parameter 'p' is past the float range", id="p-below-the-float-range"),
 ])
 def test_family_parameters_outside_the_one_rule_are_refused(family, params, message):
     with pytest.raises(ParameterError) as info:
@@ -197,6 +211,12 @@ def test_a_count_numpy_cannot_address_is_named(spec, name):
         "is too many: numpy cannot address an n x n Laplacian\n")
 
 
+def test_the_bipartite_size_names_the_sum():
+    # the sum was named n, though n is 2**29
+    with pytest.raises(ParameterError, match=re.escape("m+n=1073741824 nodes is too many")):
+        build_graph("complete_bipartite", m=2 ** 29, n=2 ** 29)
+
+
 def test_graph_invariants_enforced():
     with pytest.raises(ParameterError):
         Graph(2, [0], [1], [-1.0])  # negative weight
@@ -240,6 +260,9 @@ def test_graph_invariants_enforced():
     (math.inf, [0], [1], [1.0], "n must be an integer >= 2, got inf"),
     (-math.inf, [0], [1], [1.0], "n must be an integer >= 2, got -inf"),
     (True, [0], [1], [1.0], "n must be a number, got True"),
+    # a weight past the float range was a raw OverflowError, a huge n a raw ValueError
+    (3, [0], [1], [10 ** 400], "edge weights must be finite"),
+    pytest.param(10 ** 5000, [], [], [], "n=<5001 digits> nodes is too many", id="n-5001-digits"),
 ])
 def test_graph_rejects_invalid_edges(n, i, j, w, match):
     with pytest.raises(ParameterError, match=match):
@@ -399,6 +422,9 @@ def test_band_validation():
         SpectralBand(1.0, math.inf)
     with pytest.raises(ParameterError):
         SpectralBand(math.inf, math.inf)
+    for ends in ((1, 10 ** 400), (-10 ** 400, 1)):  # was a raw OverflowError
+        with pytest.raises(ParameterError, match="^band requires finite endpoints$"):
+            SpectralBand(*ends)
 
 
 def test_graph_json_roundtrip(tmp_path):

@@ -79,7 +79,7 @@ def test_worst_case_matches_closed_forms_at_reference_band():
     assert abs(worst_case_rate(design_constant(BAND), BAND, steps=3)
                - 0.9105034137460176) <= 1e-9
     # h over no step is 1 at both band ends: the rate would read 1.0
-    with pytest.raises(ParameterError, match="steps must be >= 1"):
+    with pytest.raises(ParameterError, match="steps must be an integer >= 1"):
         worst_case_rate(design_constant(BAND), BAND, 0)
 
 
@@ -185,7 +185,7 @@ def test_exact_below_worst_case_for_in_band_spectra():
             report = rate_on_eigenvalues(seq, s.eigenvalues[1:], steps=steps)
             assert report.exact_rate <= worst_case_rate(seq, band, steps) + 1e-9
     # h(lambda, 0) = h(0, T) = 1: either would read as a rate of 1.0
-    with pytest.raises(ParameterError, match="steps must be >= 1"):
+    with pytest.raises(ParameterError, match="steps must be an integer >= 1"):
         rate_on_eigenvalues(design_constant(BAND), [1.0, 2.0], steps=0)
     with pytest.raises(ParameterError, match="eigenvalues must be positive"):
         rate_on_eigenvalues(design_constant(BAND), [0.0, 1.0])
@@ -229,7 +229,7 @@ def test_decaying_gain_residuals_contracts():
     with pytest.raises(ParameterError):
         decaying_gain_residuals("linear", star, 10)
     # an envelope of no entry: numpy's IndexError or ValueError otherwise
-    with pytest.raises(ParameterError, match="horizon must be non-negative"):
+    with pytest.raises(ParameterError, match="horizon must be an integer >= 0"):
         decaying_gain_residuals("harmonic", star, -1)
 
 
